@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import GapError
-from .metric import PointCloud
+from .metric import PointCloud, _first_pair, _pairwise
 
 PREDICATE_TOL = 1e-12
 
@@ -183,9 +183,9 @@ def circumcircle_margins(tri: Triangulation) -> np.ndarray:
     The empty-circumcircle property says every entry is >= 0 up to
     predicate noise; the triangle's own vertices land at exactly 0.
     """
-    diff = tri.circumcenters[:, None, :] - tri.sites[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-    return dist - tri.circumradii[:, None]
+    dist = _pairwise(tri.circumcenters, tri.sites)
+    dist -= tri.circumradii[:, None]
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +251,7 @@ def covering_radius_unit_square(cloud: PointCloud) -> tuple:
         cands.append(np.array(c))
         kinds.append("boundary-intersection")
     cand = np.array(cands)
-    diff = cand[:, None, :] - pts[None, :, :]
-    nearest = np.sqrt((diff * diff).sum(axis=-1)).min(axis=1)
+    nearest = _pairwise(cand, pts).min(axis=1)
     best = int(np.argmax(nearest))  # first occurrence: fixed candidate order
     return float(nearest[best]), cand[best].copy(), kinds[best]
 
@@ -263,13 +262,10 @@ def gap_report_unit_square(cloud: PointCloud) -> SquareGapReport:
     if pts.shape[0] < 2:
         raise GapError("sample-too-small", "gap report needs >= 2 points")
     _validate_in_square(pts)
-    diff = pts[:, None, :] - pts[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=-1))
-    iu = np.triu_indices(pts.shape[0], 1)
-    vals = d[iu]
-    pos = int(np.argmin(vals))
-    pair = (int(iu[0][pos]), int(iu[1][pos]))
-    r = float(vals[pos]) / 2.0
+    d = _pairwise(pts, pts)
+    np.fill_diagonal(d, np.inf)
+    pair = _first_pair(d, largest=False)
+    r = float(d[pair]) / 2.0
     R, witness, kind = covering_radius_unit_square(cloud)
     return SquareGapReport(r=r, R=R, gap_ratio=R / r, closest_pair=pair,
                            farthest_point=witness, candidate_kind=kind)

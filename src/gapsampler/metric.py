@@ -31,6 +31,10 @@ from .errors import GapError
 # Tolerance for the triangle-inequality audit of explicit matrices.
 TRIANGLE_TOL = 1e-9
 
+# Rows per block of the pairwise-distance kernel; its one scratch block holds
+# _BLOCK rows of the output.
+_BLOCK = 64
+
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -205,12 +209,54 @@ def _unreachable_pair(g: Graph) -> Optional[tuple]:
     return (0, int(np.flatnonzero(~seen)[0]))
 
 
+def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) L2 distances between the rows of a and of b.
+
+    Squared coordinate differences are summed in coordinate order, then
+    square-rooted.  (x - y)^2 == (y - x)^2 exactly, so _pairwise(p, p) is
+    exactly symmetric with a zero diagonal, which FPI's halving identity
+    relies on.  For d <= 7 this equals sqrt(((a[:, None] - b[None]) ** 2)
+    .sum(-1)) bit for bit; numpy sums 8 or more terms pairwise instead.
+    The output is filled _BLOCK rows at a time with in-place ufuncs, so
+    peak memory is the result plus one (_BLOCK, len(b)) scratch block.
+    """
+    cols = np.ascontiguousarray(b.T)  # (d, m): one contiguous row per coordinate
+    n, d = a.shape
+    out = np.empty((n, cols.shape[1]))
+    scratch = np.empty((min(_BLOCK, n), cols.shape[1]))
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        acc, sq = out[lo:hi], scratch[:hi - lo]
+        np.subtract(a[lo:hi, 0, None], cols[0], out=acc)
+        np.multiply(acc, acc, out=acc)
+        for c in range(1, d):
+            np.subtract(a[lo:hi, c, None], cols[c], out=sq)
+            np.multiply(sq, sq, out=sq)
+            np.add(acc, sq, out=acc)
+        np.sqrt(acc, out=acc)
+    return out
+
+
+def _first_pair(mat: np.ndarray, largest: bool) -> tuple:
+    """Lexicographically smallest (i, j), i < j, at which the symmetric
+    matrix mat attains its maximum (largest) or minimum off the diagonal.
+
+    The diagonal must never attain it (zero under a max over a metric, +inf
+    under a min).  The first row holding the extreme value has it at some
+    column above the diagonal: a column j < i would put it in the earlier
+    row j too.  Only row reductions are made, so a read-only mat is never
+    copied.
+    """
+    if largest:
+        i = int(np.argmax(mat.max(axis=1)))  # first occurrence = smallest row
+        return i, int(np.argmax(mat[i]))
+    i = int(np.argmin(mat.min(axis=1)))
+    return i, int(np.argmin(mat[i]))
+
+
 def build_euclidean(cloud: PointCloud) -> FiniteMetric:
-    """L2 distance matrix over a point cloud."""
-    pts = cloud.points
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-    np.fill_diagonal(dist, 0.0)
+    """L2 distance matrix over a point cloud (see _pairwise)."""
+    dist = _pairwise(cloud.points, cloud.points)
     dist.setflags(write=False)
     return FiniteMetric(n=cloud.n, dist=dist, source="euclidean")
 
@@ -400,9 +446,6 @@ def diameter(m: FiniteMetric) -> tuple:
     """(i, j, dist): lexicographically smallest pair at maximum distance."""
     if m.n < 2:
         raise GapError("too-few-sites", "diameter needs at least 2 sites")
-    mat = m.exact2x if m.exact2x is not None else m.dist
-    iu = np.triu_indices(m.n, 1)
-    vals = mat[iu]
-    pos = int(np.argmax(vals))  # row-major first occurrence = lexicographic
-    i, j = int(iu[0][pos]), int(iu[1][pos])
+    i, j = _first_pair(m.exact2x if m.exact2x is not None else m.dist,
+                       largest=True)
     return i, j, float(m.dist[i, j])

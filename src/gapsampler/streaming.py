@@ -107,7 +107,8 @@ def stream_init(first_points: Iterable, k: int, eps: float) -> StreamState:
     T becomes the first k distinct points and R_thresh their minimum
     pairwise distance; the grid (anchored at the very first point, cell side
     eps3 * R_thresh / (2 sqrt(d))) is seeded with everything consumed so
-    far.  Any remaining points of ``first_points`` are ingested normally.
+    far.  Any remaining points of ``first_points`` are passed one at a time
+    to stream_ingest, so only the prefix is ever buffered.
     """
     k = int(k)
     if k < 2:
@@ -115,20 +116,18 @@ def stream_init(first_points: Iterable, k: int, eps: float) -> StreamState:
     it = iter(first_points)
     prefix = []   # every consumed point, duplicates included
     distinct = []
-    rest = []
     for x in it:
         x = np.asarray(x, dtype=np.float64).reshape(-1)
-        if len(distinct) < k:
-            prefix.append(x)
-            if not any(np.array_equal(x, t) for t in distinct):
-                distinct.append(x)
-        else:
-            rest.append(x)
+        prefix.append(x)
+        if not any(np.array_equal(x, t) for t in distinct):
+            distinct.append(x)
+            if len(distinct) == k:
+                break
     if len(distinct) < k:
         raise GapError("too-few-distinct",
                        f"stream has only {len(distinct)} distinct points, k={k}")
     d = distinct[0].shape[0]
-    for x in prefix + rest:
+    for x in prefix:
         if x.shape[0] != d:
             raise GapError("dimension-mismatch", "stream points differ in dimension")
     params = stream_params(eps, d)
@@ -145,7 +144,7 @@ def stream_init(first_points: Iterable, k: int, eps: float) -> StreamState:
         if not any(np.array_equal(x, t) for t in seen_distinct):
             seen_distinct.append(x)
             state.T.append((idx, x))
-    for x in rest:
+    for x in it:
         stream_ingest(state, x)
     return state
 

@@ -67,6 +67,39 @@ def test_init_rejects_mixed_dimension():
     assert e.value.code == "dimension-mismatch"
 
 
+def assert_same_state(a, b):
+    assert (a.params, a.k, a.cell_side, a.R_thresh) == (b.params, b.k, b.cell_side, b.R_thresh)
+    assert (a.points_seen, a.phase, a.peak_cells) == (b.points_seen, b.phase, b.peak_cells)
+    assert np.array_equal(a.origin, b.origin)
+    assert a.cells.keys() == b.cells.keys()
+    for c, (i, p) in a.cells.items():
+        assert b.cells[c][0] == i and np.array_equal(b.cells[c][1], p)
+    assert [i for i, _ in a.T] == [i for i, _ in b.T]
+    assert all(np.array_equal(p, q) for (_, p), (_, q) in zip(a.T, b.T))
+
+
+def test_init_streams_the_rest_of_a_generator():
+    rng = np.random.default_rng(31)
+    pts = rng.random((400, 2))
+    pts[2] = pts[0]  # a duplicate inside the k-distinct prefix
+    k = 3
+    state = stream_init((p for p in pts), k, 0.1)
+    ref = stream_init(pts[:k + 1], k, 0.1)
+    for x in pts[k + 1:]:
+        stream_ingest(ref, x)
+    assert state.points_seen == len(pts)
+    assert_same_state(state, ref)
+
+
+def test_init_mixed_dimension_after_prefix():
+    def points():
+        yield from ([0.0, 0.0], [1.0, 0.0], [0.0, 2.0])
+        yield [5.0]
+    with pytest.raises(GapError) as e:
+        stream_init(points(), 2, 0.1)
+    assert e.value.code == "dimension-mismatch"
+
+
 # ---------------------------------------------------------------------------
 # doubling trace
 

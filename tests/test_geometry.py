@@ -1,5 +1,6 @@
 """Delaunay structure, largest-empty-circle search, and the angle audit."""
 
+import itertools
 from math import asin, pi, sqrt
 
 import numpy as np
@@ -167,6 +168,23 @@ def test_four_corners_gap_report():
     assert rep.gap_ratio == pytest.approx(sqrt(2.0), rel=1e-15)
     assert rep.closest_pair == (0, 1)
     assert rep.candidate_kind == "voronoi-vertex"
+
+
+def test_closest_pair_matches_triu_scan_on_lattices():
+    rng = np.random.default_rng(23)
+    for side in (2, 3, 5, 8):
+        axis = np.arange(side) / (side - 1)
+        pts = np.array(list(itertools.product(axis, axis)))
+        for order in (np.arange(len(pts)), rng.permutation(len(pts))):
+            cloud = build_cloud(pts[order])
+            p = cloud.points
+            diff = p[:, None, :] - p[None, :, :]
+            dist = np.sqrt((diff * diff).sum(axis=-1))
+            iu = np.triu_indices(cloud.n, 1)
+            pos = int(np.argmin(dist[iu]))
+            rep = gap_report_unit_square(cloud)
+            assert rep.closest_pair == (int(iu[0][pos]), int(iu[1][pos]))
+            assert rep.r == dist[iu][pos] / 2.0
 
 
 def test_gap_report_needs_two_points():

@@ -1,6 +1,7 @@
 """Contract tests for metric construction and exact gap evaluation."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 
 from gapsampler import (GapError, build_cloud, build_euclidean, build_explicit,
                         build_graph, build_graph_metric, diameter, gap_fraction,
-                        gap_ratio, genmet_reduce, make_sample, max_gap, min_gap)
+                        farthest_point_insertion, gap_ratio, genmet_reduce,
+                        make_sample, max_gap, min_gap)
+from gapsampler.metric import _BLOCK, _pairwise
 
 
 def line_metric(n=10):
@@ -248,3 +251,121 @@ def test_exact_and_float_paths_agree():
 def test_duplicate_sample_indices_rejected():
     with pytest.raises(GapError):
         gap_ratio(line_metric(), [1, 1, 4])
+
+
+# ---------------------------------------------------------------------------
+# pairwise-distance kernel
+
+
+def loop_distances(a, b):
+    """Reference: squared differences summed in coordinate order, then sqrt."""
+    out = np.empty((len(a), len(b)))
+    for i, p in enumerate(a):
+        for j, q in enumerate(b):
+            acc = 0.0
+            for x, y in zip(p, q):
+                acc += (x - y) * (x - y)
+            out[i, j] = np.sqrt(acc)
+    return out
+
+
+def broadcast_distances(a, b):
+    """The difference-tensor expression the kernel replaced."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
+KERNEL_SHAPES = [(1, 1), (_BLOCK - 1, 5), (_BLOCK, _BLOCK), (_BLOCK + 1, 3),
+                 (2 * _BLOCK + 1, _BLOCK - 1), (7, 2 * _BLOCK + 1)]
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_pairwise_equals_coordinate_order_loop(d):
+    rng = np.random.default_rng(d)
+    for na, nb in KERNEL_SHAPES:
+        a = rng.normal(size=(na, d)) * 10.0 ** rng.integers(-3, 4)
+        b = rng.normal(size=(nb, d))
+        assert np.array_equal(_pairwise(a, b), loop_distances(a, b))
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_pairwise_against_broadcast_expression(d):
+    rng = np.random.default_rng(100 + d)
+    for na, nb in KERNEL_SHAPES:
+        a, b = rng.random((na, d)), rng.random((nb, d))
+        got, old = _pairwise(a, b), broadcast_distances(a, b)
+        if d <= 7:
+            assert np.array_equal(got, old)
+        else:  # numpy sums 8+ terms pairwise: last-bit differences only
+            assert np.all(np.abs(got - old) <= 4 * 2.0 ** -52 * old)
+
+
+def test_pairwise_self_is_exactly_symmetric():
+    rng = np.random.default_rng(9)
+    for d in (1, 2, 3, 8, 11):
+        p = rng.normal(size=(2 * _BLOCK + 1, d))
+        dist = _pairwise(p, p)
+        assert np.array_equal(dist, dist.T)
+        assert not np.diag(dist).any()
+
+
+# ---------------------------------------------------------------------------
+# lexicographic tie-breaks
+
+
+def triu_first(mat, largest):
+    """The full upper-triangle scan diameter() used to make."""
+    iu = np.triu_indices(len(mat), 1)
+    vals = mat[iu]
+    pos = int(np.argmax(vals) if largest else np.argmin(vals))
+    return int(iu[0][pos]), int(iu[1][pos])
+
+
+def lattice_clouds():
+    rng = np.random.default_rng(21)
+    for d, side in ((1, 9), (2, 5), (2, 7), (3, 4)):
+        pts = np.array(list(itertools.product(range(side), repeat=d)), dtype=float)
+        yield pts
+        yield pts[rng.permutation(len(pts))]
+
+
+def tie_heavy_graphs():
+    rng = np.random.default_rng(22)
+    for n in range(3, 10):
+        yield build_graph(n, [(i, (i + 1) % n) for i in range(n)])  # cycle
+    for a, b in ((2, 2), (3, 4), (4, 4), (2, 7)):
+        edges = [(r * b + c, r * b + c + 1) for r in range(a) for c in range(b - 1)]
+        edges += [(r * b + c, (r + 1) * b + c) for r in range(a - 1) for c in range(b)]
+        yield build_graph(a * b, edges)  # grid
+        relabel = rng.permutation(a * b)
+        yield build_graph(a * b, [(relabel[u], relabel[v]) for u, v in edges])
+    for n in (2, 5, 12, 30):
+        yield build_graph(n, [(int(rng.integers(0, v)), v) for v in range(1, n)])  # tree
+
+
+def test_diameter_matches_triu_scan_on_lattices():
+    for pts in lattice_clouds():
+        m = build_euclidean(build_cloud(pts))
+        i, j, diam = diameter(m)
+        assert (i, j) == triu_first(m.dist, largest=True)
+        assert diam == m.dist.max()
+
+
+def test_diameter_matches_triu_scan_on_graphs():
+    for g in tie_heavy_graphs():
+        m = build_graph_metric(g)
+        i, j, diam = diameter(m)
+        assert (i, j) == triu_first(m.exact2x, largest=True)
+        assert 2 * diam == m.exact2x.max()
+
+
+def test_fpi_peak_memory_is_the_matrix_plus_a_block():
+    n = 2000
+    cloud = build_cloud(np.random.default_rng(4).random((n, 2)))
+    tracemalloc.start()
+    try:
+        farthest_point_insertion(build_euclidean(cloud), 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * n * 8

@@ -20,16 +20,16 @@ guarantee speaks about.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, sqrt
+from math import sqrt
 from typing import Optional
 
 import numpy as np
 
-from .errors import GapError, GuardExceeded
+from .errors import GapError
 from .fpi import farthest_point_insertion
 from .metric import (FiniteMetric, GapReport, PointCloud, Sample,
                      build_cloud, build_euclidean, gap_ratio, make_sample)
-from .oracle import iter_subset_chunks, subset_gap_stats
+from .oracle import _min_gap_ratio
 
 ENUM_GUARD = 50_000_000
 
@@ -125,20 +125,8 @@ def best_k_subset(coreset_metric: FiniteMetric, k: int, guard: int = ENUM_GUARD,
         raise GapError("coreset-too-small",
                        f"coreset has {coreset_metric.n} sites but k={k}; "
                        f"use a smaller eps")
-    total = comb(coreset_metric.n, k)
-    if total > guard and not force:
-        raise GuardExceeded(
-            f"C({coreset_metric.n}, {k}) = {total} subsets exceeds the guard "
-            f"{guard}; raise --guard or force to proceed")
-    best = np.inf
-    best_idx = None
-    for idx in iter_subset_chunks(coreset_metric.n, k):
-        gr, _, _ = subset_gap_stats(coreset_metric.dist, idx)
-        pos = int(np.argmin(gr))
-        if gr[pos] < best:
-            best = float(gr[pos])
-            best_idx = idx[pos]
-    sample = make_sample(best_idx, coreset_metric.n)
+    best, _, _, _ = _min_gap_ratio(coreset_metric.dist, k, guard, force)
+    sample = make_sample(best, coreset_metric.n)
     return sample, gap_ratio(coreset_metric, sample)
 
 

@@ -149,7 +149,8 @@ def delaunay(cloud: PointCloud) -> Triangulation:
             ia, ib, ic = tris[t]
             directed.update([(ia, ib), (ib, ic), (ic, ia)])
         boundary = [(u, v) for (u, v) in directed if (v, u) not in directed]
-        tris = [tri for t, tri in enumerate(tris) if t not in set(bad)]
+        gone = set(bad)
+        tris = [tri for t, tri in enumerate(tris) if t not in gone]
         for u, v in boundary:
             if _orient(verts[u], verts[v], p) > 0:
                 tris.append((u, v, pi_))

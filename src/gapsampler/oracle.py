@@ -20,7 +20,7 @@ both on exact doubled-integer arithmetic so that equalities are equalities:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb
 from typing import Iterator, Optional
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import GapError, GuardExceeded, CertificationError
 from .metric import (FiniteMetric, Graph, Sample, build_explicit,
-                     build_graph_metric, gap_ratio, make_sample)
+                     build_graph_metric, make_sample)
 
 DEFAULT_GUARD = 10_000_000
 
@@ -43,33 +43,82 @@ class OracleResult:
 
 
 # ---------------------------------------------------------------------------
-# vectorized subset enumeration (shared with the coreset search)
+# prefix-shared exhaustive subset kernel (shared with the coreset search)
+
+# Element budget of one (a rows, b columns, sites) block of the subset
+# kernel; a block holds at least one a row, so its one scratch buffer holds
+# max(_BLOCK, n * (n - 1)) entries, and never more than n * (n - 1)**2.
+_BLOCK = 1 << 17
 
 
-def iter_subset_chunks(n: int, k: int, chunk: int = 65536) -> Iterator[np.ndarray]:
-    """Yield (m, k) index arrays covering all k-subsets of range(n) in
-    lexicographic order."""
-    gen = combinations(range(n), k)
-    while True:
-        block = list(islice(gen, chunk))
-        if not block:
-            return
-        yield np.array(block, dtype=np.int64)
+def _subset_blocks(dist: np.ndarray, k: int) -> Iterator[tuple]:
+    """Every k-subset of range(n) in lexicographic order, in blocks
+    (prefix, a, b, cover, q): subset prefix + (a[i], b[i]) has covering
+    radius cover[i] and minimum pair distance q[i], both read from ``dist``.
 
-
-def subset_gap_stats(dist: np.ndarray, idx: np.ndarray) -> tuple:
-    """Per-subset (gap_ratio, r, R) for an (m, k) index array.
-
-    r and R are both measured inside the space `dist` describes: r from the
-    subset's pairwise distances, R as the covering radius over all sites.
+    A depth-first walk over the (k-2)-prefixes keeps pm, each site's
+    distance to the prefix (one np.minimum per level), and pq, the prefix's
+    minimum pair distance; the last two members a < b are evaluated as a
+    block of a rows against all later b.  Only min and max touch distances,
+    so results are exact for float and integer matrices alike.
     """
-    k = idx.shape[1]
-    sub = dist[idx[:, :, None], idx[:, None, :]]  # (m, k, k)
-    iu = np.triu_indices(k, 1)
-    q = sub[:, iu[0], iu[1]].min(axis=1)
-    cover = dist[idx].min(axis=1).max(axis=1)  # (m, k, n) -> (m, n) -> (m,)
-    r = q / 2.0
-    return cover / r, r, cover
+    n = dist.shape[0]
+    top = np.inf if dist.dtype.kind == "f" else np.iinfo(dist.dtype).max
+    scratch = np.empty(min(max(_BLOCK, n * (n - 1)), n * (n - 1) ** 2),
+                       dtype=dist.dtype)
+
+    def level(prefix, start, pm, pq):
+        if len(prefix) < k - 2:
+            for p in range(start, n - k + len(prefix) + 1):
+                yield from level(prefix + (p,), p + 1, np.minimum(pm, dist[p]),
+                                 min(pq, pm[p]))
+            return
+        a0 = start
+        while a0 < n - 1:
+            lo = a0 + 1
+            cols = n - lo
+            a1 = min(n - 1, a0 + max(1, _BLOCK // (cols * n)))
+            rows = a1 - a0
+            near = np.minimum(pm, dist[a0:a1])
+            block = scratch[:rows * cols * n].reshape(rows, cols, n)
+            np.minimum(near[:, None, :], dist[None, lo:, :], out=block)
+            cover = block.max(axis=-1)
+            q = np.minimum(np.minimum(np.minimum(pm[a0:a1], pq)[:, None],
+                                      pm[None, lo:]), dist[a0:a1, lo:])
+            # b = lo + j > a = a0 + i iff j >= i; row-major order is lexicographic
+            i, j = np.nonzero(np.arange(cols) >= np.arange(rows)[:, None])
+            yield prefix, i + a0, j + lo, cover[i, j], q[i, j]
+            a0 = a1
+
+    yield from level((), 0, np.full(n, top, dtype=dist.dtype), top)
+
+
+def _min_gap_ratio(dist: np.ndarray, k: int, guard: int, force: bool) -> tuple:
+    """(first subset with the minimum gap ratio, that ratio, R_opt, r_opt)
+    over all k-subsets, with r and R both measured in ``dist``.
+
+    Refuses instances with more than ``guard`` subsets unless forced.
+    """
+    total = comb(dist.shape[0], k)
+    if total > guard and not force:
+        raise GuardExceeded(
+            f"C({dist.shape[0]}, {k}) = {total} subsets exceeds the guard {guard}; "
+            f"raise --guard or force to proceed")
+    best_gr = np.inf
+    best = None
+    R_opt = np.inf
+    r_opt = -np.inf
+    for prefix, a, b, cover, q in _subset_blocks(dist, k):
+        r = q / 2.0
+        gr = cover / r
+        pos = int(np.argmin(gr))  # first occurrence keeps lexicographic order
+        if gr[pos] < best_gr:
+            best_gr = float(gr[pos])
+            best = prefix + (int(a[pos]), int(b[pos]))
+        R_opt = min(R_opt, float(cover.min()))
+        r_opt = max(r_opt, float(r.max()))
+    assert best is not None
+    return best, best_gr, R_opt, r_opt
 
 
 def optimal_gap_ratio(m: FiniteMetric, k: int, guard: int = DEFAULT_GUARD,
@@ -81,27 +130,10 @@ def optimal_gap_ratio(m: FiniteMetric, k: int, guard: int = DEFAULT_GUARD,
     k = int(k)
     if not 2 <= k <= m.n:
         raise GapError("k-out-of-range", f"k must satisfy 2 <= k <= {m.n}, got {k}")
-    total = comb(m.n, k)
-    if total > guard and not force:
-        raise GuardExceeded(
-            f"C({m.n}, {k}) = {total} subsets exceeds the guard {guard}; "
-            f"raise --guard or force to proceed")
-    best_gr = np.inf
-    best_idx: Optional[np.ndarray] = None
-    R_opt = np.inf
-    r_opt = -np.inf
-    for idx in iter_subset_chunks(m.n, k):
-        gr, r, cover = subset_gap_stats(m.dist, idx)
-        pos = int(np.argmin(gr))  # first occurrence keeps lexicographic order
-        if gr[pos] < best_gr:
-            best_gr = float(gr[pos])
-            best_idx = idx[pos]
-        R_opt = min(R_opt, float(cover.min()))
-        r_opt = max(r_opt, float(r.max()))
-    assert best_idx is not None
-    return OracleResult(best_sample=make_sample(best_idx, m.n),
+    best, best_gr, R_opt, r_opt = _min_gap_ratio(m.dist, k, guard, force)
+    return OracleResult(best_sample=make_sample(best, m.n),
                         gr_opt=best_gr, R_opt=R_opt, r_opt=r_opt,
-                        subsets_examined=total)
+                        subsets_examined=comb(m.n, k))
 
 
 # ---------------------------------------------------------------------------
@@ -125,28 +157,35 @@ def _adjacency_matrix(g: Graph) -> np.ndarray:
     return adj
 
 
+def _closed_neighborhoods(g: Graph) -> np.ndarray:
+    """int64 matrix with N[u, v] = 1 iff v = u or v is adjacent to u."""
+    closed = _adjacency_matrix(g).astype(np.int64)
+    np.fill_diagonal(closed, 1)
+    return closed
+
+
+def _independent_dominating(adj: np.ndarray, verts: list) -> bool:
+    if adj[np.ix_(verts, verts)].any():
+        return False
+    closed = adj[verts].any(axis=0)
+    closed[verts] = True
+    return bool(closed.all())
+
+
 def is_independent_dominating(g: Graph, D) -> bool:
     """True iff D spans no edge and every vertex is in or adjacent to D."""
     verts = _check_vertices(g, D)
     if not verts:
         return g.n == 0
-    adj = _adjacency_matrix(g)
-    idx = np.array(verts)
-    if adj[np.ix_(idx, idx)].any():
-        return False
-    closed = adj[idx].any(axis=0)
-    closed[idx] = True
-    return bool(closed.all())
+    return _independent_dominating(_adjacency_matrix(g), verts)
 
 
 def is_efficient_dominating(g: Graph, D) -> bool:
     """True iff every closed neighborhood N[v] meets D exactly once."""
     verts = _check_vertices(g, D)
-    adj = _adjacency_matrix(g).astype(np.int64)
-    np.fill_diagonal(adj, 1)
     if not verts:
         return False
-    counts = adj[:, np.array(verts)].sum(axis=1)
+    counts = _closed_neighborhoods(g)[:, verts].sum(axis=1)
     return bool((counts == 1).all())
 
 
@@ -176,15 +215,10 @@ def _gap_ratio_one_witness(exact2x: np.ndarray, k: int) -> Optional[tuple]:
     pairwise distance and R2 its doubled covering radius, so GR == 1 is the
     integer test 2*R2 == q2.
     """
-    n = exact2x.shape[0]
-    iu = np.triu_indices(k, 1)
-    for idx in iter_subset_chunks(n, k):
-        sub = exact2x[idx[:, :, None], idx[:, None, :]]
-        q2 = sub[:, iu[0], iu[1]].min(axis=1)
-        R2 = exact2x[idx].min(axis=1).max(axis=1)
-        where = np.flatnonzero(2 * R2 == q2)
-        if where.size:
-            return tuple(int(v) for v in idx[where[0]])
+    for prefix, a, b, R2, q2 in _subset_blocks(exact2x, k):
+        hit = np.flatnonzero(2 * R2 == q2)
+        if hit.size:
+            return prefix + (int(a[hit[0]]), int(b[hit[0]]))
     return None
 
 
@@ -202,11 +236,9 @@ def check_genmet_equivalence(g: Graph, k: int, guard: int = DEFAULT_GUARD) -> tu
     total = comb(g.n, k)
     if total > guard:
         raise GuardExceeded(f"C({g.n}, {k}) = {total} exceeds the guard {guard}")
-    ids_witness = None
-    for subset in combinations(range(g.n), k):
-        if is_independent_dominating(g, subset):
-            ids_witness = subset
-            break
+    adj = _adjacency_matrix(g)
+    ids_witness = next((subset for subset in combinations(range(g.n), k)
+                        if _independent_dominating(adj, list(subset))), None)
     metric = genmet_reduce(g)
     gr1_witness = _gap_ratio_one_witness(metric.exact2x, k)
     if (ids_witness is None) != (gr1_witness is None):
@@ -241,26 +273,25 @@ def check_eds_equivalence(g: Graph, k: int, guard: int = DEFAULT_GUARD) -> tuple
     total = comb(g.n, k)
     if total > guard:
         raise GuardExceeded(f"C({g.n}, {k}) = {total} exceeds the guard {guard}")
-    metric = build_graph_metric(g)
-    e = metric.exact2x
+    closed = _closed_neighborhoods(g)
     witness = None
     count = 0
-    iu = np.triu_indices(k, 1)
-    for subset in combinations(range(g.n), k):
-        idx = np.array(subset)
-        sub = e[np.ix_(idx, idx)]
-        q2 = int(sub[iu].min())
-        R2 = int(e[:, idx].min(axis=1).max())
-        profile = (q2 == 6) and (R2 == 2)  # r = 3/2 and R = 1
-        eds = is_efficient_dominating(g, subset)
-        if eds != profile:
+    for prefix, a, b, R2, q2 in _subset_blocks(build_graph_metric(g).exact2x, k):
+        profile = (q2 == 6) & (R2 == 2)  # r = 3/2 and R = 1
+        counts = closed[list(prefix)].sum(axis=0) + closed[a] + closed[b]
+        eds = (counts == 1).all(axis=1)  # |N[v] & D| = 1 for every v
+        bad = np.flatnonzero(eds != profile)
+        if bad.size:
+            pos = bad[0]
+            subset = prefix + (int(a[pos]), int(b[pos]))
             raise CertificationError(
                 f"equivalence failed on n={g.n}, k={k}, D={subset}: "
-                f"efficient-dominating={eds} but (r=3/2, R=1)={profile}")
-        if eds:
-            count += 1
-            if witness is None:
-                witness = subset
+                f"efficient-dominating={bool(eds[pos])} "
+                f"but (r=3/2, R=1)={bool(profile[pos])}")
+        hits = np.flatnonzero(eds)
+        count += hits.size
+        if witness is None and hits.size:
+            witness = prefix + (int(a[hits[0]]), int(b[hits[0]]))
     certificates = {
         "efficient_dominating": witness,
         "eds_count": count,

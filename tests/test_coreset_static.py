@@ -1,5 +1,7 @@
 """Grid coreset construction and the (1+eps)-approximate subset search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -207,3 +209,20 @@ def test_approx_k_range_and_guard():
     big = build_cloud(rng.random((30, 2)) * 100.0)
     with pytest.raises(GuardExceeded):
         approx_sample(big, 10, 0.45, guard=1000)
+
+
+def test_approx_search_memory_does_not_grow_with_subset_count():
+    # one jittered point per cell of a 15 x 10 lattice: at eps = 0.45 the
+    # coreset keeps all 150 points and searches C(150, 3) = 551,300 subsets
+    rng = np.random.default_rng(4)
+    gx, gy = np.meshgrid(np.arange(15), np.arange(10))
+    centers = np.stack([(gx.ravel() + 0.5) / 15, (gy.ravel() + 0.5) / 10], axis=1)
+    cloud = build_cloud(centers + rng.uniform(-0.1, 0.1, centers.shape) / [15, 10])
+    tracemalloc.start()
+    try:
+        _, _, _, grid = approx_sample(cloud, 3, 0.45)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.size == 150
+    assert peak < 40e6

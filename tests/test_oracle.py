@@ -1,15 +1,19 @@
 """Exhaustive oracle and the two domination-reduction certifiers."""
 
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
 
-from gapsampler import (GapError, GuardExceeded, build_cloud,
-                        build_euclidean, build_graph, build_graph_metric,
+from gapsampler import (CertificationError, GapError, GuardExceeded,
+                        best_k_subset, build_cloud, build_euclidean,
+                        build_graph, build_graph_metric,
                         check_eds_equivalence, check_genmet_equivalence,
-                        gap_ratio, genmet_reduce, is_efficient_dominating,
-                        is_independent_dominating, optimal_gap_ratio)
+                        gap_ratio, genmet_reduce, graph_from_mask,
+                        is_efficient_dominating, is_independent_dominating,
+                        optimal_gap_ratio)
+from gapsampler import oracle
 
 
 def c6():
@@ -86,6 +90,157 @@ def test_oracle_tie_break_lexicographic():
         if gr < best:
             best, first = gr, subset
     assert res.best_sample.indices == first == (0, 3)
+
+
+# ---------------------------------------------------------------------------
+# the prefix-shared subset kernel against a plain combinations scan
+
+
+def grid_graph(rows, cols):
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return build_graph(rows * cols, edges)
+
+
+def kernel_metrics():
+    """Float clouds and tie-heavy integer metrics on 10 to 12 sites."""
+    rng = np.random.default_rng(7)
+    lattice = [[x, y] for x in range(3) for y in range(4)]
+    mask = int(rng.integers(1 << 45))
+    return {
+        "uniform": build_euclidean(build_cloud(rng.random((11, 2)))),
+        "lattice": build_euclidean(build_cloud(lattice)),
+        "grid-graph": build_graph_metric(grid_graph(3, 4)),
+        "genmet": genmet_reduce(graph_from_mask(10, mask, require_connected=False)),
+    }
+
+
+KERNEL_METRICS = kernel_metrics()
+
+# 1: one a row per block; 500: a few rows, several blocks per prefix
+BUDGETS = (None, 1, 500)
+
+
+def reference_scan(dist, k):
+    """(subsets, cover, q) for every k-subset in itertools order."""
+    subsets = list(itertools.combinations(range(dist.shape[0]), k))
+    cover = [dist[list(s)].min(axis=0).max() for s in subsets]
+    q = [min(dist[i, j] for i, j in itertools.combinations(s, 2)) for s in subsets]
+    return subsets, cover, q
+
+
+def reference_search(dist, k):
+    """First subset with the smallest cover / (q / 2.0), R_opt, r_opt."""
+    best, best_gr = None, np.inf
+    R_opt, r_opt = np.inf, -np.inf
+    for s, cover, q in zip(*reference_scan(dist, k)):
+        gr = cover / (q / 2.0)
+        if gr < best_gr:
+            best, best_gr = s, gr
+        R_opt = min(R_opt, cover)
+        r_opt = max(r_opt, q / 2.0)
+    return best, best_gr, R_opt, r_opt
+
+
+@pytest.fixture(params=BUDGETS, ids=lambda b: f"block{b}")
+def budget(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(oracle, "_BLOCK", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("name", KERNEL_METRICS)
+def test_kernel_blocks_match_combinations(name, budget):
+    m = KERNEL_METRICS[name]
+    for dist in filter(lambda d: d is not None, (m.dist, m.exact2x)):
+        for k in (2, 3, 5, m.n - 1, m.n):
+            subsets, cover, q = [], [], []
+            for prefix, a, b, c, qq in oracle._subset_blocks(dist, k):
+                subsets += [prefix + (int(x), int(y)) for x, y in zip(a, b)]
+                cover += list(c)
+                q += list(qq)
+            assert (subsets, cover, q) == reference_scan(dist, k)
+
+
+@pytest.mark.parametrize("name", KERNEL_METRICS)
+def test_oracle_and_coreset_search_match_reference(name, budget):
+    m = KERNEL_METRICS[name]
+    for k in (2, 3, 4, 5, 6, m.n - 1, m.n):
+        best, gr, R_opt, r_opt = reference_search(m.dist, k)
+        res = optimal_gap_ratio(m, k)
+        assert res.best_sample.indices == best
+        assert (res.gr_opt, res.R_opt, res.r_opt) == (gr, R_opt, r_opt)
+        assert res.subsets_examined == comb(m.n, k)
+        sample, _ = best_k_subset(m, k)
+        assert sample.indices == best
+
+
+def scalar_genmet(g, k):
+    """The per-subset genmet certifier the kernel replaced."""
+    ids = next((s for s in itertools.combinations(range(g.n), k)
+                if is_independent_dominating(g, s)), None)
+    e = genmet_reduce(g).exact2x
+    subsets, R2, q2 = reference_scan(e, k)
+    gr1 = next((s for s, c, q in zip(subsets, R2, q2) if 2 * c == q), None)
+    assert (ids is None) == (gr1 is None)
+    return ids is not None, {"independent_dominating": ids, "gap_ratio_one": gr1,
+                             "subsets_examined": comb(g.n, k)}
+
+
+def scalar_eds(g, k, e):
+    """The per-subset EDS certifier the kernel replaced, on metric e."""
+    witness, count = None, 0
+    for s, R2, q2 in zip(*reference_scan(e, k)):
+        profile = (q2 == 6) and (R2 == 2)
+        eds = is_efficient_dominating(g, s)
+        if eds != profile:
+            raise CertificationError(
+                f"equivalence failed on n={g.n}, k={k}, D={s}: "
+                f"efficient-dominating={eds} but (r=3/2, R=1)={profile}")
+        if eds:
+            count += 1
+            witness = witness or s
+    return witness is not None, {"efficient_dominating": witness,
+                                 "eds_count": count,
+                                 "subsets_examined": comb(g.n, k)}
+
+
+def certifier_graphs():
+    petersen = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    petersen += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    rng = np.random.default_rng(11)
+    randoms = []
+    while len(randoms) < 3:
+        try:
+            randoms.append(graph_from_mask(8, int(rng.integers(1 << 28))))
+        except GapError:  # disconnected
+            pass
+    return [c6(), p4(), grid_graph(3, 4), build_graph(10, petersen),
+            build_graph(7, [(0, v) for v in range(1, 7)])] + randoms
+
+
+@pytest.mark.parametrize("budget", (None, 1), indirect=True,
+                         ids=lambda b: f"block{b}")
+def test_certificates_match_scalar_path(budget):
+    for g in certifier_graphs():
+        for k in range(2, min(g.n, 6)):
+            assert check_genmet_equivalence(g, k) == scalar_genmet(g, k)
+            e = build_graph_metric(g).exact2x
+            assert check_eds_equivalence(g, k) == scalar_eds(g, k, e)
+
+
+def test_eds_mismatch_reports_first_subset(monkeypatch):
+    # feed the certifier a wrong metric; it must name the same first bad
+    # subset, in the same words, as the scalar loop
+    cases = [(c6(), genmet_reduce(c6())),   # three EDS, none at (3/2, 1)
+             (c4(), build_graph_metric(p4()))]  # (3/2, 1) but not EDS
+    for g, wrong in cases:
+        with pytest.raises(CertificationError) as want:
+            scalar_eds(g, 2, wrong.exact2x)
+        monkeypatch.setattr(oracle, "build_graph_metric", lambda _: wrong)
+        with pytest.raises(CertificationError) as got:
+            check_eds_equivalence(g, 2)
+        assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------

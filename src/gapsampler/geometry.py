@@ -40,6 +40,10 @@ PREDICATE_TOL = 1e-12
 
 _CORNERS = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
 
+# candidates per block of the covering radius's nearest-site scan; the
+# scratch is one (_NEAREST_ROWS, n) distance block, not (candidates, n)
+_NEAREST_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class Triangulation:
@@ -200,28 +204,48 @@ def _validate_in_square(pts: np.ndarray) -> None:
                        f"point {i} lies outside the unit square")
 
 
-def _bisector_boundary_candidates(pts: np.ndarray) -> list:
-    """All intersections of pairwise perpendicular bisectors with the square
-    boundary.  Every Voronoi edge lies on one of these lines, so the true
-    boundary candidates are included; extras are harmless."""
-    out = []
-    n = pts.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            mid = (pts[i] + pts[j]) / 2.0
-            nx, ny = pts[j] - pts[i]
-            # bisector: (x - mid) . (nx, ny) = 0
-            if ny != 0.0:
-                for x in (0.0, 1.0):
-                    y = mid[1] + (mid[0] - x) * nx / ny
-                    if 0.0 <= y <= 1.0:
-                        out.append((x, y))
-            if nx != 0.0:
-                for y in (0.0, 1.0):
-                    x = mid[0] + (mid[1] - y) * ny / nx
-                    if 0.0 <= x <= 1.0:
-                        out.append((x, y))
-    return out
+def _bisector_boundary_candidates(pts: np.ndarray) -> np.ndarray:
+    """(c, 2) intersections of all pairwise perpendicular bisectors with the
+    square boundary, for pairs i < j in lexicographic order and, per pair,
+    x = 0, x = 1, y = 0, y = 1.  Every Voronoi edge lies on one of these
+    lines, so the true boundary candidates are included; extras are harmless.
+    """
+    i, j = np.triu_indices(pts.shape[0], 1)
+    mid = (pts[i] + pts[j]) / 2.0
+    nx = pts[j, 0] - pts[i, 0]
+    ny = pts[j, 1] - pts[i, 1]
+    out = np.empty((i.size, 4, 2))
+    keep = np.empty((i.size, 4), dtype=bool)
+    # bisector: (x - mid) . (nx, ny) = 0; masked slots may hold inf or nan
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for s, x in enumerate((0.0, 1.0)):
+            y = mid[:, 1] + (mid[:, 0] - x) * nx / ny
+            out[:, s, 0], out[:, s, 1] = x, y
+            keep[:, s] = (ny != 0.0) & (0.0 <= y) & (y <= 1.0)
+        for s, y in enumerate((0.0, 1.0), start=2):
+            x = mid[:, 0] + (mid[:, 1] - y) * ny / nx
+            out[:, s, 0], out[:, s, 1] = x, y
+            keep[:, s] = (nx != 0.0) & (0.0 <= x) & (x <= 1.0)
+    return out[keep]
+
+
+def _covering_radius(pts: np.ndarray, tri: Optional[Triangulation]) -> tuple:
+    """covering_radius_unit_square on validated sites and their
+    triangulation, or None when they have none."""
+    vor = np.empty((0, 2))
+    if tri is not None:
+        c = tri.circumcenters
+        vor = c[(0.0 <= c[:, 0]) & (c[:, 0] <= 1.0) & (0.0 <= c[:, 1]) & (c[:, 1] <= 1.0)]
+    cand = np.concatenate([np.array(_CORNERS), vor, _bisector_boundary_candidates(pts)])
+    # nearest-site distance per candidate, _NEAREST_ROWS candidates at a time
+    nearest = np.empty(cand.shape[0])
+    for lo in range(0, cand.shape[0], _NEAREST_ROWS):
+        nearest[lo:lo + _NEAREST_ROWS] = _pairwise(cand[lo:lo + _NEAREST_ROWS],
+                                                   pts).min(axis=1)
+    best = int(np.argmax(nearest))  # first occurrence: fixed candidate order
+    kind = ("corner" if best < 4 else "voronoi-vertex" if best < 4 + vor.shape[0]
+            else "boundary-intersection")
+    return float(nearest[best]), cand[best].copy(), kind
 
 
 def covering_radius_unit_square(cloud: PointCloud) -> tuple:
@@ -234,42 +258,37 @@ def covering_radius_unit_square(cloud: PointCloud) -> tuple:
     """
     pts = _require_2d(cloud)
     _validate_in_square(pts)
-    cands = [np.array(c) for c in _CORNERS]
-    kinds = ["corner"] * 4
+    tri = None
     if pts.shape[0] >= 3:
         try:
             tri = delaunay(cloud)
         except GapError as e:
             if e.code != "collinear-points":
                 raise
-            tri = None
-        if tri is not None:
-            for c in tri.circumcenters:
-                if 0.0 <= c[0] <= 1.0 and 0.0 <= c[1] <= 1.0:
-                    cands.append(c.copy())
-                    kinds.append("voronoi-vertex")
-    for c in _bisector_boundary_candidates(pts):
-        cands.append(np.array(c))
-        kinds.append("boundary-intersection")
-    cand = np.array(cands)
-    nearest = _pairwise(cand, pts).min(axis=1)
-    best = int(np.argmax(nearest))  # first occurrence: fixed candidate order
-    return float(nearest[best]), cand[best].copy(), kinds[best]
+    return _covering_radius(pts, tri)
 
 
-def gap_report_unit_square(cloud: PointCloud) -> SquareGapReport:
-    """Gap report with M = the continuous unit square."""
+def _square_sites(cloud: PointCloud) -> np.ndarray:
     pts = _require_2d(cloud)
     if pts.shape[0] < 2:
         raise GapError("sample-too-small", "gap report needs >= 2 points")
     _validate_in_square(pts)
+    return pts
+
+
+def _square_report(pts: np.ndarray, cover: tuple) -> SquareGapReport:
     d = _pairwise(pts, pts)
     np.fill_diagonal(d, np.inf)
     pair = _first_pair(d, largest=False)
     r = float(d[pair]) / 2.0
-    R, witness, kind = covering_radius_unit_square(cloud)
+    R, witness, kind = cover
     return SquareGapReport(r=r, R=R, gap_ratio=R / r, closest_pair=pair,
                            farthest_point=witness, candidate_kind=kind)
+
+
+def gap_report_unit_square(cloud: PointCloud) -> SquareGapReport:
+    """Gap report with M = the continuous unit square."""
+    return _square_report(_square_sites(cloud), covering_radius_unit_square(cloud))
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +311,12 @@ def delaunay_angle_audit(cloud: PointCloud) -> AngleAuditReport:
     min angle >= arcsin(min(1, 1/g)) and max angle <= pi - 2 arcsin(1/g),
     up to 1e-9.
     """
-    report = gap_report_unit_square(cloud)
-    tri = delaunay(cloud)
+    pts = _square_sites(cloud)
+    tri = delaunay(cloud)  # shared with the covering-radius search
+    report = _square_report(pts, _covering_radius(pts, tri))
     g = report.gap_ratio
     R = report.R
     theta = asin(min(1.0, 1.0 / g))
-    pts = tri.sites
     boundary_dist = np.minimum.reduce([pts[:, 0], 1.0 - pts[:, 0],
                                        pts[:, 1], 1.0 - pts[:, 1]])
     interior = []

@@ -9,7 +9,8 @@ candidate rectangle is scored twice: with the closed count (<= x, <= y)
 for deviations where the count overshoots the area, and with the open-limit
 count (< x, < y) for rectangles shrunk infinitesimally below a point, where
 the count undershoots.  That pair of evaluations makes the finite scan
-exact.
+exact.  Both counts come from one O(n^2) prefix sum over the points'
+occupancy of the candidate grid.
 
 The gap-based bound converts a gap report (r, R) into a discrepancy bound:
 a rectangle with count/n >= xy cannot deviate by more than
@@ -28,6 +29,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import GapError
+from .geometry import _validate_in_square
 from .metric import PointCloud
 
 SQUARE_FLOOR_C = 2.0 ** 1.5 / 3.0 ** 0.75
@@ -43,40 +45,35 @@ class DiscrepancyReport:
 def _square_points(cloud: PointCloud) -> np.ndarray:
     if cloud.dim != 2:
         raise GapError("invalid-dimension", f"star discrepancy needs d=2, got {cloud.dim}")
-    pts = cloud.points
-    if (pts < 0.0).any() or (pts > 1.0).any():
-        i = int(np.argwhere((pts < 0.0) | (pts > 1.0))[0][0])
-        raise GapError("point-outside-square", f"point {i} lies outside the unit square")
-    return pts
+    _validate_in_square(cloud.points)
+    return cloud.points
 
 
-def _candidate_axes(pts: np.ndarray) -> tuple:
+def _counts(pts: np.ndarray) -> tuple:
+    """(xs, ys, closed, open_): the candidate axes (unique coordinates and 1)
+    and count[i, j] = #{p : px (<=|<) xs[i] and py (<=|<) ys[j]}.
+
+    Each point sits on one cell of the (xs, ys) grid; closed is the 2-D
+    prefix sum of that occupancy, and since px < xs[i] exactly when
+    px <= xs[i-1], open_ is closed shifted by one row and one column.
+    """
     xs = np.unique(np.append(pts[:, 0], 1.0))
     ys = np.unique(np.append(pts[:, 1], 1.0))
-    return xs, ys
-
-
-def _counts(pts: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> tuple:
-    """Closed and open-limit counts for every candidate rectangle.
-
-    count[i, j] = #{p : px (<=|<) xs[i] and py (<=|<) ys[j]}, computed as a
-    0/1 matrix product (AND of coordinate indicators summed over points).
-    """
-    le_x = (pts[None, :, 0] <= xs[:, None]).astype(np.int64)  # (mx, n)
-    lt_x = (pts[None, :, 0] < xs[:, None]).astype(np.int64)
-    le_y = (pts[None, :, 1] <= ys[:, None]).astype(np.int64)  # (my, n)
-    lt_y = (pts[None, :, 1] < ys[:, None]).astype(np.int64)
-    closed = le_x @ le_y.T
-    open_ = lt_x @ lt_y.T
-    return closed, open_
+    closed = np.zeros((xs.size, ys.size), dtype=np.int64)
+    np.add.at(closed, (np.searchsorted(xs, pts[:, 0]),
+                       np.searchsorted(ys, pts[:, 1])), 1)
+    np.cumsum(closed, axis=0, out=closed)
+    np.cumsum(closed, axis=1, out=closed)
+    open_ = np.zeros_like(closed)
+    open_[1:, 1:] = closed[:-1, :-1]
+    return xs, ys, closed, open_
 
 
 def star_discrepancy(cloud: PointCloud) -> DiscrepancyReport:
     """Exact star discrepancy of points in the closed unit square."""
     pts = _square_points(cloud)
     n = pts.shape[0]
-    xs, ys = _candidate_axes(pts)
-    closed, open_ = _counts(pts, xs, ys)
+    xs, ys, closed, open_ = _counts(pts)
     area = xs[:, None] * ys[None, :]
     over = closed / n - area          # maximized by closed counts
     under = area - open_ / n          # maximized by open-limit counts
@@ -104,8 +101,7 @@ def gap_based_discrepancy_bound(cloud: PointCloud, r: float, R: float) -> float:
     if not R > 0:
         raise GapError("invalid-radius", f"covering radius must be positive, got {R}")
     n = pts.shape[0]
-    xs, ys = _candidate_axes(pts)
-    closed, open_ = _counts(pts, xs, ys)
+    xs, ys, closed, open_ = _counts(pts)
     area = xs[:, None] * ys[None, :]
     s2 = xs[:, None] ** 2 + ys[None, :] ** 2
     a_vals = s2 / (r * r * n) - area

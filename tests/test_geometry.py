@@ -1,6 +1,7 @@
 """Delaunay structure, largest-empty-circle search, and the angle audit."""
 
 import itertools
+import tracemalloc
 from math import asin, pi, sqrt
 
 import numpy as np
@@ -8,9 +9,10 @@ import pytest
 
 from gapsampler import (GapError, build_cloud, circumcircle_margins,
                         covering_radius_unit_square, delaunay,
-                        delaunay_angle_audit, gap_report_unit_square)
+                        delaunay_angle_audit, gap_report_unit_square, geometry)
 
 CORNERS = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+CORNERS_IN_ORDER = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]  # candidate order
 
 
 def jittered_lattice(seed, inset=0.1, step=0.2, amp=0.005):
@@ -157,6 +159,114 @@ def test_rejects_points_outside_square():
         gap_report_unit_square(build_cloud([[-0.1, 0.5], [0.5, 0.5]]))
 
 
+def reference_bisector_candidates(pts):
+    """The boundary candidates as a plain per-pair loop."""
+    out = []
+    n = pts.shape[0]
+    for i in range(n):
+        for j in range(i + 1, n):
+            mid = (pts[i] + pts[j]) / 2.0
+            nx, ny = pts[j] - pts[i]
+            if ny != 0.0:
+                for x in (0.0, 1.0):
+                    y = mid[1] + (mid[0] - x) * nx / ny
+                    if 0.0 <= y <= 1.0:
+                        out.append((x, y))
+            if nx != 0.0:
+                for y in (0.0, 1.0):
+                    x = mid[0] + (mid[1] - y) * ny / nx
+                    if 0.0 <= x <= 1.0:
+                        out.append((x, y))
+    return np.array(out, dtype=float).reshape(-1, 2)
+
+
+def reference_covering_radius(cloud):
+    """Candidates collected one by one, nearest sites from one full matrix."""
+    pts = cloud.points
+    cands = [np.array(c) for c in CORNERS_IN_ORDER]
+    kinds = ["corner"] * 4
+    if cloud.n >= 3:
+        try:
+            tri = delaunay(cloud)
+        except GapError as e:
+            if e.code != "collinear-points":
+                raise
+            tri = None
+        if tri is not None:
+            for c in tri.circumcenters:
+                if 0.0 <= c[0] <= 1.0 and 0.0 <= c[1] <= 1.0:
+                    cands.append(c.copy())
+                    kinds.append("voronoi-vertex")
+    for c in reference_bisector_candidates(pts):
+        cands.append(c)
+        kinds.append("boundary-intersection")
+    cand = np.array(cands)
+    diff = cand[:, None, :] - pts[None, :, :]
+    nearest = np.sqrt((diff * diff).sum(axis=-1)).min(axis=1)
+    best = int(np.argmax(nearest))
+    return float(nearest[best]), cand[best], kinds[best]
+
+
+def candidate_clouds():
+    rng = np.random.default_rng(41)
+    for n in (3, 10, 45, 120):
+        yield rng.random((n, 2))
+    for side in (2, 3, 5):  # axis-aligned pairs: nx == 0 or ny == 0
+        axis = np.arange(side) / (side - 1)
+        yield np.array(list(itertools.product(axis, axis)))
+        yield 0.1 + 0.8 * np.array(list(itertools.product(axis, axis)))[
+            rng.permutation(side * side)]
+    yield np.round(rng.random((25, 2)) * 4) / 4  # shared coordinates, points on edges
+    yield np.array([[0.25, 0.25], [0.75, 0.75]])  # bisector x + y = 1 meets two corners
+    yield np.array([[0.25, 0.75], [0.75, 0.25], [0.5, 0.5]])  # collinear, y = x through corners
+    yield np.array([[0.2, 0.5], [0.8, 0.5]])  # vertical bisector
+    yield np.array([[0.5, 0.1], [0.5, 0.6]])  # horizontal bisector
+    yield np.array([[0.1, 0.3], [0.4, 0.45], [0.7, 0.6], [1.0, 0.75]])  # collinear
+    yield np.array([[0.5, 0.5]])
+
+
+def test_bisector_candidates_match_loop_bitwise():
+    for pts in candidate_clouds():
+        pts = build_cloud(pts).points
+        got = geometry._bisector_boundary_candidates(pts)
+        want = reference_bisector_candidates(pts)
+        assert got.shape == want.shape and got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_covering_radius_matches_reference():
+    for pts in candidate_clouds():
+        cloud = build_cloud(pts)
+        R, witness, kind = covering_radius_unit_square(cloud)
+        ref_R, ref_witness, ref_kind = reference_covering_radius(cloud)
+        assert R.hex() == ref_R.hex()
+        assert np.array_equal(witness.view(np.int64), ref_witness.view(np.int64))
+        assert kind == ref_kind
+
+
+def test_covering_radius_blocks_match_one_scan(monkeypatch):
+    clouds = [build_cloud(pts) for pts in candidate_clouds()]
+    want = [covering_radius_unit_square(c) for c in clouds]
+    for rows in (1, 7):
+        monkeypatch.setattr(geometry, "_NEAREST_ROWS", rows)
+        for cloud, (R, witness, kind) in zip(clouds, want):
+            got = covering_radius_unit_square(cloud)
+            assert (got[0].hex(), got[1].tobytes(), got[2]) == (
+                R.hex(), witness.tobytes(), kind)
+
+
+def test_gap_report_peak_memory():
+    cloud = build_cloud(np.random.default_rng(9).random((150, 2)))
+    tracemalloc.start()
+    try:
+        gap_report_unit_square(cloud)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a (candidates, n) distance matrix alone is about 27 MB here
+    assert peak < 8e6
+
+
 # ---------------------------------------------------------------------------
 # square gap report
 
@@ -233,3 +343,52 @@ def test_audit_random_clouds_never_violate():
         audit = delaunay_angle_audit(cloud)
         assert audit.violations == ()
         assert sin_ok(audit)
+
+
+def reference_audit(cloud):
+    """The audit as a square report followed by a second triangulation."""
+    rep = gap_report_unit_square(cloud)
+    tri = delaunay(cloud)
+    theta = asin(min(1.0, 1.0 / rep.gap_ratio))
+    pts = tri.sites
+    boundary_dist = np.minimum.reduce([pts[:, 0], 1.0 - pts[:, 0],
+                                       pts[:, 1], 1.0 - pts[:, 1]])
+    interior, violations, min_angle = [], [], None
+    for t, (ia, ib, ic) in enumerate(tri.triangles):
+        if min(boundary_dist[ia], boundary_dist[ib], boundary_dist[ic]) < rep.R:
+            continue
+        interior.append(t)
+        angles = geometry._triangle_angles(pts[ia], pts[ib], pts[ic])
+        lo, hi = float(angles.min()), float(angles.max())
+        if min_angle is None or lo < min_angle:
+            min_angle = lo
+        if lo < theta - 1e-9 or hi > pi - 2.0 * theta + 1e-9:
+            violations.append((t, lo, hi))
+    return geometry.AngleAuditReport(
+        gap_ratio=rep.gap_ratio, covering_radius=rep.R, theta_bound=theta,
+        interior_triangles=tuple(interior), min_interior_angle=min_angle,
+        violations=tuple(violations))
+
+
+def test_audit_matches_reference_and_triangulates_once(monkeypatch):
+    clouds = [jittered_lattice(2), build_cloud(CORNERS)]
+    clouds += [build_cloud(pts) for pts in candidate_clouds() if len(pts) >= 3]
+    want = []
+    for cloud in clouds:
+        try:
+            want.append(reference_audit(cloud))
+        except GapError as e:
+            want.append((e.code, str(e)))
+    calls = []
+    real = geometry.delaunay
+    monkeypatch.setattr(geometry, "delaunay",
+                        lambda cloud: calls.append(cloud) or real(cloud))
+    for cloud, ref in zip(clouds, want):
+        calls.clear()
+        if isinstance(ref, tuple):
+            with pytest.raises(GapError) as got:
+                delaunay_angle_audit(cloud)
+            assert (got.value.code, str(got.value)) == ref
+        else:
+            assert delaunay_angle_audit(cloud) == ref
+        assert len(calls) == 1

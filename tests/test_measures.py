@@ -1,5 +1,6 @@
 """Exact star discrepancy, the gap-based bound, and closed-form floors."""
 
+import itertools
 from math import sqrt
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from gapsampler import (GapError, analytic_bounds, build_cloud,
                         gap_based_discrepancy_bound, gap_report_unit_square,
-                        star_discrepancy)
+                        measures, star_discrepancy)
 
 
 def centered_lattice(m):
@@ -80,6 +81,59 @@ def test_discrepancy_input_validation():
     with pytest.raises(GapError) as e:
         star_discrepancy(build_cloud([[0.5, 1.2]]))
     assert e.value.code == "point-outside-square"
+
+
+def reference_counts(pts):
+    """The counts as 0/1 indicator matrix products, one term per point."""
+    xs = np.unique(np.append(pts[:, 0], 1.0))
+    ys = np.unique(np.append(pts[:, 1], 1.0))
+    le_x = (pts[None, :, 0] <= xs[:, None]).astype(np.int64)
+    lt_x = (pts[None, :, 0] < xs[:, None]).astype(np.int64)
+    le_y = (pts[None, :, 1] <= ys[:, None]).astype(np.int64)
+    lt_y = (pts[None, :, 1] < ys[:, None]).astype(np.int64)
+    return xs, ys, le_x @ le_y.T, lt_x @ lt_y.T
+
+
+def count_clouds():
+    rng = np.random.default_rng(31)
+    for n in (2, 7, 40, 150):
+        yield rng.random((n, 2))
+    for side in (2, 3, 6):  # every x and every y shared by `side` points
+        axis = np.arange(side) / (side - 1)
+        yield np.array(list(itertools.product(axis, axis)))
+        yield np.array(list(itertools.product(axis, axis)))[rng.permutation(side * side)]
+    for seed in range(3):  # coarse snapping: repeated x and y, on the 0 and 1 edges
+        yield np.round(np.random.default_rng(seed).random((30, 2)) * 4) / 4
+    yield np.array([[0.0, 0.3], [1.0, 0.7], [0.4, 0.0], [0.6, 1.0], [1.0, 1.0], [0.0, 0.0]])
+    for single in ([0.5, 0.5], [0.0, 0.0], [1.0, 1.0], [0.0, 1.0]):
+        yield np.array([single])
+
+
+def test_counts_equal_indicator_products():
+    for pts in count_clouds():
+        pts = build_cloud(pts).points
+        got, want = measures._counts(pts), reference_counts(pts)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_discrepancy_and_bound_match_reference_counts(monkeypatch):
+    clouds = [build_cloud(pts) for pts in count_clouds()]
+    reports = [gap_report_unit_square(c) if c.n >= 2 else None for c in clouds]
+
+    def run():
+        out = []
+        for cloud, rep in zip(clouds, reports):
+            out.append(star_discrepancy(cloud))
+            if rep is not None:
+                out.append(gap_based_discrepancy_bound(cloud, rep.r, rep.R))
+            out.append(gap_based_discrepancy_bound(cloud, 0.1, 0.3))
+        return out
+
+    got = run()
+    monkeypatch.setattr(measures, "_counts", reference_counts)
+    want = run()
+    assert got == want  # exact floats, same witness rectangles and kinds
 
 
 # ---------------------------------------------------------------------------

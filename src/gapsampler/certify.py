@@ -2,7 +2,8 @@
 
 Each sweep enumerates every edge subset of the complete graph K_n as a
 bitmask, decodes chunks of masks into batched adjacency matrices, runs a
-batched Floyd-Warshall for the shortest-path metrics, and evaluates the
+batched Floyd-Warshall for the shortest-path metrics, walks the vertex
+subsets depth first over the whole chunk at once, and evaluates the
 claim under test with integer arithmetic only (distances on unweighted
 graphs are integers; gap-ratio comparisons reduce to products).  No
 isomorphism reduction is attempted: labeled enumeration is cheap at these
@@ -30,7 +31,7 @@ time; the test suite cross-validates the two paths on random masks.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -61,7 +62,7 @@ def adjacency_batch(n: int, masks: np.ndarray) -> np.ndarray:
 def apsp_batch(adj: np.ndarray) -> np.ndarray:
     """Batched Floyd-Warshall on unweighted adjacency; BIG = unreachable."""
     B, n, _ = adj.shape
-    D = np.where(adj, 1, BIG).astype(np.int16)
+    D = np.where(adj, np.int16(1), np.int16(BIG))
     D[:, np.arange(n), np.arange(n)] = 0
     for k in range(n):
         np.minimum(D, D[:, :, k][:, :, None] + D[:, k, :][:, None, :], out=D)
@@ -79,14 +80,31 @@ def iter_connected_metrics(n: int, chunk: int = 65536) -> Iterator[tuple]:
             yield masks[connected], D[connected]
 
 
-def _subset_pair_lists(n: int) -> dict:
-    """subset (tuple) -> (pair_i, pair_j) index arrays for its inner pairs."""
-    out = {}
-    for k in range(2, n + 1):
-        for s in combinations(range(n), k):
-            pi, pj = zip(*combinations(s, 2))
-            out[s] = (np.array(pi), np.array(pj))
-    return out
+def _subset_walk(batches: list, max_k: int) -> Iterator[tuple]:
+    """Every subset s of range(n) with 2 <= |s| <= max_k, depth first in
+    lexicographic order, as (s, [(pm, pq) per (batch A, ufunc op)]).
+
+    A (B, n, n) batch is walked vertex-major, so member v's block
+    A[:, :, v].T is one contiguous (n, B) array.  pm folds the members'
+    blocks with op; pq folds pm[v] of each member v over the members before
+    it.  On distances with np.minimum, pm[x] is x's distance to s and pq its
+    minimum pair distance; on closed neighbourhoods with np.add,
+    pm[x] = |N[x] & s| and pq counts the edges inside s.
+    """
+    tables = [(np.ascontiguousarray(A.transpose(2, 1, 0)), op) for A, op in batches]
+    n = len(tables[0][0])
+
+    def level(s, states):
+        for v in range(s[-1] + 1, n):
+            t = s + (v,)
+            nxt = [(op(pm, T[v]), pm[v] if pq is None else op(pq, pm[v]))
+                   for (T, op), (pm, pq) in zip(tables, states)]
+            yield t, nxt
+            if len(t) < max_k:
+                yield from level(t, nxt)
+
+    for v in range(n):
+        yield from level((v,), [(T[v], None) for T, _ in tables])
 
 
 # ---------------------------------------------------------------------------
@@ -135,23 +153,47 @@ def sweep_fpi_guarantees(max_n: int = 7, chunk: int = 65536) -> dict:
     R[s+1] <= R[s], q[s+1] == R[s] (the half-radius identity, since
     r = q/2), and R[s] <= q[s] (gap ratio <= 2) for every s >= 2.
     """
-    graphs = 0
-    steps_checked = 0
-    violations = []
+    out = {"graphs": 0, "steps_checked": 0, "violations": []}
     for n in range(2, max_n + 1):
         for masks, D in iter_connected_metrics(n, chunk):
             res = fpi_batch(D)
-            graphs += masks.shape[0]
+            out["graphs"] += masks.shape[0]
             for s in range(2, n + 1):
                 bad = res["R"][s] > res["q"][s]  # GR(S_s) <= 2
                 if s > 2:
                     bad |= res["q"][s] != res["R"][s - 1]   # r identity
                     bad |= res["R"][s] > res["R"][s - 1]    # monotone covering
-                steps_checked += masks.shape[0]
-                for b in np.flatnonzero(bad)[:5]:
-                    violations.append({"n": n, "mask": int(masks[b]), "size": s})
-    return {"graphs": graphs, "steps_checked": steps_checked,
-            "violations": violations}
+                out["steps_checked"] += masks.shape[0]
+                out["violations"] += [{"n": n, "mask": int(masks[b]), "size": s}
+                                      for b in np.flatnonzero(bad)[:5]]
+    return out
+
+
+def _fpi_vs_oracle_chunk(masks: np.ndarray, D: np.ndarray, ks: tuple,
+                         out: dict) -> None:
+    """Add one (masks, D) batch's greedy-vs-optimum checks to ``out``."""
+    B, n, _ = D.shape
+    out["graphs"] += B
+    res = fpi_batch(D)
+    gr_opt = {k: np.full(B, np.inf) for k in ks if 2 <= k <= n}
+    for s, ((pm, q),) in _subset_walk([(D, np.minimum)], max(gr_opt, default=2)):
+        if len(s) in gr_opt:
+            np.minimum(gr_opt[len(s)], 2.0 * pm.max(axis=0) / q,
+                       out=gr_opt[len(s)])
+    for k, opt in ((k, gr_opt[k]) for k in ks if k in gr_opt):
+        gr_fpi = 2.0 * res["R"][k] / res["q"][k]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = np.where(opt >= 2.0 / 3.0, 2.0 / opt, 4.0 / (2.0 - opt))
+            # k = n gives opt = gr_fpi = 0 and an unusable bound
+            ok = np.where(opt > 0,
+                          (gr_fpi <= bound * opt + 1e-9)
+                          & (gr_fpi <= 3.0 * opt + 1e-9),
+                          gr_fpi <= 1e-9)
+        out["pairs_checked"] += B
+        ratios = gr_fpi[opt > 0] / opt[opt > 0]
+        out["worst_ratio"] = max(out["worst_ratio"], float(ratios.max(initial=0.0)))
+        out["violations"] += [{"n": n, "mask": int(masks[b]), "k": k}
+                              for b in np.flatnonzero(~ok)[:5]]
 
 
 def sweep_fpi_vs_oracle(max_n: int = 7, ks: tuple = (2, 3),
@@ -161,44 +203,30 @@ def sweep_fpi_vs_oracle(max_n: int = 7, ks: tuple = (2, 3),
     For each k, asserts GR_FPI <= bound(GR_OPT) * GR_OPT + 1e-9 with
     bound(a) = 2/a when a >= 2/3 else 4/(2-a), and GR_FPI <= 3 * GR_OPT.
     """
-    graphs = 0
-    pairs_checked = 0
-    violations = []
-    worst_ratio = 0.0
+    out = {"graphs": 0, "pairs_checked": 0, "worst_ratio": 0.0,
+           "violations": []}
     for n in range(2, max_n + 1):
-        subsets = {k: [s for s in combinations(range(n), k)] for k in ks if k <= n}
-        pair_arrays = _subset_pair_lists(n)
         for masks, D in iter_connected_metrics(n, chunk):
-            graphs += masks.shape[0]
-            res = fpi_batch(D)
-            Df = D.astype(np.float64)
-            for k in ks:
-                if not 2 <= k <= n:
-                    continue
-                gr_fpi = 2.0 * res["R"][k] / res["q"][k]
-                gr_opt = np.full(masks.shape[0], np.inf)
-                for s in subsets[k]:
-                    pi, pj = pair_arrays[s]
-                    qv = Df[:, pi, pj].min(axis=1)
-                    Rv = Df[:, :, list(s)].min(axis=2).max(axis=1)
-                    np.minimum(gr_opt, 2.0 * Rv / qv, out=gr_opt)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    bound = np.where(gr_opt >= 2.0 / 3.0, 2.0 / gr_opt,
-                                     4.0 / (2.0 - gr_opt))
-                    # k = n gives gr_opt = gr_fpi = 0 and an unusable bound
-                    ok = np.where(gr_opt > 0,
-                                  (gr_fpi <= bound * gr_opt + 1e-9)
-                                  & (gr_fpi <= 3.0 * gr_opt + 1e-9),
-                                  gr_fpi <= 1e-9)
-                pairs_checked += masks.shape[0]
-                pos = gr_opt > 0
-                if pos.any():
-                    worst_ratio = max(worst_ratio,
-                                      float((gr_fpi[pos] / gr_opt[pos]).max()))
-                for b in np.flatnonzero(~ok)[:5]:
-                    violations.append({"n": n, "mask": int(masks[b]), "k": k})
-    return {"graphs": graphs, "pairs_checked": pairs_checked,
-            "worst_ratio": worst_ratio, "violations": violations}
+            _fpi_vs_oracle_chunk(masks, D, ks, out)
+    return out
+
+
+def _lower_bound_chunk(masks: np.ndarray, D: np.ndarray, out: dict) -> None:
+    """Add one (masks, D) batch's samples 2 <= k < n to ``out``; at most
+    five violations per subset, ordered by (size, subset), then mask."""
+    B, n, _ = D.shape
+    out["graphs"] += B
+    hits = []
+    for s, ((pm, q),) in _subset_walk([(D, np.minimum)], n - 1):
+        R = pm.max(axis=0)
+        eq = 3 * R == q
+        bad = (3 * R < q) | (eq & (R != 1))
+        out["samples_checked"] += B
+        out["equality_cases"] += int(np.count_nonzero(eq))
+        hits += [(s, b) for b in np.flatnonzero(bad)[:5]]
+    # sorted() is stable, so each subset's masks keep their batch order
+    out["violations"] += [{"n": n, "mask": int(masks[b]), "sample": s}
+                          for s, b in sorted(hits, key=lambda h: (len(h[0]), h[0]))]
 
 
 def sweep_graph_lower_bound(max_n: int = 7, chunk: int = 65536) -> dict:
@@ -207,29 +235,47 @@ def sweep_graph_lower_bound(max_n: int = 7, chunk: int = 65536) -> dict:
     Integer form: 3R >= q (since GR = 2R/q), and 3R == q forces R == 1
     (hence q == 3, i.e. r = 3/2).  Exhaustive and exact.
     """
-    graphs = 0
-    samples_checked = 0
-    equality_cases = 0
-    violations = []
+    out = {"graphs": 0, "samples_checked": 0, "equality_cases": 0,
+           "violations": []}
     for n in range(3, max_n + 1):
-        pair_arrays = _subset_pair_lists(n)
-        subsets = [s for k in range(2, n) for s in combinations(range(n), k)]
         for masks, D in iter_connected_metrics(n, chunk):
-            graphs += masks.shape[0]
-            Dl = D.astype(np.int64)
-            for s in subsets:
-                pi, pj = pair_arrays[s]
-                q = Dl[:, pi, pj].min(axis=1)
-                R = Dl[:, :, list(s)].min(axis=2).max(axis=1)
-                samples_checked += masks.shape[0]
-                bad = 3 * R < q
-                eq = 3 * R == q
-                bad |= eq & (R != 1)
-                equality_cases += int(eq.sum())
-                for b in np.flatnonzero(bad)[:5]:
-                    violations.append({"n": n, "mask": int(masks[b]), "sample": s})
-    return {"graphs": graphs, "samples_checked": samples_checked,
-            "equality_cases": equality_cases, "violations": violations}
+            _lower_bound_chunk(masks, D, out)
+    return out
+
+
+def _reduction_chunk(masks: np.ndarray, adj: np.ndarray, D2x: np.ndarray,
+                     D: np.ndarray, out: dict) -> None:
+    """Add one batch of graphs (adjacency, doubled {1,2}-metric, shortest
+    paths with BIG = unreachable) to ``out``; per k, at most five genmet
+    then five eds violations."""
+    B, n, _ = D.shape
+    connected = D.max(axis=(1, 2)) < BIG
+    out["genmet_graphs"] += B
+    out["eds_graphs"] += int(connected.sum())
+    ids, gr1, eds_exists, eds_bad = (np.zeros((n, B), dtype=bool) for _ in range(4))
+    closed_nb = (adj | np.eye(n, dtype=bool)).astype(np.int8)
+    walk = _subset_walk([(D, np.minimum), (D2x, np.minimum), (closed_nb, np.add)],
+                        n - 1)
+    for s, ((pm, q), (pm2, q2), (hit, inner)) in walk:
+        k = len(s)
+        # independent dominating on the raw graph
+        ids[k] |= (inner == 0) & (hit.min(axis=0) >= 1)
+        # gap ratio 1 on the {1,2}-metric: 2*R2 == q2
+        gr1[k] |= 2 * pm2.max(axis=0) == q2
+        # efficient domination vs (r = 3/2, R = 1) on shortest paths
+        eds = (hit == 1).all(axis=0)
+        prof = (q == 3) & (pm.max(axis=0) == 1)
+        eds_bad[k] |= connected & (eds != prof)
+        eds_exists[k] |= eds & connected
+    for k in range(2, n):
+        out["genmet_checked"] += B
+        out["genmet_true"] += int(ids[k].sum())
+        out["eds_checked"] += int(connected.sum())
+        out["eds_true"] += int(eds_exists[k].sum())
+        for claim, bad in (("genmet", ids[k] != gr1[k]), ("eds", eds_bad[k])):
+            out["violations"] += [{"claim": claim, "n": n,
+                                   "mask": int(masks[b]), "k": k}
+                                  for b in np.flatnonzero(bad)[:5]]
 
 
 def sweep_reduction_certificates(max_n: int = 6, chunk: int = 65536) -> dict:
@@ -240,65 +286,15 @@ def sweep_reduction_certificates(max_n: int = 6, chunk: int = 65536) -> dict:
     graphs (its metric side is the shortest-path metric).  k ranges over
     2 <= k < n.
     """
-    genmet_graphs = 0
-    genmet_checked = 0
-    genmet_true = 0
-    eds_graphs = 0
-    eds_checked = 0
-    eds_true = 0
-    violations = []
+    out = dict.fromkeys(("genmet_graphs", "genmet_checked", "genmet_true",
+                         "eds_graphs", "eds_checked", "eds_true"), 0)
+    out["violations"] = []
     for n in range(3, max_n + 1):
-        pair_arrays = _subset_pair_lists(n)
-        subsets = {k: [s for s in combinations(range(n), k)] for k in range(2, n)}
         total = 1 << (n * (n - 1) // 2)
-        eye = np.eye(n, dtype=bool)
         for start in range(0, total, chunk):
             masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
             adj = adjacency_batch(n, masks)
-            B = masks.shape[0]
-            genmet_graphs += B
-            D2x = np.where(adj, 2, 4).astype(np.int64)
+            D2x = np.where(adj, np.int16(2), np.int16(4))
             D2x[:, np.arange(n), np.arange(n)] = 0
-            D = apsp_batch(adj).astype(np.int64)
-            connected = D.max(axis=(1, 2)) < BIG
-            eds_graphs += int(connected.sum())
-            closed_nb = adj | eye
-            for k in range(2, n):
-                ids_exists = np.zeros(B, dtype=bool)
-                gr1_exists = np.zeros(B, dtype=bool)
-                eds_exists = np.zeros(B, dtype=bool)
-                eds_agree = np.ones(B, dtype=bool)
-                for s in subsets[k]:
-                    pi, pj = pair_arrays[s]
-                    sl = list(s)
-                    # independent dominating on the raw graph
-                    indep = ~adj[:, pi, pj].any(axis=1)
-                    dom = adj[:, sl, :].any(axis=1)
-                    dom[:, sl] = True
-                    ids_exists |= indep & dom.all(axis=1)
-                    # gap ratio 1 on the {1,2}-metric: 2*R2 == q2
-                    q2 = D2x[:, pi, pj].min(axis=1)
-                    R2 = D2x[:, :, sl].min(axis=2).max(axis=1)
-                    gr1_exists |= 2 * R2 == q2
-                    # efficient domination vs (r = 3/2, R = 1) on shortest paths
-                    eds = (closed_nb[:, :, sl].sum(axis=2) == 1).all(axis=1)
-                    q = D[:, pi, pj].min(axis=1)
-                    R = D[:, :, sl].min(axis=2).max(axis=1)
-                    prof = (q == 3) & (R == 1)
-                    eds_agree &= ~connected | (eds == prof)
-                    eds_exists |= eds & connected
-                genmet_checked += B
-                genmet_true += int(ids_exists.sum())
-                eds_checked += int(connected.sum())
-                eds_true += int((eds_exists & connected).sum())
-                bad_genmet = ids_exists != gr1_exists
-                for b in np.flatnonzero(bad_genmet)[:5]:
-                    violations.append({"claim": "genmet", "n": n,
-                                       "mask": int(masks[b]), "k": k})
-                for b in np.flatnonzero(~eds_agree)[:5]:
-                    violations.append({"claim": "eds", "n": n,
-                                       "mask": int(masks[b]), "k": k})
-    return {"genmet_graphs": genmet_graphs, "genmet_checked": genmet_checked,
-            "genmet_true": genmet_true, "eds_graphs": eds_graphs,
-            "eds_checked": eds_checked, "eds_true": eds_true,
-            "violations": violations}
+            _reduction_chunk(masks, adj, D2x, apsp_batch(adj), out)
+    return out

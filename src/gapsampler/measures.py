@@ -75,8 +75,10 @@ def star_discrepancy(cloud: PointCloud) -> DiscrepancyReport:
     n = pts.shape[0]
     xs, ys, closed, open_ = _counts(pts)
     area = xs[:, None] * ys[None, :]
-    over = closed / n - area          # maximized by closed counts
-    under = area - open_ / n          # maximized by open-limit counts
+    over = closed / n                 # maximized by closed counts
+    over -= area
+    del closed
+    under = np.subtract(area, open_ / n, out=area)  # by open-limit counts
     oi = np.unravel_index(int(np.argmax(over)), over.shape)
     ui = np.unravel_index(int(np.argmax(under)), under.shape)
     if over[oi] >= under[ui]:

@@ -165,7 +165,7 @@ def _closed_neighborhoods(g: Graph) -> np.ndarray:
 
 
 def _independent_dominating(adj: np.ndarray, verts: list) -> bool:
-    if adj[np.ix_(verts, verts)].any():
+    if adj[verts][:, verts].any():
         return False
     closed = adj[verts].any(axis=0)
     closed[verts] = True

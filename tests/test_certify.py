@@ -1,5 +1,7 @@
 """Batched certification machinery vs the scalar library, plus small sweeps."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from gapsampler import (GapError, adjacency_batch, apsp_batch,
                         fpi_batch, graph_from_mask, iter_connected_metrics,
                         sweep_fpi_guarantees, sweep_fpi_vs_oracle,
                         sweep_graph_lower_bound, sweep_reduction_certificates)
+from gapsampler import certify
 from gapsampler.certify import BIG
 
 # connected labeled graphs on n = 2..5 vertices
@@ -119,3 +122,237 @@ def test_sweep_reductions_small():
     assert out["violations"] == []
     assert 0 < out["eds_true"] < out["eds_checked"]
     assert 0 < out["genmet_true"] < out["genmet_checked"]
+
+
+# ---------------------------------------------------------------------------
+# the subset walk against per-subset gathers, one subset at a time
+
+
+def subset_pair_lists(n):
+    """subset (tuple) -> (pair_i, pair_j) index arrays for its inner pairs."""
+    out = {}
+    for k in range(2, n + 1):
+        for s in combinations(range(n), k):
+            pi, pj = zip(*combinations(s, 2))
+            out[s] = (np.array(pi), np.array(pj))
+    return out
+
+
+def reference_fpi_vs_oracle_chunk(masks, D, ks, out):
+    B, n, _ = D.shape
+    subsets = {k: list(combinations(range(n), k)) for k in ks if k <= n}
+    pair_arrays = subset_pair_lists(n)
+    out["graphs"] += B
+    res = fpi_batch(D)
+    Df = D.astype(np.float64)
+    for k in ks:
+        if not 2 <= k <= n:
+            continue
+        gr_fpi = 2.0 * res["R"][k] / res["q"][k]
+        gr_opt = np.full(B, np.inf)
+        for s in subsets[k]:
+            pi, pj = pair_arrays[s]
+            qv = Df[:, pi, pj].min(axis=1)
+            Rv = Df[:, :, list(s)].min(axis=2).max(axis=1)
+            np.minimum(gr_opt, 2.0 * Rv / qv, out=gr_opt)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = np.where(gr_opt >= 2.0 / 3.0, 2.0 / gr_opt,
+                             4.0 / (2.0 - gr_opt))
+            ok = np.where(gr_opt > 0,
+                          (gr_fpi <= bound * gr_opt + 1e-9)
+                          & (gr_fpi <= 3.0 * gr_opt + 1e-9),
+                          gr_fpi <= 1e-9)
+        out["pairs_checked"] += B
+        pos = gr_opt > 0
+        if pos.any():
+            out["worst_ratio"] = max(out["worst_ratio"],
+                                     float((gr_fpi[pos] / gr_opt[pos]).max()))
+        for b in np.flatnonzero(~ok)[:5]:
+            out["violations"].append({"n": n, "mask": int(masks[b]), "k": k})
+
+
+def reference_lower_bound_chunk(masks, D, out):
+    B, n, _ = D.shape
+    pair_arrays = subset_pair_lists(n)
+    out["graphs"] += B
+    Dl = D.astype(np.int64)
+    for s in [s for k in range(2, n) for s in combinations(range(n), k)]:
+        pi, pj = pair_arrays[s]
+        q = Dl[:, pi, pj].min(axis=1)
+        R = Dl[:, :, list(s)].min(axis=2).max(axis=1)
+        out["samples_checked"] += B
+        bad = 3 * R < q
+        eq = 3 * R == q
+        bad |= eq & (R != 1)
+        out["equality_cases"] += int(eq.sum())
+        for b in np.flatnonzero(bad)[:5]:
+            out["violations"].append({"n": n, "mask": int(masks[b]), "sample": s})
+
+
+def reference_reduction_chunk(masks, adj, D2x, D, out):
+    B, n, _ = D.shape
+    pair_arrays = subset_pair_lists(n)
+    D2x, D = D2x.astype(np.int64), D.astype(np.int64)
+    connected = D.max(axis=(1, 2)) < BIG
+    out["genmet_graphs"] += B
+    out["eds_graphs"] += int(connected.sum())
+    closed_nb = adj | np.eye(n, dtype=bool)
+    for k in range(2, n):
+        ids_exists = np.zeros(B, dtype=bool)
+        gr1_exists = np.zeros(B, dtype=bool)
+        eds_exists = np.zeros(B, dtype=bool)
+        eds_agree = np.ones(B, dtype=bool)
+        for s in combinations(range(n), k):
+            pi, pj = pair_arrays[s]
+            sl = list(s)
+            indep = ~adj[:, pi, pj].any(axis=1)
+            dom = adj[:, sl, :].any(axis=1)
+            dom[:, sl] = True
+            ids_exists |= indep & dom.all(axis=1)
+            q2 = D2x[:, pi, pj].min(axis=1)
+            R2 = D2x[:, :, sl].min(axis=2).max(axis=1)
+            gr1_exists |= 2 * R2 == q2
+            eds = (closed_nb[:, :, sl].sum(axis=2) == 1).all(axis=1)
+            q = D[:, pi, pj].min(axis=1)
+            R = D[:, :, sl].min(axis=2).max(axis=1)
+            prof = (q == 3) & (R == 1)
+            eds_agree &= ~connected | (eds == prof)
+            eds_exists |= eds & connected
+        out["genmet_checked"] += B
+        out["genmet_true"] += int(ids_exists.sum())
+        out["eds_checked"] += int(connected.sum())
+        out["eds_true"] += int((eds_exists & connected).sum())
+        for b in np.flatnonzero(ids_exists != gr1_exists)[:5]:
+            out["violations"].append({"claim": "genmet", "n": n,
+                                      "mask": int(masks[b]), "k": k})
+        for b in np.flatnonzero(~eds_agree)[:5]:
+            out["violations"].append({"claim": "eds", "n": n,
+                                      "mask": int(masks[b]), "k": k})
+
+
+ZERO = {"fpi": {"graphs": 0, "pairs_checked": 0, "worst_ratio": 0.0},
+        "floor": {"graphs": 0, "samples_checked": 0, "equality_cases": 0},
+        "reduction": {"genmet_graphs": 0, "genmet_checked": 0, "genmet_true": 0,
+                      "eds_graphs": 0, "eds_checked": 0, "eds_true": 0}}
+
+
+def empty(sweep):
+    """The accumulator a sweep starts from, in its report's key order."""
+    return {**ZERO[sweep], "violations": []}
+
+
+def all_graph_batches(n, chunk):
+    """(masks, adjacency, doubled {1,2}-metric, shortest paths) per chunk."""
+    total = 1 << (n * (n - 1) // 2)
+    for start in range(0, total, chunk):
+        masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        adj = adjacency_batch(n, masks)
+        D2x = np.where(adj, 2, 4).astype(np.int16)
+        D2x[:, np.arange(n), np.arange(n)] = 0
+        yield masks, adj, D2x, apsp_batch(adj)
+
+
+def reference_sweep(sweep, max_n, chunk):
+    out = empty(sweep)
+    if sweep == "fpi":
+        for n in range(2, max_n + 1):
+            for masks, D in iter_connected_metrics(n, chunk):
+                reference_fpi_vs_oracle_chunk(masks, D, (2, 3), out)
+    elif sweep == "floor":
+        for n in range(3, max_n + 1):
+            for masks, D in iter_connected_metrics(n, chunk):
+                reference_lower_bound_chunk(masks, D, out)
+    else:
+        for n in range(3, max_n + 1):
+            for batch in all_graph_batches(n, chunk):
+                reference_reduction_chunk(*batch, out)
+    return out
+
+
+def test_subset_walk_matches_combinations():
+    rng = np.random.default_rng(3)
+    n, B = 6, 9
+    D = rng.integers(1, 9, size=(B, n, n)).astype(np.int16)
+    D = np.minimum(D, D.transpose(0, 2, 1))
+    D[:, np.arange(n), np.arange(n)] = 0
+    closed_nb = (rng.random((B, n, n)) < 0.4).astype(np.int8)
+    closed_nb = closed_nb | closed_nb.transpose(0, 2, 1) | np.eye(n, dtype=np.int8)
+    for max_k in (2, 3, n - 1, n):
+        walk = list(certify._subset_walk([(D, np.minimum), (closed_nb, np.add)], max_k))
+        want = [s for k in range(2, max_k + 1) for s in combinations(range(n), k)]
+        assert [s for s, _ in walk] == sorted(want)  # lexicographic order
+        for s, ((pm, pq), (hit, inner)) in walk:
+            sl = list(s)
+            assert np.array_equal(pm, D[:, :, sl].min(axis=2).T)
+            pi, pj = zip(*combinations(s, 2))
+            assert np.array_equal(pq, D[:, pi, pj].min(axis=1))
+            assert np.array_equal(hit, closed_nb[:, :, sl].sum(axis=2).T)
+            assert np.array_equal(inner, closed_nb[:, pi, pj].sum(axis=1))
+
+
+@pytest.mark.parametrize("chunk", [64, 1000])
+def test_sweeps_match_per_subset_reference(chunk):
+    got = {"fpi": sweep_fpi_vs_oracle(max_n=5, chunk=chunk),
+           "floor": sweep_graph_lower_bound(max_n=5, chunk=chunk),
+           "reduction": sweep_reduction_certificates(max_n=5, chunk=chunk)}
+    for sweep, out in got.items():
+        want = reference_sweep(sweep, 5, chunk)
+        assert list(out) == list(want) and repr(out) == repr(want)
+    assert got == {sweep: sweep_fn(max_n=5) for sweep, sweep_fn in
+                   (("fpi", sweep_fpi_vs_oracle), ("floor", sweep_graph_lower_bound),
+                    ("reduction", sweep_reduction_certificates))}
+
+
+def corrupted(D, seed, lo, hi, frac=0.5):
+    """A copy of the batch with about ``frac`` of its metrics replaced by
+    random symmetric matrices with entries in [lo, hi) and a zero diagonal."""
+    rng = np.random.default_rng(seed)
+    B, n, _ = D.shape
+    noise = rng.integers(lo, hi, size=(B, n, n)).astype(D.dtype)
+    noise = np.triu(noise, 1) + np.triu(noise, 1).transpose(0, 2, 1)
+    return np.where((rng.random(B) < frac)[:, None, None], noise, D)
+
+
+def test_corrupted_fpi_vs_oracle_chunk_matches_reference():
+    masks, D = next(iter_connected_metrics(6))
+    D = corrupted(D, 11, 1, 7)
+    for ks in ((2, 3), (3, 2, 5), (4, 9)):
+        got, want = empty("fpi"), empty("fpi")
+        certify._fpi_vs_oracle_chunk(masks, D, ks, got)
+        reference_fpi_vs_oracle_chunk(masks, D, ks, want)
+        assert repr(got) == repr(want)
+        per_k = [sum(v["k"] == k for v in got["violations"]) for k in ks]
+        assert max(per_k) == 5  # the cap is reached
+
+
+def test_corrupted_lower_bound_chunk_matches_reference():
+    masks, D = next(iter_connected_metrics(5))
+    D = corrupted(D, 12, 1, 10)
+    got, want = empty("floor"), empty("floor")
+    certify._lower_bound_chunk(masks, D, got)
+    reference_lower_bound_chunk(masks, D, want)
+    assert got == want
+    samples = [v["sample"] for v in got["violations"]]
+    assert len({len(s) for s in samples}) > 1  # sizes interleave in the walk
+    counts = {s: samples.count(s) for s in samples}
+    assert max(counts.values()) == 5
+    # more than five graphs fail on some capped subset
+    s = max(counts, key=counts.get)
+    Dl = D.astype(np.int64)
+    R = Dl[:, :, list(s)].min(axis=2).max(axis=1)
+    pi, pj = zip(*combinations(s, 2))
+    q = Dl[:, pi, pj].min(axis=1)
+    assert int(((3 * R < q) | ((3 * R == q) & (R != 1))).sum()) > 5
+
+
+def test_corrupted_reduction_chunk_matches_reference():
+    masks, adj, D2x, D = next(all_graph_batches(5, 1 << 10))
+    D2x = corrupted(D2x, 13, 2, 5)  # entries 2..4 on about half the graphs
+    D = corrupted(D, 14, 1, 4)
+    got, want = empty("reduction"), empty("reduction")
+    certify._reduction_chunk(masks, adj, D2x, D, got)
+    reference_reduction_chunk(masks, adj, D2x, D, want)
+    assert got == want
+    for claim in ("genmet", "eds"):
+        per_k = [v["k"] for v in got["violations"] if v["claim"] == claim]
+        assert per_k == sorted(per_k) and per_k.count(2) == 5

@@ -1,6 +1,7 @@
 """Exact star discrepancy, the gap-based bound, and closed-form floors."""
 
 import itertools
+import tracemalloc
 from math import sqrt
 
 import numpy as np
@@ -134,6 +135,44 @@ def test_discrepancy_and_bound_match_reference_counts(monkeypatch):
     monkeypatch.setattr(measures, "_counts", reference_counts)
     want = run()
     assert got == want  # exact floats, same witness rectangles and kinds
+
+
+def reference_discrepancy(cloud):
+    """star_discrepancy with over and under as two out-of-place expressions."""
+    pts = cloud.points
+    n = pts.shape[0]
+    xs, ys, closed, open_ = measures._counts(pts)
+    area = xs[:, None] * ys[None, :]
+    over = closed / n - area
+    under = area - open_ / n
+    oi = np.unravel_index(int(np.argmax(over)), over.shape)
+    ui = np.unravel_index(int(np.argmax(under)), under.shape)
+    if over[oi] >= under[ui]:
+        return float(over[oi]), (float(xs[oi[0]]), float(ys[oi[1]]), "closed")
+    return float(under[ui]), (float(xs[ui[0]]), float(ys[ui[1]]), "open-limit")
+
+
+def test_discrepancy_matches_out_of_place_expression():
+    clouds = [build_cloud(pts) for pts in count_clouds()]
+    clouds += [centered_lattice(m) for m in (1, 4, 9)]
+    for cloud in clouds:
+        rep = star_discrepancy(cloud)
+        d_star, witness = reference_discrepancy(cloud)
+        assert rep.d_star.hex() == d_star.hex() and rep.witness == witness
+
+
+def test_discrepancy_peak_memory():
+    cloud = build_cloud(np.random.default_rng(13).random((800, 2)))
+    grid = 801 * 801 * 8  # one (mx, my) float64 or int64 array
+    tracemalloc.start()
+    try:
+        star_discrepancy(cloud)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # open_, over and the areas reused as under: four grids live at once;
+    # subtracting out of place keeps six
+    assert peak < 5 * grid
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,7 @@ domination-problem reductions behind the hardness of GR = 1, and audits
 planar samples through Delaunay angles and star discrepancy.
 """
 
-from .certify import (adjacency_batch, apsp_batch, fpi_batch,
-                      graph_from_mask, iter_connected_metrics,
-                      sweep_fpi_guarantees, sweep_fpi_vs_oracle,
+from .certify import (sweep_fpi_guarantees, sweep_fpi_vs_oracle,
                       sweep_graph_lower_bound, sweep_reduction_certificates)
 from .coreset import (EpsParams, GridCoreset, approx_sample, best_k_subset,
                       build_grid_coreset, static_params)
@@ -57,8 +55,7 @@ __all__ = [
     "gap_report_unit_square", "delaunay_angle_audit",
     "DiscrepancyReport", "star_discrepancy", "gap_based_discrepancy_bound",
     "analytic_bounds",
-    "graph_from_mask", "adjacency_batch", "apsp_batch", "fpi_batch",
-    "iter_connected_metrics", "sweep_fpi_guarantees", "sweep_fpi_vs_oracle",
-    "sweep_graph_lower_bound", "sweep_reduction_certificates",
+    "sweep_fpi_guarantees", "sweep_fpi_vs_oracle", "sweep_graph_lower_bound",
+    "sweep_reduction_certificates",
     "__version__",
 ]

@@ -1,11 +1,12 @@
 """Exhaustive certification sweeps over all labeled graphs of small order.
 
 Each sweep enumerates every edge subset of the complete graph K_n as a
-bitmask, decodes chunks of masks into batched adjacency matrices, runs a
-batched Floyd-Warshall for the shortest-path metrics, walks the vertex
-subsets depth first over the whole chunk at once, and evaluates the
-claim under test with integer arithmetic only (distances on unweighted
-graphs are integers; gap-ratio comparisons reduce to products).  No
+bitmask, decodes chunks of masks into batched adjacency matrices, runs
+the metric module's Floyd-Warshall kernel over the whole batch for the
+shortest-path metrics, walks the vertex subsets depth first over the
+whole chunk at once, and evaluates the claim under test with integer
+arithmetic only (distances on unweighted graphs are integers; gap-ratio
+comparisons reduce to products).  No
 isomorphism reduction is attempted: labeled enumeration is cheap at these
 sizes and keeps the bookkeeping trivial.
 
@@ -35,7 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .metric import Graph, build_graph
+from .metric import Graph, _min_plus, build_graph
 
 BIG = 64  # unreachable marker; n <= 7 keeps real distances <= 6
 
@@ -61,12 +62,10 @@ def adjacency_batch(n: int, masks: np.ndarray) -> np.ndarray:
 
 def apsp_batch(adj: np.ndarray) -> np.ndarray:
     """Batched Floyd-Warshall on unweighted adjacency; BIG = unreachable."""
-    B, n, _ = adj.shape
+    n = adj.shape[-1]
     D = np.where(adj, np.int16(1), np.int16(BIG))
     D[:, np.arange(n), np.arange(n)] = 0
-    for k in range(n):
-        np.minimum(D, D[:, :, k][:, :, None] + D[:, k, :][:, None, :], out=D)
-    return D
+    return _min_plus(D, D)
 
 
 def iter_connected_metrics(n: int, chunk: int = 65536) -> Iterator[tuple]:

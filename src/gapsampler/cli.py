@@ -11,7 +11,6 @@ deliberately breaks reproducibility of the bytes.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -285,13 +284,6 @@ def _cmd_certify(args) -> Outcome:
 # parser
 
 
-def _env_threads() -> int:
-    try:
-        return max(0, int(os.environ.get("THREADS", "0")))
-    except ValueError:
-        return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--verbose", action="store_true",
@@ -299,9 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--timing", action="store_true",
                         help="add wall_time_ms to the report (breaks byte "
                              "reproducibility by design)")
-    common.add_argument("--threads", type=int, default=_env_threads(),
-                        help="cap on internal parallelism (advisory; the "
-                             "current algorithms are sequential)")
 
     parser = argparse.ArgumentParser(
         prog="gapsampler",

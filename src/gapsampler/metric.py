@@ -185,22 +185,17 @@ def build_graph(n: int, edges: Iterable, weighted: Optional[bool] = None,
     return g
 
 
-def _adjacency_lists(g: Graph) -> list:
-    adj: list = [[] for _ in range(g.n)]
-    for u, v, w in g.edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    return adj
-
-
 def _unreachable_pair(g: Graph) -> Optional[tuple]:
-    adj = _adjacency_lists(g)
+    adj: list = [[] for _ in range(g.n)]
+    for u, v, _ in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
     seen = np.zeros(g.n, dtype=bool)
     stack = [0]
     seen[0] = True
     while stack:
         u = stack.pop()
-        for v, _ in adj[u]:
+        for v in adj[u]:
             if not seen[v]:
                 seen[v] = True
                 stack.append(v)
@@ -237,6 +232,21 @@ def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _min_plus(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fold every (min, +) path through one intermediate site into out.
+
+    For k in turn, out = min(out, a[:, k] + a[k, :]); any leading axes of a
+    and out are a batch.  _min_plus(D, D) is the in-place Floyd-Warshall
+    closure (shortest paths, given edge lengths and a zero diagonal); with
+    an all-inf out it is the one (min, +) product d * d, the shortest
+    two-hop detour between every pair, which build_explicit's triangle
+    check compares d against.  Returns out.
+    """
+    for k in range(a.shape[-1]):
+        np.minimum(out, a[..., :, k, None] + a[..., None, k, :], out=out)
+    return out
+
+
 def _first_pair(mat: np.ndarray, largest: bool) -> tuple:
     """Lexicographically smallest (i, j), i < j, at which the symmetric
     matrix mat attains its maximum (largest) or minimum off the diagonal.
@@ -264,9 +274,12 @@ def build_euclidean(cloud: PointCloud) -> FiniteMetric:
 def build_graph_metric(g: Graph) -> FiniteMetric:
     """All-pairs shortest-path metric of a connected graph.
 
-    Breadth-first search per source for unweighted graphs, Floyd-Warshall
-    otherwise.  exact2x is populated whenever every edge weight is an exact
-    half-integer (then every path length is too).
+    One Floyd-Warshall closure (_min_plus) over float64 edge lengths for
+    weighted graphs, and over integer hop counts for unweighted ones, in
+    the smallest unsigned dtype holding 2n: n marks "no path yet", every
+    real hop count is at most n - 1, and n + n still fits.  exact2x is
+    populated whenever every edge weight is an exact half-integer (then
+    every path length is too); it always is for unweighted graphs.
     """
     pair = _unreachable_pair(g)
     if pair is not None:
@@ -274,30 +287,19 @@ def build_graph_metric(g: Graph) -> FiniteMetric:
                        f"vertices {pair[0]} and {pair[1]} are not connected")
     n = g.n
     if not g.weighted:
-        adj = _adjacency_lists(g)
-        dist = np.zeros((n, n), dtype=np.float64)
-        for s in range(n):
-            d = np.full(n, -1, dtype=np.int64)
-            d[s] = 0
-            frontier = [s]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for v, _ in adj[u]:
-                        if d[v] < 0:
-                            d[v] = d[u] + 1
-                            nxt.append(v)
-                frontier = nxt
-            dist[s] = d
-        exact2x = (2 * dist).astype(np.int64)
+        D = np.full((n, n), n, dtype=np.min_scalar_type(2 * n))
+        np.fill_diagonal(D, 0)
+        for u, v, _ in g.edges:
+            D[u, v] = D[v, u] = 1
+        _min_plus(D, D)
+        exact2x = 2 * D.astype(np.int64)
+        dist = D.astype(np.float64)
     else:
         dist = np.full((n, n), np.inf)
         np.fill_diagonal(dist, 0.0)
         for u, v, w in g.edges:
-            dist[u, v] = min(dist[u, v], w)
-            dist[v, u] = dist[u, v]
-        for k in range(n):
-            np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :], out=dist)
+            dist[u, v] = dist[v, u] = min(dist[u, v], w)
+        _min_plus(dist, dist)
         half = all(float(w * 2).is_integer() for _, _, w in g.edges)
         exact2x = (2 * dist).astype(np.int64) if half else None
     dist.setflags(write=False)
@@ -327,10 +329,7 @@ def build_explicit(dist, exact2x=None) -> FiniteMetric:
         i, j = np.argwhere(off <= 0)[0]
         raise GapError("invalid-matrix", f"distance between distinct sites {i} and {j} is not positive")
     # min over k of d[i,k]+d[k,j]; k=i makes this <= d[i,j], so only check the deficit
-    best = np.full((n, n), np.inf)
-    for k in range(n):
-        np.minimum(best, d[:, k:k + 1] + d[k:k + 1, :], out=best)
-    viol = d - best
+    viol = d - _min_plus(d, np.full((n, n), np.inf))
     if (viol > TRIANGLE_TOL).any():
         i, j = np.argwhere(viol > TRIANGLE_TOL)[0]
         raise GapError("invalid-matrix",

@@ -20,11 +20,12 @@ from gapsampler import (analytic_bounds, approx_sample, build_cloud,
                         check_genmet_equivalence, covering_radius_unit_square,
                         delaunay_angle_audit, farthest_point_insertion,
                         fpi_ratio_bound, gap_based_discrepancy_bound,
-                        gap_ratio, gap_report_unit_square, graph_from_mask,
+                        gap_ratio, gap_report_unit_square,
                         optimal_gap_ratio, star_discrepancy,
                         stream_finalize, stream_ingest, stream_init,
                         sweep_fpi_guarantees, sweep_fpi_vs_oracle,
                         sweep_graph_lower_bound, sweep_reduction_certificates)
+from gapsampler.certify import graph_from_mask
 from gapsampler.errors import GapError
 
 SIZE_C = 1.0  # frozen constant for the coreset-size regression bounds

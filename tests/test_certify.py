@@ -5,13 +5,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from gapsampler import (GapError, adjacency_batch, apsp_batch,
-                        build_graph_metric, farthest_point_insertion,
-                        fpi_batch, graph_from_mask, iter_connected_metrics,
+from gapsampler import (GapError, build_graph_metric, farthest_point_insertion,
                         sweep_fpi_guarantees, sweep_fpi_vs_oracle,
                         sweep_graph_lower_bound, sweep_reduction_certificates)
 from gapsampler import certify
-from gapsampler.certify import BIG
+from gapsampler.certify import (BIG, adjacency_batch, apsp_batch, fpi_batch,
+                                graph_from_mask, iter_connected_metrics)
 
 # connected labeled graphs on n = 2..5 vertices
 CONNECTED_COUNTS = {2: 1, 3: 4, 4: 38, 5: 728}

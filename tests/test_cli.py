@@ -169,11 +169,6 @@ def test_verbose_goes_to_stderr(files):
     json.loads(proc.stdout)  # stdout stays pure JSON
 
 
-def test_threads_flag_accepted(files):
-    assert run_cli("fpi", "--points", files["line10.txt"], "-k", "2",
-                   "--threads", "2").returncode == 0
-
-
 # ---------------------------------------------------------------------------
 # failure modes
 

@@ -1,6 +1,8 @@
 """Contract tests for metric construction and exact gap evaluation."""
 
+import heapq
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -11,7 +13,8 @@ from gapsampler import (GapError, build_cloud, build_euclidean, build_explicit,
                         build_graph, build_graph_metric, diameter, gap_fraction,
                         farthest_point_insertion, gap_ratio, genmet_reduce,
                         make_sample, max_gap, min_gap)
-from gapsampler.metric import _BLOCK, _pairwise
+from gapsampler.certify import BIG, adjacency_batch, apsp_batch, graph_from_mask
+from gapsampler.metric import _BLOCK, TRIANGLE_TOL, _pairwise
 
 
 def line_metric(n=10):
@@ -369,3 +372,161 @@ def test_fpi_peak_memory_is_the_matrix_plus_a_block():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * n * n * 8
+
+
+# ---------------------------------------------------------------------------
+# shortest paths against plain-Python references (no shared kernel)
+
+
+def neighbours(g):
+    adj = [[] for _ in range(g.n)]
+    for u, v, w in g.edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    return adj
+
+
+def bfs_hops(g):
+    """Hop counts, one breadth-first search per source; inf = unreachable."""
+    adj = neighbours(g)
+    rows = []
+    for s in range(g.n):
+        d = [math.inf] * g.n
+        d[s] = 0
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v, _ in adj[u]:
+                    if d[v] == math.inf:
+                        d[v] = d[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        rows.append(d)
+    return np.array(rows, dtype=float)
+
+
+def dijkstra(g):
+    """Weighted shortest paths, one heapq Dijkstra per source."""
+    adj = neighbours(g)
+    rows = []
+    for s in range(g.n):
+        d = [math.inf] * g.n
+        d[s] = 0.0
+        heap = [(0.0, s)]
+        while heap:
+            du, u = heapq.heappop(heap)
+            if du > d[u]:
+                continue
+            for v, w in adj[u]:
+                if du + w < d[v]:
+                    d[v] = du + w
+                    heapq.heappush(heap, (d[v], v))
+        rows.append(d)
+    return np.array(rows, dtype=float)
+
+
+def random_connected_edges(rng, n, extra):
+    edges = {(int(rng.integers(0, v)), v) for v in range(1, n)}  # random tree
+    for _ in range(extra):
+        u, v = sorted(int(x) for x in rng.integers(0, n, 2))
+        if u != v:
+            edges.add((u, v))
+    return sorted(edges)
+
+
+def assert_matches_reference(g):
+    m = build_graph_metric(g)
+    want = dijkstra(g) if g.weighted else bfs_hops(g)
+    assert m.dist.dtype == np.float64 and not m.dist.flags.writeable
+    if all(float(2 * w).is_integer() for _, _, w in g.edges):
+        assert np.array_equal(m.dist, want)  # dyadic sums are exact
+        assert m.exact2x.dtype == np.int64 and not m.exact2x.flags.writeable
+        assert np.array_equal(m.exact2x, (2 * want).astype(np.int64))
+    else:
+        np.testing.assert_allclose(m.dist, want, rtol=1e-12)
+        assert m.exact2x is None
+
+
+def test_unweighted_metric_matches_bfs():
+    rng = np.random.default_rng(31)
+    graphs = list(tie_heavy_graphs()) + [build_graph(1, [])]
+    for _ in range(40):
+        n = int(rng.integers(2, 61))
+        graphs.append(build_graph(n, random_connected_edges(rng, n, int(rng.integers(0, 2 * n)))))
+    for g in graphs:
+        assert_matches_reference(g)
+
+
+@pytest.mark.parametrize("n", [127, 128, 129])
+def test_unweighted_metric_on_long_paths(n):
+    # the hop-count dtype must hold 2n, not just n: n + n is added before
+    # the minimum drops it
+    assert_matches_reference(build_graph(n, [(i, i + 1) for i in range(n - 1)]))
+
+
+def test_weighted_metric_matches_dijkstra():
+    rng = np.random.default_rng(32)
+    for t in range(30):
+        n = int(rng.integers(2, 41))
+        weights = (0.5, 1.0, 1.5, 2.5) if t % 2 == 0 else (0.3, 7.25, 1.0)
+        edges = [(u, v, float(rng.choice(weights)))
+                 for u, v in random_connected_edges(rng, n, n)]
+        assert_matches_reference(build_graph(n, edges))
+
+
+def test_disconnected_metric_error_names_first_unreachable_vertex():
+    rng = np.random.default_rng(33)
+    for _ in range(30):
+        n = int(rng.integers(2, 30))
+        edges = [e for e in random_connected_edges(rng, n, n) if rng.random() < 0.5]
+        g = build_graph(n, edges, require_connected=False)
+        unreachable = np.flatnonzero(bfs_hops(g)[0] == math.inf)
+        if unreachable.size == 0:
+            assert_matches_reference(g)
+            continue
+        with pytest.raises(GapError) as e:
+            build_graph_metric(g)
+        assert e.value.code == "disconnected-graph"
+        assert str(e.value) == f"vertices 0 and {unreachable[0]} are not connected"
+
+
+def test_apsp_batch_matches_bfs_with_sentinel():
+    masks = np.random.default_rng(34).integers(0, 1 << 10, size=200)
+    D = apsp_batch(adjacency_batch(5, masks))
+    assert D.dtype == np.int16
+    assert (D == BIG).any()  # disconnected masks are in the sample
+    for row, mask in zip(D, masks):
+        hops = bfs_hops(graph_from_mask(5, int(mask), require_connected=False))
+        assert np.array_equal(row, np.where(hops == math.inf, BIG, hops))
+
+
+def loop_triangle_pair(d):
+    """First (i, j) breaking the triangle inequality, by the Floyd-Warshall
+    loop build_explicit ran before the shared kernel."""
+    n = len(d)
+    best = np.full((n, n), np.inf)
+    for k in range(n):
+        np.minimum(best, d[:, k:k + 1] + d[k:k + 1, :], out=best)
+    hits = np.argwhere(d - best > TRIANGLE_TOL)
+    return tuple(hits[0]) if len(hits) else None
+
+
+def test_explicit_triangle_errors_match_the_loop():
+    rng = np.random.default_rng(35)
+    broken = 0
+    for t in range(200):
+        n = int(rng.integers(1, 13))
+        d = np.triu(rng.integers(1, 6, (n, n)) * (0.5 if t % 3 else 0.37), 1)
+        d = d + d.T
+        pair = loop_triangle_pair(d)
+        if pair is None:
+            assert np.array_equal(build_explicit(d).dist, d)
+            continue
+        broken += 1
+        with pytest.raises(GapError) as e:
+            build_explicit(d)
+        assert e.value.code == "invalid-matrix"
+        assert str(e.value) == \
+            f"triangle inequality violated at sites ({pair[0]}, {pair[1]})"
+    assert broken > 100

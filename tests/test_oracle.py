@@ -8,12 +8,12 @@ import pytest
 
 from gapsampler import (CertificationError, GapError, GuardExceeded,
                         best_k_subset, build_cloud, build_euclidean,
-                        build_graph, build_graph_metric,
+                        build_explicit, build_graph, build_graph_metric,
                         check_eds_equivalence, check_genmet_equivalence,
-                        gap_ratio, genmet_reduce, graph_from_mask,
-                        is_efficient_dominating, is_independent_dominating,
-                        optimal_gap_ratio)
+                        gap_ratio, genmet_reduce, is_efficient_dominating,
+                        is_independent_dominating, optimal_gap_ratio)
 from gapsampler import oracle
+from gapsampler.certify import graph_from_mask
 
 
 def c6():
@@ -283,6 +283,19 @@ def test_genmet_reduce_matrices():
     assert (genmet_reduce(k3).dist + np.eye(3) == 1.0).all()
     e3 = build_graph(3, [], require_connected=False)
     assert (genmet_reduce(e3).dist + 2.0 * np.eye(3) == 2.0).all()
+
+
+def test_genmet_reduce_passes_the_explicit_audit():
+    # genmet_reduce skips build_explicit's checks: every {1,2} profile is a
+    # metric, so the audit must accept it and change no field
+    for n in range(2, 6):
+        for mask in range(1 << (n * (n - 1) // 2)):
+            m = genmet_reduce(graph_from_mask(n, mask, require_connected=False))
+            ref = build_explicit(m.dist, m.exact2x)
+            assert (m.n, m.source) == (ref.n, ref.source)
+            for got, want in ((m.dist, ref.dist), (m.exact2x, ref.exact2x)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert not got.flags.writeable
 
 
 def test_genmet_equivalence_c4():

@@ -274,34 +274,24 @@ def build_euclidean(cloud: PointCloud) -> FiniteMetric:
 def build_graph_metric(g: Graph) -> FiniteMetric:
     """All-pairs shortest-path metric of a connected graph.
 
-    One Floyd-Warshall closure (_min_plus) over float64 edge lengths for
-    weighted graphs, and over integer hop counts for unweighted ones, in
-    the smallest unsigned dtype holding 2n: n marks "no path yet", every
-    real hop count is at most n - 1, and n + n still fits.  exact2x is
-    populated whenever every edge weight is an exact half-integer (then
-    every path length is too); it always is for unweighted graphs.
+    One Floyd-Warshall closure (_min_plus) over float64 edge lengths;
+    every edge of an unweighted graph has length 1.  exact2x is populated
+    whenever every edge length is an exact half-integer (then every path
+    length is too); it always is for unweighted graphs.
     """
     pair = _unreachable_pair(g)
     if pair is not None:
         raise GapError("disconnected-graph",
                        f"vertices {pair[0]} and {pair[1]} are not connected")
     n = g.n
-    if not g.weighted:
-        D = np.full((n, n), n, dtype=np.min_scalar_type(2 * n))
-        np.fill_diagonal(D, 0)
-        for u, v, _ in g.edges:
-            D[u, v] = D[v, u] = 1
-        _min_plus(D, D)
-        exact2x = 2 * D.astype(np.int64)
-        dist = D.astype(np.float64)
-    else:
-        dist = np.full((n, n), np.inf)
-        np.fill_diagonal(dist, 0.0)
-        for u, v, w in g.edges:
-            dist[u, v] = dist[v, u] = min(dist[u, v], w)
-        _min_plus(dist, dist)
-        half = all(float(w * 2).is_integer() for _, _, w in g.edges)
-        exact2x = (2 * dist).astype(np.int64) if half else None
+    lengths = [(u, v, w if g.weighted else 1.0) for u, v, w in g.edges]
+    dist = np.full((n, n), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    for u, v, w in lengths:
+        dist[u, v] = dist[v, u] = min(dist[u, v], w)
+    _min_plus(dist, dist)
+    half = all(float(w * 2).is_integer() for _, _, w in lengths)
+    exact2x = (2 * dist).astype(np.int64) if half else None
     dist.setflags(write=False)
     if exact2x is not None:
         exact2x.setflags(write=False)

@@ -46,12 +46,40 @@ def test_adjacency_batch_matches_scalar():
         assert np.array_equal(row, scalar_adjacency(g))
 
 
+def bfs_hops(adj):
+    """Hop counts, one breadth-first search per source; BIG = unreachable."""
+    n = len(adj)
+    rows = []
+    for s in range(n):
+        d = [BIG] * n
+        d[s] = 0
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for v in range(n):
+                    if adj[u][v] and d[v] == BIG:
+                        d[v] = d[u] + 1
+                        nxt.append(v)
+            frontier = nxt
+        rows.append(d)
+    return np.array(rows)
+
+
 def test_apsp_batch_matches_scalar_metric():
+    # a plain BFS shares no code with apsp_batch or build_graph_metric
     for masks, D in iter_connected_metrics(5):
         pick = np.linspace(0, masks.shape[0] - 1, 40).astype(int)
         for b in pick:
-            m = build_graph_metric(graph_from_mask(5, int(masks[b])))
-            assert np.array_equal(D[b].astype(float), m.dist)
+            g = graph_from_mask(5, int(masks[b]))
+            assert np.array_equal(D[b], bfs_hops(scalar_adjacency(g)))
+    masks = np.random.default_rng(34).integers(0, 1 << 10, size=200)
+    D = apsp_batch(adjacency_batch(5, masks))
+    assert D.dtype == np.int16
+    assert (D == BIG).any()  # disconnected masks are in the sample
+    for row, mask in zip(D, masks):
+        g = graph_from_mask(5, int(mask), require_connected=False)
+        assert np.array_equal(row, bfs_hops(scalar_adjacency(g)))
 
 
 def test_disconnected_graphs_hit_the_sentinel():

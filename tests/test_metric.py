@@ -13,7 +13,6 @@ from gapsampler import (GapError, build_cloud, build_euclidean, build_explicit,
                         build_graph, build_graph_metric, diameter, gap_fraction,
                         farthest_point_insertion, gap_ratio, genmet_reduce,
                         make_sample, max_gap, min_gap)
-from gapsampler.certify import BIG, adjacency_batch, apsp_batch, graph_from_mask
 from gapsampler.metric import _BLOCK, TRIANGLE_TOL, _pairwise
 
 
@@ -451,18 +450,12 @@ def assert_matches_reference(g):
 def test_unweighted_metric_matches_bfs():
     rng = np.random.default_rng(31)
     graphs = list(tie_heavy_graphs()) + [build_graph(1, [])]
+    graphs += [build_graph(n, [(i, i + 1) for i in range(n - 1)]) for n in (127, 128, 129)]
     for _ in range(40):
         n = int(rng.integers(2, 61))
         graphs.append(build_graph(n, random_connected_edges(rng, n, int(rng.integers(0, 2 * n)))))
     for g in graphs:
         assert_matches_reference(g)
-
-
-@pytest.mark.parametrize("n", [127, 128, 129])
-def test_unweighted_metric_on_long_paths(n):
-    # the hop-count dtype must hold 2n, not just n: n + n is added before
-    # the minimum drops it
-    assert_matches_reference(build_graph(n, [(i, i + 1) for i in range(n - 1)]))
 
 
 def test_weighted_metric_matches_dijkstra():
@@ -473,6 +466,13 @@ def test_weighted_metric_matches_dijkstra():
         edges = [(u, v, float(rng.choice(weights)))
                  for u, v in random_connected_edges(rng, n, n)]
         assert_matches_reference(build_graph(n, edges))
+
+
+def test_unweighted_graph_ignores_given_weights():
+    g = build_graph(3, [(0, 1, 2.5), (1, 2, 0.3)], weighted=False)
+    m = build_graph_metric(g)
+    assert m.dist.tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    assert m.exact2x.tolist() == [[0, 2, 4], [2, 0, 2], [4, 2, 0]]
 
 
 def test_disconnected_metric_error_names_first_unreachable_vertex():
@@ -489,16 +489,6 @@ def test_disconnected_metric_error_names_first_unreachable_vertex():
             build_graph_metric(g)
         assert e.value.code == "disconnected-graph"
         assert str(e.value) == f"vertices 0 and {unreachable[0]} are not connected"
-
-
-def test_apsp_batch_matches_bfs_with_sentinel():
-    masks = np.random.default_rng(34).integers(0, 1 << 10, size=200)
-    D = apsp_batch(adjacency_batch(5, masks))
-    assert D.dtype == np.int16
-    assert (D == BIG).any()  # disconnected masks are in the sample
-    for row, mask in zip(D, masks):
-        hops = bfs_hops(graph_from_mask(5, int(mask), require_connected=False))
-        assert np.array_equal(row, np.where(hops == math.inf, BIG, hops))
 
 
 def loop_triangle_pair(d):

@@ -17,7 +17,11 @@ Triangulation is incremental with a bounding super-triangle that is removed
 at the end.  Orientation and in-circumcircle predicates are determinant
 tests with tolerance 1e-12; exactly cocircular insertions do not evict
 earlier triangles, so cocircular ties resolve by insertion order.  This is a
-documented desk-scale choice, not exact arithmetic.
+documented desk-scale choice, not exact arithmetic.  Each insertion runs the
+in-circumcircle expression once over every live triangle as numpy arrays,
+with the scalar predicate's operands and operation order, so every cavity
+decision has the bits a per-triangle scalar test would give; the cavity
+boundary, circumcircles and edge neighbours are array operations too.
 
 The angle audit ties the triangulation to the gap ratio g = R/r: any
 triangle whose vertices all sit at distance >= R from the boundary has every
@@ -28,7 +32,7 @@ cannot produce skinny interior triangles).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import asin, pi, sqrt
+from math import asin, pi
 from typing import Optional
 
 import numpy as np
@@ -43,6 +47,9 @@ _CORNERS = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
 # candidates per block of the covering radius's nearest-site scan; the
 # scratch is one (_NEAREST_ROWS, n) distance block, not (candidates, n)
 _NEAREST_ROWS = 1024
+
+# starting row capacity of delaunay's live-triangle arrays; they double
+_TRI_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -82,8 +89,12 @@ def _orient(a, b, c) -> float:
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def _in_circumcircle(a, b, c, p) -> float:
-    """Positive when p lies strictly inside the circumcircle of CCW (a,b,c)."""
+def _in_circumcircle(a, b, c, p):
+    """Positive when p lies strictly inside the circumcircle of CCW (a,b,c).
+
+    Elementwise: a, b and c may be (2, m) coordinate rows, one column per
+    triangle, and every column gets the bits a scalar call would give.
+    """
     ax, ay = a[0] - p[0], a[1] - p[1]
     bx, by = b[0] - p[0], b[1] - p[1]
     cx, cy = c[0] - p[0], c[1] - p[1]
@@ -92,18 +103,18 @@ def _in_circumcircle(a, b, c, p) -> float:
             + (cx * cx + cy * cy) * (ax * by - ay * bx))
 
 
-def _circumcircle(a, b, c) -> tuple:
+def _circumcircles(a, b, c) -> tuple:
+    """((m, 2) centers, (m,) radii) of triangles with (2, m) vertex rows."""
     bx, by = b[0] - a[0], b[1] - a[1]
     cx, cy = c[0] - a[0], c[1] - a[1]
     d = 2.0 * (bx * cy - by * cx)
-    if d == 0.0:
+    if (d == 0.0).any():
         raise GapError("degenerate-triangle", "circumcircle of collinear points")
     b2 = bx * bx + by * by
     c2 = cx * cx + cy * cy
     ux = (cy * b2 - by * c2) / d
     uy = (bx * c2 - cx * b2) / d
-    center = np.array([a[0] + ux, a[1] + uy])
-    return center, sqrt(ux * ux + uy * uy)
+    return np.stack([a[0] + ux, a[1] + uy], axis=1), np.sqrt(ux * ux + uy * uy)
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +127,33 @@ def _require_2d(cloud: PointCloud) -> np.ndarray:
     return cloud.points
 
 
+def _edge_neighbors(triangles: np.ndarray, n: int) -> np.ndarray:
+    """(m, 3) triangle across each edge (ia,ib), (ib,ic), (ic,ia), or -1.
+
+    Edges are taken in row-major order.  The first occurrence of an
+    undirected edge owns it: every later occurrence points to the owner,
+    and the owner points to the last one.
+    """
+    u = triangles.ravel()
+    v = triangles[:, [1, 2, 0]].ravel()
+    key = np.minimum(u, v) * n + np.maximum(u, v)
+    order = np.argsort(key, kind="stable")
+    ks = key[order]
+    start = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
+    size = np.diff(np.r_[start, ks.size])
+    first, last = order[start], order[start + size - 1]
+    out = np.empty(ks.size, dtype=np.int64)
+    out[order] = np.repeat(first // 3, size)
+    out[first] = np.where(size > 1, last // 3, -1)
+    return out.reshape(triangles.shape)
+
+
 def delaunay(cloud: PointCloud) -> Triangulation:
     """Incremental Delaunay triangulation (super-triangle, then removal).
 
     Insertion order is input order; a point exactly on a circumcircle does
     not evict the triangle, so cocircular configurations keep the earlier
-    diagonal.
+    diagonal.  Each insertion tests every live triangle at once.
     """
     pts = _require_2d(cloud)
     n = pts.shape[0]
@@ -140,46 +172,55 @@ def delaunay(cloud: PointCloud) -> Triangulation:
                     [center[0] + 3.0 * m, center[1] - m],
                     [center[0], center[1] + 3.0 * m]])
     verts = np.vstack([pts, sup])
-    tris = [(n, n + 1, n + 2)]
+    nv = n + 3
+    # live triangles are the first `live` rows of tris; the same columns of
+    # xy hold their vertex coordinates (ax, ay, bx, by, cx, cy)
+    tris = np.empty((_TRI_CAP, 3), dtype=np.int64)
+    xy = np.empty((6, _TRI_CAP))
+    tris[0] = (n, n + 1, n + 2)
+    xy[:, 0] = sup.ravel()
+    live = 1
 
     for pi_ in range(n):
         p = verts[pi_]
-        bad = []
-        for t, (ia, ib, ic) in enumerate(tris):
-            if _in_circumcircle(verts[ia], verts[ib], verts[ic], p) > PREDICATE_TOL:
-                bad.append(t)
-        directed = set()
-        for t in bad:
-            ia, ib, ic = tris[t]
-            directed.update([(ia, ib), (ib, ic), (ic, ia)])
-        boundary = [(u, v) for (u, v) in directed if (v, u) not in directed]
-        gone = set(bad)
-        tris = [tri for t, tri in enumerate(tris) if t not in gone]
-        for u, v in boundary:
-            if _orient(verts[u], verts[v], p) > 0:
-                tris.append((u, v, pi_))
+        bad = np.flatnonzero(_in_circumcircle(xy[0:2, :live], xy[2:4, :live],
+                                              xy[4:6, :live], p) > PREDICATE_TOL)
+        if bad.size == 0:
+            continue
+        # the cavity boundary: directed edges of bad triangles, as a set,
+        # whose reverse is not among them
+        cav = tris[bad]
+        directed = np.unique(cav.ravel() * nv + cav[:, [1, 2, 0]].ravel())
+        reverse = directed % nv * nv + directed // nv
+        at = np.minimum(np.searchsorted(directed, reverse), directed.size - 1)
+        u, v = np.divmod(directed[directed[at] != reverse], nv)
+        keep = _orient(verts[u].T, verts[v].T, p) > 0
+        u, v = u[keep], v[keep]
 
-    tris = [t for t in tris if max(t) < n]
-    if not tris:
+        # drop the cavity: the surviving rows past the new end fill its holes
+        live -= bad.size
+        holes = bad[:np.searchsorted(bad, live)]
+        stays = np.ones(bad.size, dtype=bool)
+        stays[bad[holes.size:] - live] = False
+        movers = live + np.flatnonzero(stays)
+        tris[holes] = tris[movers]
+        xy[:, holes] = xy[:, movers]
+        while live + u.size > len(tris):
+            tris = np.concatenate([tris, np.empty_like(tris)])
+            xy = np.concatenate([xy, np.empty_like(xy)], axis=1)
+        new = slice(live, live + u.size)
+        tris[new, 0], tris[new, 1], tris[new, 2] = u, v, pi_
+        xy[0:2, new], xy[2:4, new] = verts[u].T, verts[v].T
+        xy[4:6, new] = p[:, None]
+        live += u.size
+
+    tris = tris[:live][(tris[:live] < n).all(axis=1)]
+    if not tris.size:
         raise GapError("collinear-points", "no triangle survives; points nearly collinear")
-    triangles = np.array(sorted(tris), dtype=np.int64)
-    centers = np.empty((len(triangles), 2))
-    radii = np.empty(len(triangles))
-    for t, (ia, ib, ic) in enumerate(triangles):
-        centers[t], radii[t] = _circumcircle(pts[ia], pts[ib], pts[ic])
-    edge_owner: dict = {}
-    neighbors = np.full((len(triangles), 3), -1, dtype=np.int64)
-    for t, (ia, ib, ic) in enumerate(triangles):
-        for e, (u, v) in enumerate(((ia, ib), (ib, ic), (ic, ia))):
-            key = (min(u, v), max(u, v))
-            if key in edge_owner:
-                s, se = edge_owner[key]
-                neighbors[t, e] = s
-                neighbors[s, se] = t
-            else:
-                edge_owner[key] = (t, e)
+    triangles = tris[np.lexsort(tris.T[::-1])]
+    centers, radii = _circumcircles(*pts[triangles].transpose(1, 2, 0))
     return Triangulation(sites=pts, triangles=triangles, circumcenters=centers,
-                         circumradii=radii, neighbors=neighbors)
+                         circumradii=radii, neighbors=_edge_neighbors(triangles, n))
 
 
 def circumcircle_margins(tri: Triangulation) -> np.ndarray:

@@ -105,17 +105,19 @@ def gap_based_discrepancy_bound(cloud: PointCloud, r: float, R: float) -> float:
     n = pts.shape[0]
     xs, ys, closed, open_ = _counts(pts)
     area = xs[:, None] * ys[None, :]
+    n_area = n * area
+    a_ok = closed >= n_area
+    a_ok |= open_ >= n_area
+    b_ok = closed <= n_area
+    b_ok |= open_ <= n_area
+    del closed, open_, n_area
     s2 = xs[:, None] ** 2 + ys[None, :] ** 2
-    a_vals = s2 / (r * r * n) - area
-    b_vals = area - s2 / (4.0 * R * R * n)
-    a_ok = (closed >= n * area) | (open_ >= n * area)
-    b_ok = (closed <= n * area) | (open_ <= n * area)
-    best = 0.0
-    if a_ok.any():
-        best = max(best, float(a_vals[a_ok].max()))
-    if b_ok.any():
-        best = max(best, float(b_vals[b_ok].max()))
-    return best
+    a_vals = s2 / (r * r * n)
+    a_vals -= area
+    best = max(0.0, float(a_vals.max(where=a_ok, initial=-np.inf)))
+    b_vals = np.divide(s2, 4.0 * R * R * n, out=s2)
+    np.subtract(area, b_vals, out=b_vals)
+    return max(best, float(b_vals.max(where=b_ok, initial=-np.inf)))
 
 
 def analytic_bounds(kind: str, k=None) -> float:

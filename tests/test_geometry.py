@@ -91,6 +91,135 @@ def test_triangulation_errors():
         delaunay(build_cloud([[0, 0, 0], [1, 0, 0], [0, 1, 0]]))
 
 
+def scalar_orient(a, b, c):
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+
+def scalar_in_circumcircle(a, b, c, p):
+    ax, ay = a[0] - p[0], a[1] - p[1]
+    bx, by = b[0] - p[0], b[1] - p[1]
+    cx, cy = c[0] - p[0], c[1] - p[1]
+    return ((ax * ax + ay * ay) * (bx * cy - by * cx)
+            - (bx * bx + by * by) * (ax * cy - ay * cx)
+            + (cx * cx + cy * cy) * (ax * by - ay * bx))
+
+
+def scalar_circumcircle(a, b, c):
+    bx, by = b[0] - a[0], b[1] - a[1]
+    cx, cy = c[0] - a[0], c[1] - a[1]
+    d = 2.0 * (bx * cy - by * cx)
+    if d == 0.0:
+        raise GapError("degenerate-triangle", "circumcircle of collinear points")
+    b2 = bx * bx + by * by
+    c2 = cx * cx + cy * cy
+    ux = (cy * b2 - by * c2) / d
+    uy = (bx * c2 - cx * b2) / d
+    return np.array([a[0] + ux, a[1] + uy]), sqrt(ux * ux + uy * uy)
+
+
+def scalar_delaunay(cloud):
+    """The triangulation as one scalar predicate call per live triangle,
+    a set of directed cavity edges and a dict of edge owners."""
+    orient, in_circumcircle, circumcircle = (
+        scalar_orient, scalar_in_circumcircle, scalar_circumcircle)
+    tol = geometry.PREDICATE_TOL
+    pts = cloud.points
+    n = pts.shape[0]
+    if n < 3:
+        raise GapError("too-few-points", f"triangulation needs >= 3 points, got {n}")
+    far = int(np.argmax(((pts - pts[0]) ** 2).sum(axis=1)))
+    if np.abs(orient(pts[0], pts[far], pts.T)).max() <= tol:
+        raise GapError("collinear-points", "all points are collinear")
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    center = (lo + hi) / 2.0
+    m = 1024.0 * max(1.0, float((hi - lo).max()))
+    sup = np.array([[center[0] - 3.0 * m, center[1] - m],
+                    [center[0] + 3.0 * m, center[1] - m],
+                    [center[0], center[1] + 3.0 * m]])
+    verts = np.vstack([pts, sup])
+    tris = [(n, n + 1, n + 2)]
+    for i in range(n):
+        p = verts[i]
+        bad = [t for t, (ia, ib, ic) in enumerate(tris)
+               if in_circumcircle(verts[ia], verts[ib], verts[ic], p) > tol]
+        directed = set()
+        for t in bad:
+            ia, ib, ic = tris[t]
+            directed.update([(ia, ib), (ib, ic), (ic, ia)])
+        boundary = [(u, v) for (u, v) in directed if (v, u) not in directed]
+        gone = set(bad)
+        tris = [tri for t, tri in enumerate(tris) if t not in gone]
+        tris += [(u, v, i) for u, v in boundary if orient(verts[u], verts[v], p) > 0]
+    tris = [t for t in tris if max(t) < n]
+    if not tris:
+        raise GapError("collinear-points", "no triangle survives; points nearly collinear")
+    triangles = np.array(sorted(tris), dtype=np.int64)
+    centers = np.empty((len(triangles), 2))
+    radii = np.empty(len(triangles))
+    for t, (ia, ib, ic) in enumerate(triangles):
+        centers[t], radii[t] = circumcircle(pts[ia], pts[ib], pts[ic])
+    edge_owner = {}
+    neighbors = np.full((len(triangles), 3), -1, dtype=np.int64)
+    for t, (ia, ib, ic) in enumerate(triangles):
+        for e, (u, v) in enumerate(((ia, ib), (ib, ic), (ic, ia))):
+            key = (min(u, v), max(u, v))
+            if key in edge_owner:
+                s, se = edge_owner[key]
+                neighbors[t, e] = s
+                neighbors[s, se] = t
+            else:
+                edge_owner[key] = (t, e)
+    return triangles, centers, radii, neighbors
+
+
+def equivalence_clouds():
+    rng = np.random.default_rng(2024)
+    for n in (3, 4, 5, 8, 13, 21, 34, 55, 89, 144, 200):
+        yield rng.random((n, 2))  # uniform
+    for n in (6, 12, 30, 60, 120):
+        yield np.round(rng.random((n, 2)) * 8) / 8  # cocircular ties
+    axis = np.arange(9) / 8
+    yield np.array(list(itertools.product(axis, axis)))  # the full 1/8 grid
+    for n in (10, 50, 150):
+        yield 0.4 + 0.01 * rng.random((n, 2))  # a 0.01-wide box
+    for n in (3, 4, 9, 20, 40):
+        for eps in (0.0, 1e-15, 1e-13, 1e-11, 1e-9):  # collinear and near it
+            x = rng.random(n)
+            yield np.stack([x, 0.2 + 0.6 * x + eps * rng.standard_normal(n)], axis=1)
+    # planar-audit's delaunay-200 input at seed 12, which loses a hull edge
+    yield np.random.default_rng([12, 43]).random((200, 2))
+
+
+def test_in_circumcircle_rows_match_scalar_bitwise():
+    # cavity decisions sit at the tolerance only rarely, so the predicate's
+    # bits are checked directly, near cocircular points included
+    rng = np.random.default_rng(31)
+    theta = rng.random((3, 500)) * 2.0 * pi
+    abc = np.stack([np.cos(theta), np.sin(theta)], axis=1)  # (3, 2, m) on a circle
+    abc[:, :, 250:] = rng.random((3, 2, 250))
+    for p in (np.array([1.0, 0.0]), np.array([0.3, -0.2]), rng.random(2)):
+        got = geometry._in_circumcircle(*abc, p)
+        want = [scalar_in_circumcircle(*abc[:, :, t], p) for t in range(abc.shape[2])]
+        assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+
+def test_delaunay_matches_scalar_loop_bitwise():
+    for pts in equivalence_clouds():
+        cloud = build_cloud(pts)
+        try:
+            want = scalar_delaunay(cloud)
+        except GapError as e:
+            with pytest.raises(GapError) as got:
+                delaunay(cloud)
+            assert (got.value.code, str(got.value)) == (e.code, str(e))
+            continue
+        tri = delaunay(cloud)
+        got = (tri.triangles, tri.circumcenters, tri.circumradii, tri.neighbors)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g, w)
+
+
 # ---------------------------------------------------------------------------
 # largest empty circle
 

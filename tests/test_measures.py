@@ -204,6 +204,49 @@ def test_bound_never_negative():
     assert gap_based_discrepancy_bound(cloud, rep.r, rep.R) >= 0.0
 
 
+def reference_gap_bound(cloud, r, R):
+    """The bound with out-of-place grids and fancy-indexed masked maxima."""
+    n = cloud.n
+    xs, ys, closed, open_ = measures._counts(cloud.points)
+    area = xs[:, None] * ys[None, :]
+    s2 = xs[:, None] ** 2 + ys[None, :] ** 2
+    a_vals = s2 / (r * r * n) - area
+    b_vals = area - s2 / (4.0 * R * R * n)
+    a_ok = (closed >= n * area) | (open_ >= n * area)
+    b_ok = (closed <= n * area) | (open_ <= n * area)
+    best = 0.0
+    if a_ok.any():
+        best = max(best, float(a_vals[a_ok].max()))
+    if b_ok.any():
+        best = max(best, float(b_vals[b_ok].max()))
+    return best
+
+
+def test_bound_matches_reference_bitwise():
+    rng = np.random.default_rng(17)
+    clouds = [build_cloud(rng.random((n, 2))) for n in (1, 7, 100, 800)]
+    clouds += [centered_lattice(5), build_cloud(np.round(rng.random((60, 2)) * 8) / 8),
+               build_cloud([[0, 0], [1, 0], [0, 1], [1, 1]])]
+    for cloud in clouds:
+        for r, R in ((0.01, 0.05), (0.2, 0.3), (1.0, 0.5), (1e-3, 2.0)):
+            got = gap_based_discrepancy_bound(cloud, r, R)
+            assert got.hex() == reference_gap_bound(cloud, r, R).hex()
+
+
+def test_bound_peak_memory():
+    cloud = build_cloud(np.random.default_rng(13).random((800, 2)))
+    grid = 801 * 801 * 8  # one (mx, my) float64 or int64 array
+    tracemalloc.start()
+    try:
+        gap_based_discrepancy_bound(cloud, 0.01, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # both counts, the areas and n * area, plus boolean masks, at most;
+    # out-of-place grids and fancy-indexed maxima held about 7.4 grids
+    assert peak < 4.6 * grid
+
+
 def test_bound_radius_validation():
     cloud = build_cloud([[0.5, 0.5]])
     with pytest.raises(GapError):

@@ -15,6 +15,13 @@ so that equality tests on r, R and GR can run on integers instead of
 tolerances.  Halves are exactly representable in binary floats, so the two
 representations agree bit for bit wherever both exist.
 
+A graph metric gets exact2x when every doubled edge length is an integer
+and the sentinel top = (n - 1) * max doubled length + 1 has
+2 * top <= 2**53; its shortest paths are then closed in the narrowest
+unsigned dtype that holds 2 * top (uint8, uint16, ...) and every path sum
+is an exact float.  Past that bound the closure runs in float64 and
+exact2x is None.
+
 All functions here are pure; every returned object is immutable.
 """
 
@@ -190,18 +197,17 @@ def _unreachable_pair(g: Graph) -> Optional[tuple]:
     for u, v, _ in g.edges:
         adj[u].append(v)
         adj[v].append(u)
-    seen = np.zeros(g.n, dtype=bool)
+    seen = [False] * g.n  # a list, not an array: graphs here are often tiny
     stack = [0]
     seen[0] = True
     while stack:
-        u = stack.pop()
-        for v in adj[u]:
+        for v in adj[stack.pop()]:
             if not seen[v]:
                 seen[v] = True
                 stack.append(v)
-    if seen.all():
+    if all(seen):
         return None
-    return (0, int(np.flatnonzero(~seen)[0]))
+    return (0, seen.index(False))
 
 
 def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -241,6 +247,12 @@ def _min_plus(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     an all-inf out it is the one (min, +) product d * d, the shortest
     two-hop detour between every pair, which build_explicit's triangle
     check compares d against.  Returns out.
+
+    Integer matrices close exactly, but numpy's array adds wrap around
+    without a warning: the caller picks a dtype that holds twice its
+    sentinel, the largest entry, so no a[i, k] + a[k, j] overflows.  Only
+    arrays of a's one dtype are added, so numpy's value-based casting
+    (numpy < 2) cannot change the sums' dtype.
     """
     for k in range(a.shape[-1]):
         np.minimum(out, a[..., :, k, None] + a[..., None, k, :], out=out)
@@ -274,28 +286,48 @@ def build_euclidean(cloud: PointCloud) -> FiniteMetric:
 def build_graph_metric(g: Graph) -> FiniteMetric:
     """All-pairs shortest-path metric of a connected graph.
 
-    One Floyd-Warshall closure (_min_plus) over float64 edge lengths;
-    every edge of an unweighted graph has length 1.  exact2x is populated
-    whenever every edge length is an exact half-integer (then every path
-    length is too); it always is for unweighted graphs.
+    An edge's length is its weight w, or 1 in an unweighted graph.  When
+    every doubled length L = 2w is an integer and the sentinel
+    top = (n - 1) * max(L) + 1, which exceeds every shortest path, has
+    2 * top <= 2**53, the doubled lengths are closed in integers: one
+    _min_plus over np.min_scalar_type(2 * top), an unsigned dtype that
+    holds every sum the closure forms (uint8 for an unweighted graph up to
+    n = 64).  exact2x is that closure as int64 and dist = exact2x / 2.
+    Every path length is then an exact float, so dist equals a float64
+    closure bit for bit.  Any other graph, non-half-integer lengths or
+    paths too long for the bound, is closed once in float64 and has
+    exact2x None.
     """
     pair = _unreachable_pair(g)
     if pair is not None:
         raise GapError("disconnected-graph",
                        f"vertices {pair[0]} and {pair[1]} are not connected")
     n = g.n
-    lengths = [(u, v, w if g.weighted else 1.0) for u, v, w in g.edges]
-    dist = np.full((n, n), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    for u, v, w in lengths:
-        dist[u, v] = dist[v, u] = min(dist[u, v], w)
-    _min_plus(dist, dist)
-    half = all(float(w * 2).is_integer() for _, _, w in lengths)
-    exact2x = (2 * dist).astype(np.int64) if half else None
-    dist.setflags(write=False)
-    if exact2x is not None:
+    # Python floats: exact integers up to 2**53, and inf, not a warning,
+    # on overflow
+    doubled = [2.0 * w for _, _, w in g.edges] if g.weighted else [2.0] * len(g.edges)
+    top = (n - 1) * max(doubled, default=0.0) + 1
+    exact = 2 * top <= 2 ** 53 and all(map(float.is_integer, doubled))
+    if exact:
+        top = int(top)
+        d = np.full((n, n), top, dtype=np.min_scalar_type(2 * top))
+        lengths = doubled
+    else:
+        d = np.full((n, n), np.inf)
+        lengths = [w for _, _, w in g.edges] if g.weighted else 1.0
+    # flat indices of every (u, v), then of every (v, u): put repeats a
+    # list of lengths over the second half
+    d.put([u * n + v for u, v, _ in g.edges] + [v * n + u for u, v, _ in g.edges],
+          lengths)
+    d.flat[::n + 1] = 0
+    _min_plus(d, d)
+    exact2x = None
+    if exact:
+        exact2x = d.astype(np.int64)
         exact2x.setflags(write=False)
-    return FiniteMetric(n=n, dist=dist, source="graph", exact2x=exact2x)
+        d = exact2x / 2.0
+    d.setflags(write=False)
+    return FiniteMetric(n=n, dist=d, source="graph", exact2x=exact2x)
 
 
 def build_explicit(dist, exact2x=None) -> FiniteMetric:

@@ -74,6 +74,19 @@ def test_oracle_exact_ratio(files):
     assert "exact_ratio" not in floated
 
 
+def test_evaluate_graph_past_the_exact_bound(tmp_path):
+    # path lengths far past 2**53: a float metric, not an overflowed int64 one
+    graph = tmp_path / "huge.edges"
+    graph.write_text("3 2\n0 1 1e19\n1 2 1e19\n")
+    sample = tmp_path / "ends.txt"
+    sample.write_text("0\n2\n")
+    proc = run_cli("evaluate", "--graph", str(graph), "--sample", str(sample))
+    assert proc.stderr == ""
+    res = report_of(proc)["result"]
+    assert (res["r"], res["R"], res["gap_ratio"]) == (1e19, 1e19, 1.0)
+    assert res["exact"] is False and "exact_ratio" not in res
+
+
 def test_coreset_command(files):
     res = report_of(run_cli("coreset", "--points", files["line10.txt"],
                             "-k", "2", "--epsilon", "0.45"))["result"]

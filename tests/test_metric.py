@@ -13,6 +13,7 @@ from gapsampler import (GapError, build_cloud, build_euclidean, build_explicit,
                         build_graph, build_graph_metric, diameter, gap_fraction,
                         farthest_point_insertion, gap_ratio, genmet_reduce,
                         make_sample, max_gap, min_gap)
+from gapsampler import metric
 from gapsampler.metric import _BLOCK, TRIANGLE_TOL, _pairwise
 
 
@@ -489,6 +490,160 @@ def test_disconnected_metric_error_names_first_unreachable_vertex():
             build_graph_metric(g)
         assert e.value.code == "disconnected-graph"
         assert str(e.value) == f"vertices 0 and {unreachable[0]} are not connected"
+
+
+# ---------------------------------------------------------------------------
+# the integer closure against the float64 closure it replaced
+
+
+def float_closure_metric(g):
+    """(dist, exact2x) as build_graph_metric made them before the integer
+    closure: one float64 Floyd-Warshall loop over the edge lengths, with
+    exact2x cast from 2 * dist whenever every length is a half-integer."""
+    unreachable = np.flatnonzero(bfs_hops(g)[0] == math.inf)
+    if unreachable.size:
+        raise GapError("disconnected-graph",
+                       f"vertices 0 and {unreachable[0]} are not connected")
+    n = g.n
+    lengths = [(u, v, w if g.weighted else 1.0) for u, v, w in g.edges]
+    dist = np.full((n, n), np.inf)
+    np.fill_diagonal(dist, 0.0)
+    for u, v, w in lengths:
+        dist[u, v] = dist[v, u] = min(dist[u, v], w)
+    for k in range(n):
+        np.minimum(dist, dist[:, k:k + 1] + dist[k:k + 1, :], out=dist)
+    half = all(float(w * 2).is_integer() for _, _, w in lengths)
+    exact2x = (2 * dist).astype(np.int64) if half else None
+    dist.setflags(write=False)
+    if exact2x is not None:
+        exact2x.setflags(write=False)
+    return dist, exact2x
+
+
+def path_graph(n, w=None):
+    return build_graph(n, [(i, i + 1) if w is None else (i, i + 1, w)
+                           for i in range(n - 1)])
+
+
+def closure_families():
+    rng = np.random.default_rng(36)
+    for n in (1, 2, 63, 64, 65, 127, 128, 129):  # across uint8 -> uint16
+        yield path_graph(n)
+        yield path_graph(n, 0.5)
+    yield path_graph(128, 0.5)  # (n - 1) * max(L) = 127: top = 128 needs uint16
+    for t in range(24):
+        n = int(rng.integers(2, 41))
+        edges = random_connected_edges(rng, n, int(rng.integers(0, 2 * n)) if t % 3 else 0)
+        yield build_graph(n, edges)  # random graphs (trees when t % 3 == 0)
+        if t % 2:  # half-integer weights whose sentinel needs uint32 or more
+            weights = rng.integers(1, 140001, len(edges)) / 2
+        else:
+            weights = rng.choice([0.5, 1.0, 1.5, 2.5], len(edges))
+        yield build_graph(n, [(u, v, float(w)) for (u, v), w in zip(edges, weights)])
+        yield build_graph(n, [(u, v, float(rng.choice([0.3, 2.5]))) for u, v in edges],
+                          weighted=t % 2 == 0)  # weighted=False: lengths 1
+        yield build_graph(n, [e for e in edges if rng.random() < 0.7],
+                          require_connected=False)
+    for n in (2, 3, 7, 12, 30):
+        yield build_graph(n, list(itertools.combinations(range(n), 2)))  # complete
+    yield from tie_heavy_graphs()
+
+
+def test_graph_metric_matches_float_closure_bitwise():
+    errors = exact = 0
+    for g in closure_families():
+        try:
+            want = float_closure_metric(g)
+        except GapError as ref:
+            with pytest.raises(GapError) as e:
+                build_graph_metric(g)
+            assert (e.value.code, str(e.value)) == (ref.code, str(ref))
+            errors += 1
+            continue
+        m = build_graph_metric(g)
+        assert (m.exact2x is None) == (want[1] is None)  # every graph is inside the bound
+        exact += m.exact2x is not None
+        for got, ref in zip((m.dist, m.exact2x), want):
+            if ref is None:
+                continue
+            assert (got.dtype, got.shape, got.flags.writeable, got.flags.c_contiguous) \
+                == (ref.dtype, ref.shape, ref.flags.writeable, ref.flags.c_contiguous)
+            assert got.tobytes() == ref.tobytes()
+    assert errors > 10 and exact > 100
+
+
+def test_integer_closure_sentinel_and_dtype(monkeypatch):
+    """The closure starts from top = (n - 1) * max(L) + 1 off the edges and
+    runs in np.min_scalar_type(2 * top); graphs past 2 * top <= 2**53 run in
+    float64."""
+    seen, kernel = [], metric._min_plus
+
+    def spy(a, out):
+        seen.append(a.copy())
+        return kernel(a, out)
+
+    monkeypatch.setattr(metric, "_min_plus", spy)
+    dtypes = set()
+    for g in closure_families():
+        if g.weighted and not all(float(2 * w).is_integer() for *_, w in g.edges):
+            continue
+        try:
+            build_graph_metric(g)
+        except GapError:
+            continue
+        doubled = [2 * w if g.weighted else 2 for *_, w in g.edges]
+        top = (g.n - 1) * int(max(doubled, default=0)) + 1
+        seed = seen[-1]
+        assert seed.dtype == np.min_scalar_type(2 * top)
+        off = np.ones((g.n, g.n), dtype=bool)
+        for u, v, _ in g.edges:
+            off[u, v] = off[v, u] = False
+        np.fill_diagonal(off, False)
+        assert (seed[off] == top).all()
+        dtypes.add(seed.dtype)
+    assert {np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.uint32)} <= dtypes
+    build_graph_metric(path_graph(3, 2.0 ** 50))  # 2 * top = 2**53 + 2
+    assert seen[-1].dtype == np.float64
+
+
+def test_graph_metric_past_the_exact_bound():
+    # 2 * top = 2**53 - 2: still closed in integers, exactly
+    w = (2 ** 51 - 1) / 2
+    m = build_graph_metric(path_graph(3, w))
+    L = 2 ** 51 - 1
+    assert m.exact2x.tolist() == [[0, L, 2 * L], [L, 0, L], [2 * L, L, 0]]
+    assert m.dist.tolist() == [[0, w, 2 * w], [w, 0, w], [2 * w, w, 0]]
+    # 2 * top = 2**53 + 2: float64 closure, no exact2x
+    m = build_graph_metric(path_graph(3, 2.0 ** 50))
+    assert m.exact2x is None
+    assert m.dist.tolist() == [[0, 2.0 ** 50, 2.0 ** 51], [2.0 ** 50, 0, 2.0 ** 50],
+                               [2.0 ** 51, 2.0 ** 50, 0]]
+    # integer weights far past 2**53 once cast to int64 overflowed
+    m = build_graph_metric(path_graph(3, 1e19))
+    assert m.exact2x is None and not m.dist.flags.writeable
+    assert m.dist.tolist() == [[0, 1e19, 2e19], [1e19, 0, 1e19], [2e19, 1e19, 0]]
+    rep = gap_ratio(m, (0, 2))
+    assert (rep.r, rep.R, rep.gap_ratio, rep.exact) == (1e19, 1e19, 1.0, False)
+    with pytest.raises(GapError) as e:
+        gap_fraction(m, (0, 2))
+    assert e.value.code == "exact-unavailable"
+
+
+def test_graph_metric_peak_memory():
+    rows, cols = 20, 24
+    n = rows * cols
+    relabel = np.random.default_rng(37).permutation(n)
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    g = build_graph(n, [(int(relabel[u]), int(relabel[v])) for u, v in edges])
+    tracemalloc.start()
+    try:
+        m = build_graph_metric(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert m.exact2x is not None
+    assert peak <= 2.5 * n * n * 8
 
 
 def loop_triangle_pair(d):

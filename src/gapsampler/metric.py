@@ -17,8 +17,8 @@ representations agree bit for bit wherever both exist.
 
 A graph metric gets exact2x when every doubled edge length is an integer
 and the sentinel top = (n - 1) * max doubled length + 1 has
-2 * top <= 2**53; its shortest paths are then closed in the narrowest
-unsigned dtype that holds 2 * top (uint8, uint16, ...) and every path sum
+top <= 2**53; its shortest paths are then closed in the narrowest
+unsigned dtype that holds 2 * top (uint8, uint16, ...) and every distance
 is an exact float.  Past that bound the closure runs in float64 and
 exact2x is None.
 
@@ -80,7 +80,8 @@ class FiniteMetric:
     """Symmetric distance matrix over n sites.
 
     ``exact2x`` is 2*dist as int64 whenever every distance is an exact
-    half-integer; it is always present for unweighted graph metrics.
+    half-integer and, for graph metrics, within build_graph_metric's 2**53
+    bound; it is always present for unweighted graph metrics.
     ``source`` is one of ``euclidean``, ``graph``, ``explicit``.
     """
 
@@ -289,32 +290,33 @@ def build_graph_metric(g: Graph) -> FiniteMetric:
     An edge's length is its weight w, or 1 in an unweighted graph.  When
     every doubled length L = 2w is an integer and the sentinel
     top = (n - 1) * max(L) + 1, which exceeds every shortest path, has
-    2 * top <= 2**53, the doubled lengths are closed in integers: one
+    top <= 2**53, the doubled lengths are closed in integers: one
     _min_plus over np.min_scalar_type(2 * top), an unsigned dtype that
     holds every sum the closure forms (uint8 for an unweighted graph up to
-    n = 64).  exact2x is that closure as int64 and dist = exact2x / 2.
-    Every path length is then an exact float, so dist equals a float64
-    closure bit for bit.  Any other graph, non-half-integer lengths or
-    paths too long for the bound, is closed once in float64 and has
-    exact2x None.
+    n = 64, at most uint64).  exact2x is that closure as int64 and
+    dist = exact2x / 2.  Every doubled distance is below 2**53, so every
+    distance is an exact float and dist equals a float64 closure bit for
+    bit.  Any other graph, non-half-integer lengths or paths too long for
+    the bound, is closed once in float64 and has exact2x None.
     """
     pair = _unreachable_pair(g)
     if pair is not None:
         raise GapError("disconnected-graph",
                        f"vertices {pair[0]} and {pair[1]} are not connected")
     n = g.n
-    # Python floats: exact integers up to 2**53, and inf, not a warning,
-    # on overflow
+    # Python floats: exact doubling, and inf, not a warning, on overflow
     doubled = [2.0 * w for _, _, w in g.edges] if g.weighted else [2.0] * len(g.edges)
-    top = (n - 1) * max(doubled, default=0.0) + 1
-    exact = 2 * top <= 2 ** 53 and all(map(float.is_integer, doubled))
+    exact = all(map(float.is_integer, doubled))
     if exact:
-        top = int(top)
+        # a Python int, where a float product near 2**53 could round
+        top = (n - 1) * int(max(doubled, default=0.0)) + 1
+        exact = top <= 2 ** 53
+    if exact:
         d = np.full((n, n), top, dtype=np.min_scalar_type(2 * top))
         lengths = doubled
     else:
         d = np.full((n, n), np.inf)
-        lengths = [w for _, _, w in g.edges] if g.weighted else 1.0
+        lengths = [w for _, _, w in g.edges]
     # flat indices of every (u, v), then of every (v, u): put repeats a
     # list of lengths over the second half
     d.put([u * n + v for u, v, _ in g.edges] + [v * n + u for u, v, _ in g.edges],

@@ -546,6 +546,16 @@ def closure_families():
                           require_connected=False)
     for n in (2, 3, 7, 12, 30):
         yield build_graph(n, list(itertools.combinations(range(n), 2)))  # complete
+    # at the top <= 2**53 bound (uint64): the float closure's sums of two
+    # paths pass 2**52, where halves round, but every distance stays exact
+    yield build_graph(2, [(0, 1, 2.0 ** 52 - 0.5)])  # top = 2**53
+    yield path_graph(3, 2.0 ** 50)
+    for n in (5, 17, 33):
+        edges = random_connected_edges(rng, n, n)
+        max_L = (2 ** 53 - 1) // (n - 1)
+        weights = rng.integers(max_L // 2, max_L + 1, len(edges)) / 2
+        weights[0] = max_L / 2  # top = (n - 1) * max_L + 1 <= 2**53
+        yield build_graph(n, [(u, v, float(w)) for (u, v), w in zip(edges, weights)])
     yield from tie_heavy_graphs()
 
 
@@ -574,7 +584,7 @@ def test_graph_metric_matches_float_closure_bitwise():
 
 def test_integer_closure_sentinel_and_dtype(monkeypatch):
     """The closure starts from top = (n - 1) * max(L) + 1 off the edges and
-    runs in np.min_scalar_type(2 * top); graphs past 2 * top <= 2**53 run in
+    runs in np.min_scalar_type(2 * top); graphs past top <= 2**53 run in
     float64."""
     seen, kernel = [], metric._min_plus
 
@@ -601,23 +611,26 @@ def test_integer_closure_sentinel_and_dtype(monkeypatch):
         np.fill_diagonal(off, False)
         assert (seed[off] == top).all()
         dtypes.add(seed.dtype)
-    assert {np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.uint32)} <= dtypes
-    build_graph_metric(path_graph(3, 2.0 ** 50))  # 2 * top = 2**53 + 2
+    assert {np.dtype(np.uint8), np.dtype(np.uint16), np.dtype(np.uint32),
+            np.dtype(np.uint64)} <= dtypes
+    build_graph_metric(path_graph(3, 2.0 ** 51))  # top = 2**53 + 1
     assert seen[-1].dtype == np.float64
 
 
 def test_graph_metric_past_the_exact_bound():
-    # 2 * top = 2**53 - 2: still closed in integers, exactly
-    w = (2 ** 51 - 1) / 2
-    m = build_graph_metric(path_graph(3, w))
-    L = 2 ** 51 - 1
+    # top = 2**53: still closed in integers, exactly
+    w = 2.0 ** 52 - 0.5
+    m = build_graph_metric(build_graph(2, [(0, 1, w)]))
+    assert m.exact2x.tolist() == [[0, 2 ** 53 - 1], [2 ** 53 - 1, 0]]
+    assert m.dist.tolist() == [[0, w], [w, 0]]
+    m = build_graph_metric(path_graph(3, 2.0 ** 50))  # top = 2**52 + 1
+    L = 2 ** 51
     assert m.exact2x.tolist() == [[0, L, 2 * L], [L, 0, L], [2 * L, L, 0]]
-    assert m.dist.tolist() == [[0, w, 2 * w], [w, 0, w], [2 * w, w, 0]]
-    # 2 * top = 2**53 + 2: float64 closure, no exact2x
-    m = build_graph_metric(path_graph(3, 2.0 ** 50))
+    # top = 2**53 + 1: float64 closure, no exact2x
+    m = build_graph_metric(path_graph(3, 2.0 ** 51))
     assert m.exact2x is None
-    assert m.dist.tolist() == [[0, 2.0 ** 50, 2.0 ** 51], [2.0 ** 50, 0, 2.0 ** 50],
-                               [2.0 ** 51, 2.0 ** 50, 0]]
+    assert m.dist.tolist() == [[0, 2.0 ** 51, 2.0 ** 52], [2.0 ** 51, 0, 2.0 ** 51],
+                               [2.0 ** 52, 2.0 ** 51, 0]]
     # integer weights far past 2**53 once cast to int64 overflowed
     m = build_graph_metric(path_graph(3, 1e19))
     assert m.exact2x is None and not m.dist.flags.writeable

@@ -3,12 +3,14 @@
 Each sweep enumerates every edge subset of the complete graph K_n as a
 bitmask, decodes chunks of masks into batched adjacency matrices, runs
 the metric module's Floyd-Warshall kernel over the whole batch for the
-shortest-path metrics, walks the vertex subsets depth first over the
-whole chunk at once, and evaluates the claim under test with integer
+shortest-path metrics, and evaluates the claim under test with integer
 arithmetic only (distances on unweighted graphs are integers; gap-ratio
-comparisons reduce to products).  No
-isomorphism reduction is attempted: labeled enumeration is cheap at these
-sizes and keeps the bookkeeping trivial.
+comparisons reduce to products).  The greedy claims run fpi.greedy_batch,
+the one farthest-point kernel farthest_point_insertion also runs, over
+the whole chunk; the sample claims walk the vertex subsets depth first
+over the whole chunk at once.  No isomorphism reduction is attempted:
+labeled enumeration is cheap at these sizes and keeps the bookkeeping
+trivial.
 
 Claims covered:
 
@@ -25,8 +27,8 @@ Claims covered:
   efficient-domination <-> (r = 3/2, R = 1) equivalence on shortest-path
   metrics (all connected graphs).
 
-The scalar library functions compute the same quantities one graph at a
-time; the test suite cross-validates the two paths on random masks.
+The test suite checks the kernel against a plain-Python greedy and the
+subset walk against per-subset gathers.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .fpi import greedy_batch
 from .metric import Graph, _min_plus, build_graph
 
 BIG = 64  # unreachable marker; n <= 7 keeps real distances <= 6
@@ -68,12 +71,19 @@ def apsp_batch(adj: np.ndarray) -> np.ndarray:
     return _min_plus(D, D)
 
 
-def iter_connected_metrics(n: int, chunk: int = 65536) -> Iterator[tuple]:
-    """Yield (masks, D) for every connected labeled graph on n vertices."""
+def _graph_batches(n: int, chunk: int) -> Iterator[tuple]:
+    """Yield (masks, adjacency, shortest paths) for every labeled graph on
+    n vertices, ``chunk`` bitmasks at a time; BIG = unreachable."""
     total = 1 << (n * (n - 1) // 2)
     for start in range(0, total, chunk):
         masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        D = apsp_batch(adjacency_batch(n, masks))
+        adj = adjacency_batch(n, masks)
+        yield masks, adj, apsp_batch(adj)
+
+
+def iter_connected_metrics(n: int, chunk: int = 65536) -> Iterator[tuple]:
+    """Yield (masks, D) for every connected labeled graph on n vertices."""
+    for masks, _, D in _graph_batches(n, chunk):
         connected = D.max(axis=(1, 2)) < BIG
         if connected.any():
             yield masks[connected], D[connected]
@@ -107,41 +117,6 @@ def _subset_walk(batches: list, max_k: int) -> Iterator[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# batched farthest-point insertion
-
-
-def fpi_batch(D: np.ndarray) -> dict:
-    """Replay farthest-point insertion on every metric of a batch.
-
-    Returns per-graph arrays: the insertion order, and for each sample size
-    s = 2..n the minimum pairwise distance q[s] and covering radius R[s]
-    (integer-valued, straight from D).  Tie-breaks match the scalar
-    implementation: lexicographic diameter pair, then smallest index.
-    """
-    B, n, _ = D.shape
-    ar = np.arange(B)
-    triu = np.triu(np.ones((n, n), dtype=bool), 1)
-    flat = np.where(triu[None], D, -1).reshape(B, n * n)
-    pos = flat.argmax(axis=1)  # row-major first occurrence = lexicographic
-    i, j = pos // n, pos % n
-    order = np.empty((B, n), dtype=np.int64)
-    order[:, 0], order[:, 1] = i, j
-    dmin = np.minimum(D[ar, i], D[ar, j])
-    q = D[ar, i, j].astype(np.int64)
-    qs = {2: q.copy()}
-    Rs = {2: dmin.max(axis=1).astype(np.int64)}
-    for size in range(2, n):
-        c = dmin.argmax(axis=1)  # first occurrence = smallest index
-        Rb = dmin[ar, c].astype(np.int64)
-        order[:, size] = c
-        dmin = np.minimum(dmin, D[ar, c])
-        q = np.minimum(q, Rb)
-        qs[size + 1] = q.copy()
-        Rs[size + 1] = dmin.max(axis=1).astype(np.int64)
-    return {"order": order, "q": qs, "R": Rs}
-
-
-# ---------------------------------------------------------------------------
 # sweeps
 
 
@@ -155,13 +130,13 @@ def sweep_fpi_guarantees(max_n: int = 7, chunk: int = 65536) -> dict:
     out = {"graphs": 0, "steps_checked": 0, "violations": []}
     for n in range(2, max_n + 1):
         for masks, D in iter_connected_metrics(n, chunk):
-            res = fpi_batch(D)
+            _, q, R = greedy_batch(D, n)
             out["graphs"] += masks.shape[0]
             for s in range(2, n + 1):
-                bad = res["R"][s] > res["q"][s]  # GR(S_s) <= 2
+                bad = R[:, s - 2] > q[:, s - 2]  # GR(S_s) <= 2
                 if s > 2:
-                    bad |= res["q"][s] != res["R"][s - 1]   # r identity
-                    bad |= res["R"][s] > res["R"][s - 1]    # monotone covering
+                    bad |= q[:, s - 2] != R[:, s - 3]  # r identity
+                    bad |= R[:, s - 2] > R[:, s - 3]   # monotone covering
                 out["steps_checked"] += masks.shape[0]
                 out["violations"] += [{"n": n, "mask": int(masks[b]), "size": s}
                                       for b in np.flatnonzero(bad)[:5]]
@@ -173,14 +148,14 @@ def _fpi_vs_oracle_chunk(masks: np.ndarray, D: np.ndarray, ks: tuple,
     """Add one (masks, D) batch's greedy-vs-optimum checks to ``out``."""
     B, n, _ = D.shape
     out["graphs"] += B
-    res = fpi_batch(D)
+    _, q_fpi, R_fpi = greedy_batch(D, n)
     gr_opt = {k: np.full(B, np.inf) for k in ks if 2 <= k <= n}
     for s, ((pm, q),) in _subset_walk([(D, np.minimum)], max(gr_opt, default=2)):
         if len(s) in gr_opt:
             np.minimum(gr_opt[len(s)], 2.0 * pm.max(axis=0) / q,
                        out=gr_opt[len(s)])
     for k, opt in ((k, gr_opt[k]) for k in ks if k in gr_opt):
-        gr_fpi = 2.0 * res["R"][k] / res["q"][k]
+        gr_fpi = 2 * R_fpi[:, k - 2] / q_fpi[:, k - 2]
         with np.errstate(divide="ignore", invalid="ignore"):
             bound = np.where(opt >= 2.0 / 3.0, 2.0 / opt, 4.0 / (2.0 - opt))
             # k = n gives opt = gr_fpi = 0 and an unusable bound
@@ -289,11 +264,8 @@ def sweep_reduction_certificates(max_n: int = 6, chunk: int = 65536) -> dict:
                          "eds_graphs", "eds_checked", "eds_true"), 0)
     out["violations"] = []
     for n in range(3, max_n + 1):
-        total = 1 << (n * (n - 1) // 2)
-        for start in range(0, total, chunk):
-            masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
-            adj = adjacency_batch(n, masks)
+        for masks, adj, D in _graph_batches(n, chunk):
             D2x = np.where(adj, np.int16(2), np.int16(4))
             D2x[:, np.arange(n), np.arange(n)] = 0
-            _reduction_chunk(masks, adj, D2x, apsp_batch(adj), out)
+            _reduction_chunk(masks, adj, D2x, D, out)
     return out

@@ -366,19 +366,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     t0 = time.perf_counter()
     try:
         outcome = args.func(args)
+        report = {
+            "command": args.command,
+            "argv": argv,
+            "input": outcome.digest,
+            "result": outcome.result,
+            "warnings": outcome.warnings,
+        }
+        if args.timing:
+            report["wall_time_ms"] = (time.perf_counter() - t0) * 1000.0
+        text = dumps_report(report)  # raises non-finite-report
     except GapError as e:
         print(f"error: {e.code}: {e}", file=sys.stderr)
         return 1
-    report = {
-        "command": args.command,
-        "argv": argv,
-        "input": outcome.digest,
-        "result": outcome.result,
-        "warnings": outcome.warnings,
-    }
-    if args.timing:
-        report["wall_time_ms"] = (time.perf_counter() - t0) * 1000.0
-    sys.stdout.write(dumps_report(report))
+    sys.stdout.write(text)
     if args.verbose:
         for line in outcome.verbose:
             print(line, file=sys.stderr)

@@ -20,7 +20,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import GapError
-from .metric import FiniteMetric, GapReport, Sample, diameter, gap_ratio, make_sample
+from .metric import FiniteMetric, GapReport, _first_pair, gap_ratio, make_sample
 
 
 @dataclass(frozen=True)
@@ -43,37 +43,53 @@ class FpiTrace:
     final: GapReport
 
 
+def greedy_batch(D: np.ndarray, k: int) -> tuple:
+    """Farthest-point insertion on every metric of a (B, n, n) batch.
+
+    Each run starts from the lexicographically smallest diameter pair and
+    then inserts, k - 2 times, the site farthest from the sample, ties going
+    to the smallest index.  Returns (order, q, R): order (B, k) holds the
+    insertion order; column s - 2 of q and of R, both (B, k - 1) in D's
+    dtype, is the minimum pair distance and the covering radius of the first
+    s sites.  Each step reads one row of D per metric, so D is never copied.
+    """
+    B = D.shape[0]
+    ar = np.arange(B)
+    order = np.empty((B, k), dtype=np.int64)
+    q = np.empty((B, k - 1), dtype=D.dtype, order="F")  # contiguous columns
+    R = np.empty_like(q)
+    i, j = _first_pair(D, largest=True)
+    order[:, 0], order[:, 1] = i, j
+    q[:, 0] = D[ar, i, j]
+    dmin = np.minimum(D[ar, i], D[ar, j])  # each site's distance to the sample
+    R[:, 0] = dmin.max(axis=1)
+    for s in range(2, k):
+        c = dmin.argmax(axis=1)  # first occurrence = smallest index
+        order[:, s] = c
+        # the new closest pair, if any, involves the inserted site
+        q[:, s - 1] = np.minimum(q[:, s - 2], dmin[ar, c])
+        np.minimum(dmin, D[ar, c], out=dmin)
+        R[:, s - 1] = dmin.max(axis=1)
+    return order, q, R
+
+
 def farthest_point_insertion(m: FiniteMetric, k: int) -> tuple:
-    """Greedy k-sample of m: (Sample, FpiTrace).
+    """Greedy k-sample of m: (Sample, FpiTrace), by greedy_batch.
 
     Ties in the per-step argmax (and in the diameter scan) break toward the
-    smallest site index, so runs are replayable.  The nearest-sample
-    distances are maintained incrementally: one matrix row per insertion.
+    smallest site index, so runs are replayable.
     """
     k = int(k)
     if not 2 <= k <= m.n:
         raise GapError("k-out-of-range", f"k must satisfy 2 <= k <= {m.n}, got {k}")
-    i, j, diam = diameter(m)
-    order = [i, j]
-    dmin = np.minimum(m.dist[i], m.dist[j])
-    q = diam  # minimum pairwise distance within the current sample
-    r_init = diam / 2.0
-    R_init = float(dmin.max())
-    steps = []
-    while len(order) < k:
-        size_before = len(order)
-        chosen = int(np.argmax(dmin))  # first occurrence = smallest index
-        R_before = float(dmin[chosen])
-        order.append(chosen)
-        np.minimum(dmin, m.dist[chosen], out=dmin)
-        # new closest pair involves the inserted site: R_before <= q always
-        q = min(q, R_before)
-        steps.append(FpiStep(size_before=size_before, chosen=chosen,
-                             R_before=R_before, r_after=q / 2.0,
-                             R_after=float(dmin.max())))
+    order, q, R = (a[0].tolist() for a in greedy_batch(m.dist[None], k))
+    # the site inserted at size s is R[s - 2] away from the sample
+    steps = tuple(FpiStep(size_before=s, chosen=order[s], R_before=R[s - 2],
+                          r_after=q[s - 1] / 2.0, R_after=R[s - 1])
+                  for s in range(2, k))
     sample = make_sample(order, m.n)
-    trace = FpiTrace(init_pair=(i, j), r_init=r_init, R_init=R_init,
-                     steps=tuple(steps), final=gap_ratio(m, sample))
+    trace = FpiTrace(init_pair=(order[0], order[1]), r_init=q[0] / 2.0,
+                     R_init=R[0], steps=steps, final=gap_ratio(m, sample))
     return sample, trace
 
 

@@ -320,7 +320,7 @@ def _square_sites(cloud: PointCloud) -> np.ndarray:
 def _square_report(pts: np.ndarray, cover: tuple) -> SquareGapReport:
     d = _pairwise(pts, pts)
     np.fill_diagonal(d, np.inf)
-    pair = _first_pair(d, largest=False)
+    pair = tuple(map(int, _first_pair(d, largest=False)))
     r = float(d[pair]) / 2.0
     R, witness, kind = cover
     return SquareGapReport(r=r, R=R, gap_ratio=R / r, closest_pair=pair,

@@ -11,9 +11,9 @@ sample spreads over the space.
 Distances live in float64 matrices.  Metrics whose distances are all
 half-integers (shortest paths of unweighted graphs, the {1,2} clique
 reductions) also carry ``exact2x``, the doubled distance matrix in int64,
-so that equality tests on r, R and GR can run on integers instead of
-tolerances.  Halves are exactly representable in binary floats, so the two
-representations agree bit for bit wherever both exist.
+for integer-only checks and exact rational gap ratios.  Halves are exactly
+representable in binary floats, so dist == exact2x / 2 bit for bit, and
+every witness and tie-break is read from dist alone.
 
 A graph metric gets exact2x when every doubled edge length is an integer
 and the sentinel top = (n - 1) * max doubled length + 1 has
@@ -264,22 +264,28 @@ def _first_pair(mat: np.ndarray, largest: bool) -> tuple:
     """Lexicographically smallest (i, j), i < j, at which the symmetric
     matrix mat attains its maximum (largest) or minimum off the diagonal.
 
-    The diagonal must never attain it (zero under a max over a metric, +inf
-    under a min).  The first row holding the extreme value has it at some
-    column above the diagonal: a column j < i would put it in the earlier
-    row j too.  Only row reductions are made, so a read-only mat is never
-    copied.
+    Leading axes of mat are a batch, and i, j are arrays of its shape.  i
+    is the first row holding the extreme and j the first column in that
+    row, which is above the diagonal: a column j < i would put the extreme
+    in the earlier row j too.  The diagonal (zero under a max over a
+    metric, +inf under a min) ties the extreme only when every entry does,
+    and then the answer is (0, 1).  Only row reductions and one row gather
+    are made, so a read-only mat is never copied.
     """
-    if largest:
-        i = int(np.argmax(mat.max(axis=1)))  # first occurrence = smallest row
-        return i, int(np.argmax(mat[i]))
-    i = int(np.argmin(mat.min(axis=1)))
-    return i, int(np.argmin(mat[i]))
+    arg = np.argmax if largest else np.argmin
+    i = arg(mat.max(axis=-1) if largest else mat.min(axis=-1), axis=-1)
+    j = arg(np.take_along_axis(mat, i[..., None, None], axis=-2)[..., 0, :], axis=-1)
+    return i, j + (i == j)
 
 
 def build_euclidean(cloud: PointCloud) -> FiniteMetric:
-    """L2 distance matrix over a point cloud (see _pairwise)."""
-    dist = _pairwise(cloud.points, cloud.points)
+    """L2 distance matrix over a point cloud (see _pairwise).
+
+    A distance past float64's range is inf, without a warning; the report
+    writer rejects it as non-finite.
+    """
+    with np.errstate(over="ignore"):
+        dist = _pairwise(cloud.points, cloud.points)
     dist.setflags(write=False)
     return FiniteMetric(n=cloud.n, dist=dist, source="euclidean")
 
@@ -297,7 +303,9 @@ def build_graph_metric(g: Graph) -> FiniteMetric:
     dist = exact2x / 2.  Every doubled distance is below 2**53, so every
     distance is an exact float and dist equals a float64 closure bit for
     bit.  Any other graph, non-half-integer lengths or paths too long for
-    the bound, is closed once in float64 and has exact2x None.
+    the bound, is closed once in float64 and has exact2x None; if
+    2 * (n - 1) * max(w) overflows float64 it raises distance-overflow
+    before the closure.
     """
     pair = _unreachable_pair(g)
     if pair is not None:
@@ -315,8 +323,14 @@ def build_graph_metric(g: Graph) -> FiniteMetric:
         d = np.full((n, n), top, dtype=np.min_scalar_type(2 * top))
         lengths = doubled
     else:
-        d = np.full((n, n), np.inf)
         lengths = [w for _, _, w in g.edges]
+        # a shortest path has at most n - 1 edges: every finite sum the
+        # closure forms is at most twice that long
+        if 2.0 * (n - 1) * max(lengths) == np.inf:
+            raise GapError("distance-overflow",
+                           f"paths of {n - 1} edges of weight {max(lengths)!r} "
+                           "overflow float64")
+        d = np.full((n, n), np.inf)
     # flat indices of every (u, v), then of every (v, u): put repeats a
     # list of lengths over the second half
     d.put([u * n + v for u, v, _ in g.edges] + [v * n + u for u, v, _ in g.edges],
@@ -411,19 +425,13 @@ def min_gap(m: FiniteMetric, p) -> tuple:
     """(r, closest_pair): half the minimum pairwise distance within p.
 
     The witness pair is the lexicographically smallest one realizing the
-    minimum.  Runs on exact2x when present (the float path gives bit-equal
-    results since half-integers are exact, but ties are then integer ties).
+    minimum.
     """
     idx = _as_indices(m, p, 2)
-    mat = m.exact2x if m.exact2x is not None else m.dist
-    sub = mat[np.ix_(idx, idx)]
-    k = len(idx)
-    iu = np.triu_indices(k, 1)
-    vals = sub[iu]
-    pos = int(np.argmin(vals))  # first occurrence = lexicographic pair
-    i, j = int(idx[iu[0][pos]]), int(idx[iu[1][pos]])
-    r = float(m.dist[i, j]) / 2.0
-    return r, (i, j)
+    sub = m.dist[np.ix_(idx, idx)]
+    np.fill_diagonal(sub, np.inf)
+    i, j = (int(idx[a]) for a in _first_pair(sub, largest=False))
+    return float(m.dist[i, j]) / 2.0, (i, j)
 
 
 def max_gap(m: FiniteMetric, p) -> tuple:
@@ -433,16 +441,18 @@ def max_gap(m: FiniteMetric, p) -> tuple:
     Witness is the smallest site index realizing R.
     """
     idx = _as_indices(m, p, 1)
-    mat = m.exact2x if m.exact2x is not None else m.dist
-    nearest = mat[:, idx].min(axis=1)
+    nearest = m.dist[:, idx].min(axis=1)
     site = int(np.argmax(nearest))  # first occurrence = smallest index
-    return float(m.dist[site, idx].min()), site
+    return float(nearest[site]), site
 
 
 def gap_ratio(m: FiniteMetric, p) -> GapReport:
     """Full gap report for a sample: r, R, GR = R/r and both witnesses."""
     idx = _as_indices(m, p, 2)
     r, pair = min_gap(m, idx)
+    if r == 0.0:  # distinct points whose distance underflowed
+        raise GapError("zero-distance",
+                       f"sites {pair[0]} and {pair[1]} are at distance 0")
     R, site = max_gap(m, idx)
     return GapReport(r=r, R=R, gap_ratio=R / r, closest_pair=pair,
                      farthest_site=site, exact=m.exact2x is not None)
@@ -451,24 +461,18 @@ def gap_ratio(m: FiniteMetric, p) -> GapReport:
 def gap_fraction(m: FiniteMetric, p) -> Fraction:
     """Gap ratio as an exact rational; requires exact2x.
 
-    With e = exact2x = 2*dist: r = min_pair(e)/4 and R = cover(e)/2, so
-    GR = 2*cover(e)/min_pair(e).
+    r and R are binary fractions read from dist, so R / r is exact.
     """
     if m.exact2x is None:
         raise GapError("exact-unavailable",
                        "metric has no exact doubled-integer representation")
-    idx = _as_indices(m, p, 2)
-    sub = m.exact2x[np.ix_(idx, idx)]
-    iu = np.triu_indices(len(idx), 1)
-    q2 = int(sub[iu].min())
-    r2 = int(m.exact2x[:, idx].min(axis=1).max())
-    return Fraction(2 * r2, q2)
+    rep = gap_ratio(m, p)
+    return Fraction(rep.R) / Fraction(rep.r)
 
 
 def diameter(m: FiniteMetric) -> tuple:
     """(i, j, dist): lexicographically smallest pair at maximum distance."""
     if m.n < 2:
         raise GapError("too-few-sites", "diameter needs at least 2 sites")
-    i, j = _first_pair(m.exact2x if m.exact2x is not None else m.dist,
-                       largest=True)
+    i, j = map(int, _first_pair(m.dist, largest=True))
     return i, j, float(m.dist[i, j])

@@ -115,35 +115,30 @@ def stream_init(first_points: Iterable, k: int, eps: float) -> StreamState:
         raise GapError("k-out-of-range", f"k must be >= 2, got {k}")
     it = iter(first_points)
     prefix = []   # every consumed point, duplicates included
-    distinct = []
+    T = []        # (stream index, point) of each first occurrence
     for x in it:
         x = np.asarray(x, dtype=np.float64).reshape(-1)
         prefix.append(x)
-        if not any(np.array_equal(x, t) for t in distinct):
-            distinct.append(x)
-            if len(distinct) == k:
+        if not any(np.array_equal(x, t) for _, t in T):
+            T.append((len(prefix) - 1, x))
+            if len(T) == k:
                 break
-    if len(distinct) < k:
+    if len(T) < k:
         raise GapError("too-few-distinct",
-                       f"stream has only {len(distinct)} distinct points, k={k}")
-    d = distinct[0].shape[0]
+                       f"stream has only {len(T)} distinct points, k={k}")
+    d = prefix[0].shape[0]
     for x in prefix:
         if x.shape[0] != d:
             raise GapError("dimension-mismatch", "stream points differ in dimension")
     params = stream_params(eps, d)
     R = min(float(np.linalg.norm(a - b))
-            for i, a in enumerate(distinct) for b in distinct[i + 1:])
+            for i, (_, a) in enumerate(T) for _, b in T[i + 1:])
     state = StreamState(params=params, k=k, origin=prefix[0].copy(),
                         cell_side=params.eps3 * R / (2.0 * sqrt(d)),
-                        cells={}, T=[], R_thresh=R)
-    seen_distinct = []
-    for x in prefix:
-        idx = state.points_seen
+                        cells={}, T=T, R_thresh=R)
+    for idx, x in enumerate(prefix):
         state.points_seen += 1
         _grid_insert(state, idx, x)
-        if not any(np.array_equal(x, t) for t in seen_distinct):
-            seen_distinct.append(x)
-            state.T.append((idx, x))
     for x in it:
         stream_ingest(state, x)
     return state

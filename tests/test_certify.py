@@ -5,12 +5,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from gapsampler import (GapError, build_graph_metric, farthest_point_insertion,
-                        sweep_fpi_guarantees, sweep_fpi_vs_oracle,
+from gapsampler import (GapError, sweep_fpi_guarantees, sweep_fpi_vs_oracle,
                         sweep_graph_lower_bound, sweep_reduction_certificates)
 from gapsampler import certify
-from gapsampler.certify import (BIG, adjacency_batch, apsp_batch, fpi_batch,
+from gapsampler.certify import (BIG, adjacency_batch, apsp_batch,
                                 graph_from_mask, iter_connected_metrics)
+from gapsampler.fpi import greedy_batch
 
 # connected labeled graphs on n = 2..5 vertices
 CONNECTED_COUNTS = {2: 1, 3: 4, 4: 38, 5: 728}
@@ -94,30 +94,6 @@ def test_connected_counts():
 
 
 # ---------------------------------------------------------------------------
-# batched greedy vs scalar greedy
-
-
-def test_fpi_batch_replays_scalar_traces():
-    rng = np.random.default_rng(1)
-    batches = list(iter_connected_metrics(6, chunk=1 << 15))
-    masks = np.concatenate([m for m, _ in batches])
-    Ds = np.concatenate([d for _, d in batches])
-    pick = rng.choice(masks.shape[0], size=60, replace=False)
-    for b in pick:
-        res = fpi_batch(Ds[b][None])
-        metric = build_graph_metric(graph_from_mask(6, int(masks[b])))
-        _, trace = farthest_point_insertion(metric, 6)
-        order = [trace.init_pair[0], trace.init_pair[1]]
-        order += [s.chosen for s in trace.steps]
-        assert list(res["order"][0]) == order
-        assert res["q"][2][0] == 2.0 * trace.r_init
-        assert res["R"][2][0] == trace.R_init
-        for s, step in enumerate(trace.steps, start=3):
-            assert res["q"][s][0] == 2.0 * step.r_after
-            assert res["R"][s][0] == step.R_after
-
-
-# ---------------------------------------------------------------------------
 # sweeps at desk scale
 
 
@@ -170,12 +146,13 @@ def reference_fpi_vs_oracle_chunk(masks, D, ks, out):
     subsets = {k: list(combinations(range(n), k)) for k in ks if k <= n}
     pair_arrays = subset_pair_lists(n)
     out["graphs"] += B
-    res = fpi_batch(D)
+    _, q, R = greedy_batch(D, n)
+    q, R = q.astype(np.int64), R.astype(np.int64)  # 2.0 * R is float64 on numpy 1.x too
     Df = D.astype(np.float64)
     for k in ks:
         if not 2 <= k <= n:
             continue
-        gr_fpi = 2.0 * res["R"][k] / res["q"][k]
+        gr_fpi = 2.0 * R[:, k - 2] / q[:, k - 2]
         gr_opt = np.full(B, np.inf)
         for s in subsets[k]:
             pi, pj = pair_arrays[s]

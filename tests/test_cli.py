@@ -87,6 +87,19 @@ def test_evaluate_graph_past_the_exact_bound(tmp_path):
     assert res["exact"] is False and "exact_ratio" not in res
 
 
+@pytest.mark.parametrize("flag, text, sample, code", [
+    ("--graph", "3 2\n0 1 1e308\n1 2 1e308\n", "0\n2\n", "distance-overflow"),
+    ("--points", "1e200 0\n0 0\n", "0\n1\n", "non-finite-report"),
+], ids=["graph", "cloud"])
+def test_overflow_is_one_error_line(tmp_path, flag, text, sample, code):
+    data, ends = tmp_path / "data.txt", tmp_path / "ends.txt"
+    data.write_text(text)
+    ends.write_text(sample)
+    proc = run_cli("evaluate", flag, str(data), "--sample", str(ends))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert re.fullmatch(rf"error: {code}: [^\n]+\n", proc.stderr), proc.stderr
+
+
 def test_coreset_command(files):
     res = report_of(run_cli("coreset", "--points", files["line10.txt"],
                             "-k", "2", "--epsilon", "0.45"))["result"]

@@ -13,7 +13,9 @@ from gapsampler import (GapError, build_cloud, build_euclidean, build_explicit,
                         build_graph, build_graph_metric, diameter, gap_fraction,
                         farthest_point_insertion, gap_ratio, genmet_reduce,
                         make_sample, max_gap, min_gap)
-from gapsampler import metric
+from gapsampler import FpiStep, metric
+from gapsampler.certify import iter_connected_metrics
+from gapsampler.fpi import greedy_batch
 from gapsampler.metric import _BLOCK, TRIANGLE_TOL, _pairwise
 
 
@@ -362,6 +364,103 @@ def test_diameter_matches_triu_scan_on_graphs():
         assert 2 * diam == m.exact2x.max()
 
 
+def reference_greedy(dist, k):
+    """Farthest-point insertion in list loops over a nested-list matrix:
+    (order, q, R) with q[s - 2] and R[s - 2] the minimum pair distance and
+    covering radius of the first s sites.  Each scan keeps its first entry
+    and moves only on a strictly larger one."""
+    n = len(dist)
+    i, j = 0, 1
+    for a in range(n):
+        for b in range(a + 1, n):
+            if dist[a][b] > dist[i][j]:
+                i, j = a, b
+    order = [i, j]
+    while True:
+        near = [min(dist[x][s] for s in order) for x in range(n)]
+        if len(order) == k:
+            break
+        c = 0
+        for x in range(1, n):
+            if near[x] > near[c]:
+                c = x
+        order.append(c)
+    q, R = [], []
+    for size in range(2, k + 1):
+        q.append(min(dist[a][b] for a, b in itertools.combinations(order[:size], 2)))
+        R.append(max(min(dist[x][s] for s in order[:size]) for x in range(n)))
+    return order, q, R
+
+
+def assert_trace_matches_reference(m, k):
+    sample, trace = farthest_point_insertion(m, k)
+    order, q, R = reference_greedy(m.dist.tolist(), k)
+    assert repr(trace.init_pair) == repr((order[0], order[1]))
+    assert (trace.r_init, trace.R_init) == (q[0] / 2.0, R[0])
+    want = tuple(FpiStep(size_before=s, chosen=order[s], R_before=R[s - 2],
+                         r_after=q[s - 1] / 2.0, R_after=R[s - 1])
+                 for s in range(2, k))
+    assert repr(trace.steps) == repr(want)  # Python ints and floats, bit for bit
+    assert sample.indices == tuple(sorted(order))
+    assert trace.final == gap_ratio(m, sample)
+
+
+def test_fpi_traces_match_reference_greedy():
+    rng = np.random.default_rng(23)
+    metrics = [build_euclidean(build_cloud(pts)) for pts in lattice_clouds()]
+    metrics += [build_graph_metric(g) for g in tie_heavy_graphs()]
+    for t in range(30):
+        pts = rng.random((int(rng.integers(2, 40)), int(rng.integers(1, 4))))
+        if t % 2:
+            pts = np.unique(np.round(pts * 3), axis=0)  # ties everywhere
+        if len(pts) >= 2:
+            metrics.append(build_euclidean(build_cloud(pts)))
+    for m in metrics:
+        for k in sorted({2, min(m.n, 5), m.n}):
+            assert_trace_matches_reference(m, k)
+
+
+def test_greedy_batch_matches_reference_greedy():
+    (masks, D), = iter_connected_metrics(6)  # one chunk holds every graph
+    pick = np.random.default_rng(1).choice(masks.shape[0], size=60, replace=False)
+    order, q, R = greedy_batch(D[pick], 6)
+    for b, row in enumerate(D[pick]):
+        assert (order[b].tolist(), q[b].tolist(), R[b].tolist()) \
+            == reference_greedy(row.tolist(), 6)
+
+
+def sampled_subsets(m, rng, count=8):
+    for _ in range(count):
+        yield sorted(rng.choice(m.n, size=int(rng.integers(2, m.n + 1)), replace=False))
+
+
+def test_min_gap_witness_matches_triu_scan():
+    rng = np.random.default_rng(24)
+    metrics = [build_euclidean(build_cloud(pts)) for pts in lattice_clouds()]
+    metrics += [build_graph_metric(g) for g in tie_heavy_graphs()]
+    for m in metrics:
+        for idx in sampled_subsets(m, rng):
+            a, b = triu_first(m.dist[np.ix_(idx, idx)], largest=False)
+            assert min_gap(m, idx) == (m.dist[idx[a], idx[b]] / 2.0, (idx[a], idx[b]))
+
+
+def test_gap_fraction_matches_doubled_integers():
+    rng = np.random.default_rng(25)
+    graphs = list(tie_heavy_graphs())
+    metrics = [build_graph_metric(g) for g in graphs] + [genmet_reduce(g) for g in graphs]
+    metrics += [build_graph_metric(build_graph(
+        g.n, [(u, v, float(rng.choice([0.5, 1.5, 3.0]))) for u, v, _ in g.edges]))
+        for g in graphs]
+    for m in metrics:
+        e = m.exact2x
+        for idx in sampled_subsets(m, rng):
+            q2 = int(min(e[a, b] for a, b in itertools.combinations(idx, 2)))
+            r2 = int(e[:, idx].min(axis=1).max())
+            want = Fraction(2 * r2, q2)  # GR = 2 cover(e) / min_pair(e), in integers
+            got = gap_fraction(m, idx)
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
 def test_fpi_peak_memory_is_the_matrix_plus_a_block():
     n = 2000
     cloud = build_cloud(np.random.default_rng(4).random((n, 2)))
@@ -640,6 +739,26 @@ def test_graph_metric_past_the_exact_bound():
     with pytest.raises(GapError) as e:
         gap_fraction(m, (0, 2))
     assert e.value.code == "exact-unavailable"
+
+
+def test_graph_metric_overflow_is_a_coded_error():
+    # 2 * (n - 1) * max(w) overflows: raised before the float64 closure,
+    # which would otherwise warn and store inf
+    g = build_graph(3, [(0, 1, 1e308), (1, 2, 1e308)])
+    with pytest.raises(GapError) as e:
+        gap_ratio(build_graph_metric(g), (0, 2))
+    assert e.value.code == "distance-overflow"
+
+
+def test_underflowed_distance_is_a_coded_error():
+    m = build_euclidean(build_cloud([[0.0, 0.0], [1e-200, 0.0]]))
+    assert m.dist[0, 1] == 0.0  # distinct points, squared distance underflows
+    for run in (lambda: gap_ratio(m, (0, 1)),
+                lambda: farthest_point_insertion(m, 2)):
+        with pytest.raises(GapError) as e:
+            run()
+        assert (e.value.code, str(e.value)) == \
+            ("zero-distance", "sites 0 and 1 are at distance 0")
 
 
 def test_graph_metric_peak_memory():

@@ -40,6 +40,7 @@ import numpy as np
 
 from .fpi import greedy_batch
 from .metric import Graph, _min_plus, build_graph
+from .oracle import _closed_neighborhoods, _doubled_genmet
 
 BIG = 64  # unreachable marker; n <= 7 keeps real distances <= 6
 
@@ -227,7 +228,7 @@ def _reduction_chunk(masks: np.ndarray, adj: np.ndarray, D2x: np.ndarray,
     out["genmet_graphs"] += B
     out["eds_graphs"] += int(connected.sum())
     ids, gr1, eds_exists, eds_bad = (np.zeros((n, B), dtype=bool) for _ in range(4))
-    closed_nb = (adj | np.eye(n, dtype=bool)).astype(np.int8)
+    closed_nb = _closed_neighborhoods(adj, np.int8)
     walk = _subset_walk([(D, np.minimum), (D2x, np.minimum), (closed_nb, np.add)],
                         n - 1)
     for s, ((pm, q), (pm2, q2), (hit, inner)) in walk:
@@ -265,7 +266,5 @@ def sweep_reduction_certificates(max_n: int = 6, chunk: int = 65536) -> dict:
     out["violations"] = []
     for n in range(3, max_n + 1):
         for masks, adj, D in _graph_batches(n, chunk):
-            D2x = np.where(adj, np.int16(2), np.int16(4))
-            D2x[:, np.arange(n), np.arange(n)] = 0
-            _reduction_chunk(masks, adj, D2x, D, out)
+            _reduction_chunk(masks, adj, _doubled_genmet(adj, np.int16), D, out)
     return out

@@ -84,7 +84,7 @@ def _exact_fields(metric, sample, args) -> dict:
 
 
 def _guard_kw(args) -> dict:
-    return {"guard": args.guard} if getattr(args, "guard", None) else {}
+    return {} if getattr(args, "guard", None) is None else {"guard": args.guard}
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ R_OPT, and the largest packing radius r_OPT.  Note GR_OPT is generally NOT
 R_OPT / r_OPT; the three quantities are optimized by different subsets.
 
 The certifiers turn two combinatorial equivalences into runnable checks,
-both on exact doubled-integer arithmetic so that equalities are equalities:
+each one pass of the subset kernel on exact doubled integers (equalities are
+equalities) that reads domination from its blocks as hit counts |N[v] & D|:
 
 - a graph has an independent dominating set of size k iff the complete
   metric that gives its edges weight 1 and its non-edges weight 2 admits a
@@ -20,9 +21,8 @@ both on exact doubled-integer arithmetic so that equalities are equalities:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -157,19 +157,9 @@ def _adjacency_matrix(g: Graph) -> np.ndarray:
     return adj
 
 
-def _closed_neighborhoods(g: Graph) -> np.ndarray:
-    """int64 matrix with N[u, v] = 1 iff v = u or v is adjacent to u."""
-    closed = _adjacency_matrix(g).astype(np.int64)
-    np.fill_diagonal(closed, 1)
-    return closed
-
-
-def _independent_dominating(adj: np.ndarray, verts: list) -> bool:
-    if adj[verts][:, verts].any():
-        return False
-    closed = adj[verts].any(axis=0)
-    closed[verts] = True
-    return bool(closed.all())
+def _closed_neighborhoods(adj: np.ndarray, dtype) -> np.ndarray:
+    """Closed neighbourhoods N = adj | I of (..., n, n) adjacency, as ``dtype``."""
+    return (adj | np.eye(adj.shape[-1], dtype=bool)).astype(dtype)
 
 
 def is_independent_dominating(g: Graph, D) -> bool:
@@ -177,7 +167,12 @@ def is_independent_dominating(g: Graph, D) -> bool:
     verts = _check_vertices(g, D)
     if not verts:
         return g.n == 0
-    return _independent_dominating(_adjacency_matrix(g), verts)
+    adj = _adjacency_matrix(g)
+    if adj[verts][:, verts].any():
+        return False
+    closed = adj[verts].any(axis=0)
+    closed[verts] = True
+    return bool(closed.all())
 
 
 def is_efficient_dominating(g: Graph, D) -> bool:
@@ -185,12 +180,21 @@ def is_efficient_dominating(g: Graph, D) -> bool:
     verts = _check_vertices(g, D)
     if not verts:
         return False
-    counts = _closed_neighborhoods(g)[:, verts].sum(axis=1)
+    counts = _closed_neighborhoods(_adjacency_matrix(g), np.int64)[:, verts].sum(axis=1)
     return bool((counts == 1).all())
 
 
 # ---------------------------------------------------------------------------
 # reductions
+
+
+def _doubled_genmet(adj: np.ndarray, dtype) -> np.ndarray:
+    """Doubled {1, 2}-metric of adjacency matrices (..., n, n) as ``dtype``:
+    2 on edges, 4 on non-edges, 0 on the diagonal."""
+    n = adj.shape[-1]
+    exact2x = np.where(adj, dtype(2), dtype(4))
+    exact2x[..., np.arange(n), np.arange(n)] = 0
+    return exact2x
 
 
 def genmet_reduce(g: Graph) -> FiniteMetric:
@@ -201,61 +205,66 @@ def genmet_reduce(g: Graph) -> FiniteMetric:
     """
     if g.n < 2:
         raise GapError("too-few-sites", "reduction needs at least 2 vertices")
-    adj = _adjacency_matrix(g)
-    dist = np.where(adj, 1.0, 2.0)
-    np.fill_diagonal(dist, 0.0)
-    exact2x = np.where(adj, 2, 4).astype(np.int64)
-    np.fill_diagonal(exact2x, 0)
+    exact2x = _doubled_genmet(_adjacency_matrix(g), np.int64)
+    dist = exact2x / 2.0
     dist.setflags(write=False)
     exact2x.setflags(write=False)
     return FiniteMetric(n=g.n, dist=dist, source="explicit", exact2x=exact2x)
 
 
-def _gap_ratio_one_witness(exact2x: np.ndarray, k: int) -> Optional[tuple]:
-    """First k-subset (lexicographic) with gap ratio exactly 1.
+def _domination_blocks(g: Graph, k: int, guard: int,
+                       reduce: Callable[[Graph], FiniteMetric]) -> Iterator[tuple]:
+    """The subset kernel's blocks over ``reduce(g).exact2x`` as
+    (prefix, a, b, R2, q2, hits), where hits[i, v] = |N[v] & D_i| for the
+    block's i-th subset D_i.  Refuses more than ``guard`` subsets before
+    ``reduce`` runs, so guard-exceeded takes precedence over its errors."""
+    total = comb(g.n, k)
+    if total > guard:
+        raise GuardExceeded(f"C({g.n}, {k}) = {total} exceeds the guard {guard}")
+    closed = _closed_neighborhoods(_adjacency_matrix(g), np.int64)
+    for prefix, a, b, R2, q2 in _subset_blocks(reduce(g).exact2x, k):
+        hits = closed[list(prefix)].sum(axis=0) + closed[a] + closed[b]
+        yield prefix, a, b, R2, q2, hits
 
-    With e = exact2x: GR = 2*R2/q2 where q2 is the subset's doubled minimum
-    pairwise distance and R2 its doubled covering radius, so GR == 1 is the
-    integer test 2*R2 == q2.
-    """
-    for prefix, a, b, R2, q2 in _subset_blocks(exact2x, k):
-        hit = np.flatnonzero(2 * R2 == q2)
-        if hit.size:
-            return prefix + (int(a[hit[0]]), int(b[hit[0]]))
-    return None
+
+def _first_subset(prefix: tuple, a: np.ndarray, b: np.ndarray,
+                  mask: np.ndarray) -> Optional[tuple]:
+    """The block's first subset prefix + (a[i], b[i]) with mask[i], or None."""
+    i = mask.argmax()
+    return prefix + (int(a[i]), int(b[i])) if mask[i] else None
 
 
 def check_genmet_equivalence(g: Graph, k: int, guard: int = DEFAULT_GUARD) -> tuple:
     """Certify: an independent dominating set of size k exists iff the
     {1, 2}-metric admits a k-sample with gap ratio exactly 1.
 
-    Returns (answer, certificates); raises CertificationError if the two
-    exhaustive searches ever disagree.
+    One pass of the subset kernel finds the first subset of each kind and
+    stops once it has both; raises CertificationError if only one exists.
     """
     k = int(k)
     if not 2 <= k < g.n:
         raise GapError("k-out-of-range",
                        f"certifier needs 2 <= k < n, got k={k}, n={g.n}")
-    total = comb(g.n, k)
-    if total > guard:
-        raise GuardExceeded(f"C({g.n}, {k}) = {total} exceeds the guard {guard}")
-    adj = _adjacency_matrix(g)
-    ids_witness = next((subset for subset in combinations(range(g.n), k)
-                        if _independent_dominating(adj, list(subset))), None)
-    metric = genmet_reduce(g)
-    gr1_witness = _gap_ratio_one_witness(metric.exact2x, k)
-    if (ids_witness is None) != (gr1_witness is None):
+    ids = gr1 = None
+    for prefix, a, b, R2, q2, hits in _domination_blocks(g, k, guard, genmet_reduce):
+        # each member v lies in N[v], so the members' hits sum to k iff no
+        # edge lies inside D; GR = 2*R2/q2, so GR == 1 iff 2*R2 == q2
+        rows = np.arange(a.size)
+        inner = hits[:, list(prefix)].sum(axis=1) + hits[rows, a] + hits[rows, b]
+        ids = ids or _first_subset(prefix, a, b, (inner == k) & (hits >= 1).all(axis=1))
+        gr1 = gr1 or _first_subset(prefix, a, b, 2 * R2 == q2)
+        if ids and gr1:
+            break
+    if (ids is None) != (gr1 is None):
         raise CertificationError(
             f"equivalence failed on n={g.n}, k={k}: "
-            f"independent dominating witness {ids_witness}, "
-            f"gap-ratio-1 witness {gr1_witness}")
-    answer = ids_witness is not None
+            f"independent dominating witness {ids}, gap-ratio-1 witness {gr1}")
     certificates = {
-        "independent_dominating": ids_witness,
-        "gap_ratio_one": gr1_witness,
-        "subsets_examined": total,
+        "independent_dominating": ids,
+        "gap_ratio_one": gr1,
+        "subsets_examined": comb(g.n, k),
     }
-    return answer, certificates
+    return ids is not None, certificates
 
 
 def check_eds_equivalence(g: Graph, k: int, guard: int = DEFAULT_GUARD) -> tuple:
@@ -273,31 +282,22 @@ def check_eds_equivalence(g: Graph, k: int, guard: int = DEFAULT_GUARD) -> tuple
     if g.weighted:
         raise GapError("weighted-unsupported",
                        "efficient-domination equivalence needs an unweighted graph")
-    total = comb(g.n, k)
-    if total > guard:
-        raise GuardExceeded(f"C({g.n}, {k}) = {total} exceeds the guard {guard}")
-    closed = _closed_neighborhoods(g)
-    witness = None
-    count = 0
-    for prefix, a, b, R2, q2 in _subset_blocks(build_graph_metric(g).exact2x, k):
+    witness, count = None, 0
+    for prefix, a, b, R2, q2, hits in _domination_blocks(g, k, guard,
+                                                         build_graph_metric):
         profile = (q2 == 6) & (R2 == 2)  # r = 3/2 and R = 1
-        counts = closed[list(prefix)].sum(axis=0) + closed[a] + closed[b]
-        eds = (counts == 1).all(axis=1)  # |N[v] & D| = 1 for every v
-        bad = np.flatnonzero(eds != profile)
-        if bad.size:
-            pos = bad[0]
-            subset = prefix + (int(a[pos]), int(b[pos]))
+        eds = (hits == 1).all(axis=1)  # |N[v] & D| = 1 for every v
+        bad = _first_subset(prefix, a, b, eds != profile)
+        if bad:
+            eds_bad = is_efficient_dominating(g, bad)
             raise CertificationError(
-                f"equivalence failed on n={g.n}, k={k}, D={subset}: "
-                f"efficient-dominating={bool(eds[pos])} "
-                f"but (r=3/2, R=1)={bool(profile[pos])}")
-        hits = np.flatnonzero(eds)
-        count += hits.size
-        if witness is None and hits.size:
-            witness = prefix + (int(a[hits[0]]), int(b[hits[0]]))
+                f"equivalence failed on n={g.n}, k={k}, D={bad}: "
+                f"efficient-dominating={eds_bad} but (r=3/2, R=1)={not eds_bad}")
+        count += int(np.count_nonzero(eds))
+        witness = witness or _first_subset(prefix, a, b, eds)
     certificates = {
         "efficient_dominating": witness,
         "eds_count": count,
-        "subsets_examined": total,
+        "subsets_examined": comb(g.n, k),
     }
     return witness is not None, certificates

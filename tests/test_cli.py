@@ -210,6 +210,17 @@ def test_domain_error_contract(files, tmp_path):
     assert missing.stderr.startswith("error: unreadable-file:")
 
 
+@pytest.mark.parametrize("command", [("oracle",), ("reduce", "--claim", "genmet"),
+                                     ("reduce", "--claim", "eds")],
+                         ids=["oracle", "reduce-genmet", "reduce-eds"])
+def test_guard_zero_is_a_guard(files, command):
+    # --guard 0 admits no subset; it must not fall back to the default guard
+    proc = run_cli(*command, "--graph", files["c6.edges"], "-k", "2",
+                   "--guard", "0")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert re.fullmatch(r"error: guard-exceeded: [^\n]+\n", proc.stderr), proc.stderr
+
+
 def test_malformed_input_reports_line(files, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("0 0\n1 oops\n")

@@ -243,6 +243,32 @@ def test_eds_mismatch_reports_first_subset(monkeypatch):
         assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("budget", (None, 1), indirect=True,
+                         ids=lambda b: f"block{b}")
+def test_genmet_witnesses_on_a_wrong_metric(budget, monkeypatch):
+    # feed the certifier a wrong {1,2}-metric: each witness is still the
+    # first subset of its kind, a missing one is named in the error, and at
+    # one a row per block the two witnesses of the last case lie in
+    # different blocks
+    k4 = build_graph(4, list(itertools.combinations(range(4), 2)))
+    p3 = build_graph(4, [(0, 1), (1, 2)], require_connected=False)
+    cases = [(c4(), genmet_reduce(k4), (0, 2), None),  # no GR = 1 subset
+             (k4, genmet_reduce(c4()), None, (0, 2)),  # no IDS of size 2
+             (c4(), genmet_reduce(p3), (0, 2), (1, 3))]
+    for g, wrong, ids, gr1 in cases:
+        monkeypatch.setattr(oracle, "genmet_reduce", lambda _: wrong)
+        if (ids is None) == (gr1 is None):
+            assert check_genmet_equivalence(g, 2) == (True, {
+                "independent_dominating": ids, "gap_ratio_one": gr1,
+                "subsets_examined": 6})
+            continue
+        with pytest.raises(CertificationError) as got:
+            check_genmet_equivalence(g, 2)
+        assert str(got.value) == (
+            f"equivalence failed on n=4, k=2: independent dominating "
+            f"witness {ids}, gap-ratio-1 witness {gr1}")
+
+
 # ---------------------------------------------------------------------------
 # domination predicates
 
@@ -353,17 +379,20 @@ def test_eds_rejects_weighted():
     assert e.value.code == "weighted-unsupported"
 
 
-def test_certifiers_small_exhaustive():
-    # every labeled graph on 4 vertices, every valid k; the certifiers
-    # raise CertificationError on any internal disagreement
-    for mask in range(1 << 6):
-        edges = [e for b, e in enumerate(itertools.combinations(range(4), 2))
-                 if (mask >> b) & 1]
-        g = build_graph(4, edges, require_connected=False)
-        for k in (2, 3):
-            check_genmet_equivalence(g, k)
-            if _connected(g):
-                check_eds_equivalence(g, k)
+def test_certifiers_small_exhaustive(monkeypatch):
+    # every labeled graph on 4 and 5 vertices, every valid k, against the
+    # scalar certifiers; one a row per block splits each prefix's pairs
+    # over several blocks, so the genmet pass also stops in a later block
+    for budget in (oracle._BLOCK, 1):
+        monkeypatch.setattr(oracle, "_BLOCK", budget)
+        for n in (4, 5):
+            for mask in range(1 << (n * (n - 1) // 2)):
+                g = graph_from_mask(n, mask, require_connected=False)
+                for k in range(2, n):
+                    assert check_genmet_equivalence(g, k) == scalar_genmet(g, k)
+                    if _connected(g):
+                        e = build_graph_metric(g).exact2x
+                        assert check_eds_equivalence(g, k) == scalar_eds(g, k, e)
 
 
 def _connected(g):

@@ -207,7 +207,7 @@ def _lower_bound_chunk(masks: np.ndarray, D: np.ndarray, out: dict) -> None:
 def sweep_graph_lower_bound(max_n: int = 7, chunk: int = 65536) -> dict:
     """GR >= 2/3 for every sample 2 <= k < n on every connected graph.
 
-    Integer form: 3R >= q (since GR = 2R/q), and 3R == q forces R == 1
+    Integer form: 3R >= q (since GR = 2R/q), and 3R == q holds only at R == 1
     (hence q == 3, i.e. r = 3/2).  Exhaustive and exact.
     """
     out = {"graphs": 0, "samples_checked": 0, "equality_cases": 0,

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from . import certify as certify_mod
-from .coreset import approx_sample
+from .coreset import ENUM_GUARD, approx_sample
 from .errors import GapError
 from .fileio import dumps_report, read_graph, read_points, read_sample
 from .fpi import farthest_point_insertion
@@ -25,8 +25,8 @@ from .geometry import delaunay_angle_audit, gap_report_unit_square
 from .measures import analytic_bounds, gap_based_discrepancy_bound, star_discrepancy
 from .metric import (build_cloud, build_euclidean, build_graph,
                      build_graph_metric, gap_fraction, gap_ratio, make_sample)
-from .oracle import (check_eds_equivalence, check_genmet_equivalence,
-                     optimal_gap_ratio)
+from .oracle import (DEFAULT_GUARD, check_eds_equivalence,
+                     check_genmet_equivalence, optimal_gap_ratio)
 from .streaming import stream_finalize, stream_init
 
 
@@ -60,15 +60,12 @@ def _load_cloud(path: str):
 
 def _load_metric(args):
     """Metric from --points or --graph (exactly one)."""
-    if getattr(args, "points", None):
+    if args.points:
         cloud, digest, warnings = _load_cloud(args.points)
         return build_euclidean(cloud), digest, warnings
-    if getattr(args, "graph", None):
-        n, edges, weighted = read_graph(_read_text(args.graph))
-        g = build_graph(n, edges)
-        digest = {"vertices": n, "edges": len(edges), "weighted": weighted}
-        return build_graph_metric(g), digest, []
-    raise GapError("missing-input", "need --points or --graph")
+    n, edges, weighted = read_graph(_read_text(args.graph))
+    digest = {"vertices": n, "edges": len(edges), "weighted": weighted}
+    return build_graph_metric(build_graph(n, edges)), digest, []
 
 
 def _exact_fields(metric, sample, args) -> dict:
@@ -81,10 +78,6 @@ def _exact_fields(metric, sample, args) -> dict:
         out["exact_ratio"] = [int(frac.numerator), int(frac.denominator)]
         out["exact"] = True
     return out
-
-
-def _guard_kw(args) -> dict:
-    return {} if getattr(args, "guard", None) is None else {"guard": args.guard}
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +124,7 @@ def _cmd_fpi(args) -> Outcome:
 def _cmd_coreset(args) -> Outcome:
     cloud, digest, warnings = _load_cloud(args.points)
     sample, rep, params, grid = approx_sample(
-        cloud, args.k, args.epsilon, seed=args.seed, **_guard_kw(args))
+        cloud, args.k, args.epsilon, seed=args.seed, guard=args.guard)
     result = {
         "sample": list(sample.indices),
         "r": rep.r, "R": rep.R, "gap_ratio": rep.gap_ratio,
@@ -148,10 +141,9 @@ def _cmd_coreset(args) -> Outcome:
 
 def _cmd_stream(args) -> Outcome:
     # the points file is replayed as the stream, one point per line
-    cloud_text = _read_text(args.points)
-    points = read_points(cloud_text)
+    points = read_points(_read_text(args.points))
     state = stream_init(points, args.k, args.epsilon)
-    sample, rep, grid = stream_finalize(state, **_guard_kw(args))
+    sample, rep, grid = stream_finalize(state, guard=args.guard)
     digest = {"sites": state.points_seen, "dim": state.params.d}
     result = {
         "sample": list(sample.indices),
@@ -170,7 +162,7 @@ def _cmd_stream(args) -> Outcome:
 
 def _cmd_oracle(args) -> Outcome:
     metric, digest, warnings = _load_metric(args)
-    res = optimal_gap_ratio(metric, args.k, **_guard_kw(args))
+    res = optimal_gap_ratio(metric, args.k, guard=args.guard)
     result = {
         "sample": list(res.best_sample.indices),
         "gap_ratio": res.gr_opt,
@@ -240,10 +232,9 @@ def _cmd_reduce(args) -> Outcome:
     n, edges, weighted = read_graph(_read_text(args.graph))
     g = build_graph(n, edges, require_connected=False)
     digest = {"vertices": n, "edges": len(edges), "weighted": weighted}
-    if args.claim == "genmet":
-        answer, certs = check_genmet_equivalence(g, args.k, **_guard_kw(args))
-    else:
-        answer, certs = check_eds_equivalence(g, args.k, **_guard_kw(args))
+    certify = (check_genmet_equivalence if args.claim == "genmet"
+               else check_eds_equivalence)
+    answer, certs = certify(g, args.k, guard=args.guard)
     result = {
         "claim": args.claim,
         "answer": answer,
@@ -299,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help_, points=False, graph=False, k=None, eps=False,
-            guard=False, seed=False, exact=False):
+            guard=None, seed=False, exact=False):
         p = sub.add_parser(name, parents=[common], help=help_)
         if points and graph:
             grp = p.add_mutually_exclusive_group(required=True)
@@ -315,9 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("-k", type=int, default=None)
         if eps:
             p.add_argument("--epsilon", type=float, required=True)
-        if guard:
-            p.add_argument("--guard", type=int, default=None,
-                           help="override the subset-enumeration cap")
+        if guard is not None:
+            p.add_argument("--guard", type=int, default=guard,
+                           help="subset-enumeration cap (default %(default)s)")
         if seed:
             p.add_argument("--seed", type=int, default=None)
         if exact:
@@ -335,11 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
     add("fpi", _cmd_fpi, "farthest-point insertion sample",
         points=True, graph=True, k="required", exact=True)
     add("coreset", _cmd_coreset, "(1+eps)-approximate sample via grid coreset",
-        points=True, k="required", eps=True, guard=True, seed=True)
+        points=True, k="required", eps=True, guard=ENUM_GUARD, seed=True)
     add("stream", _cmd_stream, "one-pass streaming coreset sample",
-        points=True, k="required", eps=True, guard=True)
+        points=True, k="required", eps=True, guard=ENUM_GUARD)
     add("oracle", _cmd_oracle, "exhaustive optimal gap ratio",
-        points=True, graph=True, k="required", guard=True, exact=True)
+        points=True, graph=True, k="required", guard=DEFAULT_GUARD, exact=True)
     add("square", _cmd_square, "gap report against the continuous unit square",
         points=True)
     add("delaunay-audit", _cmd_delaunay_audit,
@@ -347,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("discrepancy", _cmd_discrepancy,
         "exact star discrepancy and its gap-based bound", points=True)
     p = add("reduce", _cmd_reduce, "certify a domination reduction",
-            graph=True, k="required", guard=True)
+            graph=True, k="required", guard=DEFAULT_GUARD)
     p.add_argument("--claim", choices=["genmet", "eds"], required=True)
     p = add("bounds", _cmd_bounds, "closed-form gap-ratio floors",
             k="optional")

@@ -11,10 +11,10 @@ enough that swapping any site for its representative moves distances by at
 most eps1 * R_P1 / 2, which is what makes the final sample's gap ratio over
 the full space land within (1 + eps) of optimal for eps < 1/2.
 
-The subset search measures both r and R inside the coreset (the coreset is
-treated as its own metric space); the end-to-end report re-measures the
-winning sample over the full input, which is the quantity the (1 + eps)
-guarantee speaks about.
+The cell rule (grid_cells) and the representative search (search_coreset)
+serve streaming too.  The search measures r and R inside the coreset, its
+own metric space; the end-to-end report re-measures the winner over the
+full input, which is what the (1 + eps) guarantee speaks about.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import GapError
 from .fpi import farthest_point_insertion
-from .metric import (FiniteMetric, GapReport, PointCloud, Sample,
-                     build_cloud, build_euclidean, gap_ratio, make_sample)
+from .metric import (FiniteMetric, PointCloud, build_cloud, build_euclidean,
+                     gap_ratio, make_sample)
 from .oracle import _min_gap_ratio
 
 ENUM_GUARD = 50_000_000
@@ -82,6 +82,22 @@ def static_params(eps: float, R_P1: float, d: int) -> EpsParams:
     return EpsParams(eps=eps, eps1=eps1, eps2=eps2, d=d, R_P1=float(R_P1))
 
 
+def grid_cells(points: np.ndarray, origin: np.ndarray, side: float) -> list:
+    """Cell floor((p - origin) / side) of a point (d,) as a d-tuple of Python
+    ints, or the list of the cells of the rows of ``points`` (n, d).  Raises
+    grid-overflow when a quotient is not finite or reaches 2**53 in
+    magnitude: past that, float rounding moves points between cells."""
+    q = np.floor((points - origin) / side)
+    try:  # int() refuses nan and inf
+        flat = list(map(int, q.ravel().tolist()))
+    except (ValueError, OverflowError):
+        flat = [2 ** 53]
+    if not (-2 ** 53 < min(flat) and max(flat) < 2 ** 53):
+        raise GapError("grid-overflow", f"a cell index at cell side {side:g} is not "
+                       "finite or reaches 2**53; the points span too many cells")
+    return list(zip(*[iter(flat)] * q.shape[1])) if q.ndim == 2 else tuple(flat)
+
+
 def build_grid_coreset(cloud: PointCloud, cell_side: float,
                        seed: Optional[int] = None) -> GridCoreset:
     """Grid anchored at the bounding-box minimum; half-open cells.
@@ -92,26 +108,21 @@ def build_grid_coreset(cloud: PointCloud, cell_side: float,
     cell_side = float(cell_side)
     if not cell_side > 0:
         raise GapError("invalid-cell-side", f"cell side must be positive, got {cell_side}")
-    pts = cloud.points
-    origin = pts.min(axis=0)
-    raw = np.floor((pts - origin) / cell_side).astype(np.int64)
+    origin = cloud.points.min(axis=0)
     members: dict = {}
-    for i in range(cloud.n):
-        members.setdefault(tuple(int(c) for c in raw[i]), []).append(i)
-    cells: dict = {}
-    if seed is None:
-        for c, idxs in members.items():
-            cells[c] = idxs[0]  # members are in index order
+    for i, c in enumerate(grid_cells(cloud.points, origin, cell_side)):
+        members.setdefault(c, []).append(i)
+    if seed is None:  # members are in index order
+        cells = {c: idxs[0] for c, idxs in members.items()}
     else:
         rng = np.random.default_rng(int(seed))
-        for c in sorted(members):
-            idxs = members[c]
-            cells[c] = idxs[int(rng.integers(len(idxs)))]
+        cells = {c: members[c][int(rng.integers(len(members[c])))]
+                 for c in sorted(members)}
     return GridCoreset(origin=origin.copy(), cell_side=cell_side, cells=cells)
 
 
-def best_k_subset(coreset_metric: FiniteMetric, k: int, guard: int = ENUM_GUARD,
-                  force: bool = False) -> tuple:
+def best_k_subset(coreset_metric: FiniteMetric, k: int,
+                  guard: int = ENUM_GUARD) -> tuple:
     """Exhaustive search over all k-subsets of a (coreset) metric.
 
     Enumeration is lexicographic and the first subset attaining the minimum
@@ -122,17 +133,23 @@ def best_k_subset(coreset_metric: FiniteMetric, k: int, guard: int = ENUM_GUARD,
     if k < 2:
         raise GapError("k-out-of-range", f"k must be >= 2, got {k}")
     if coreset_metric.n < k:
-        raise GapError("coreset-too-small",
-                       f"coreset has {coreset_metric.n} sites but k={k}; "
-                       f"use a smaller eps")
-    best, _, _, _ = _min_gap_ratio(coreset_metric.dist, k, guard, force)
+        raise GapError("coreset-too-small", f"coreset has {coreset_metric.n} cells "
+                       f"but k={k}; use a smaller eps")
+    best, _, _, _ = _min_gap_ratio(coreset_metric.dist, k, guard)
     sample = make_sample(best, coreset_metric.n)
     return sample, gap_ratio(coreset_metric, sample)
 
 
+def search_coreset(reps: list, pts: np.ndarray, k: int, n: int, guard: int) -> tuple:
+    """(Sample of input indices out of n, GapReport inside the coreset) of the
+    best k-subset of the coreset sites pts, row i standing for reps[i]."""
+    local_sample, report = best_k_subset(build_euclidean(build_cloud(pts)), k,
+                                         guard=guard)
+    return make_sample([reps[i] for i in local_sample.indices], n), report
+
+
 def approx_sample(cloud: PointCloud, k: int, eps: float,
-                  seed: Optional[int] = None, guard: int = ENUM_GUARD,
-                  force: bool = False) -> tuple:
+                  seed: Optional[int] = None, guard: int = ENUM_GUARD) -> tuple:
     """End-to-end (1+eps)-approximate k-sample of a point cloud.
 
     Returns (Sample over the full cloud, GapReport over the full cloud,
@@ -151,12 +168,5 @@ def approx_sample(cloud: PointCloud, k: int, eps: float,
     params = static_params(eps, trace.final.R, cloud.dim)
     grid = build_grid_coreset(cloud, params.eps2, seed=seed)
     reps = grid.representatives()
-    if len(reps) < k:
-        raise GapError("coreset-too-small",
-                       f"coreset has {len(reps)} cells but k={k}; use a smaller eps")
-    sub_cloud = build_cloud(cloud.points[reps])
-    local_sample, _ = best_k_subset(build_euclidean(sub_cloud), k,
-                                    guard=guard, force=force)
-    chosen = [reps[i] for i in local_sample.indices]
-    sample = make_sample(chosen, cloud.n)
+    sample, _ = search_coreset(reps, cloud.points[reps], k, cloud.n, guard)
     return sample, gap_ratio(metric_full, sample), params, grid

@@ -16,9 +16,6 @@ class GapError(Exception):
         super().__init__(message)
         self.code = code
 
-    def __str__(self) -> str:
-        return super().__str__()
-
 
 class GuardExceeded(GapError):
     """An enumeration would exceed the configured subset-count guard."""

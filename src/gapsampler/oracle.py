@@ -93,17 +93,17 @@ def _subset_blocks(dist: np.ndarray, k: int) -> Iterator[tuple]:
     yield from level((), 0, np.full(n, top, dtype=dist.dtype), top)
 
 
-def _min_gap_ratio(dist: np.ndarray, k: int, guard: int, force: bool) -> tuple:
+def _min_gap_ratio(dist: np.ndarray, k: int, guard: int) -> tuple:
     """(first subset with the minimum gap ratio, that ratio, R_opt, r_opt)
     over all k-subsets, with r and R both measured in ``dist``.
 
-    Refuses instances with more than ``guard`` subsets unless forced.
+    Refuses instances with more than ``guard`` subsets.
     """
     total = comb(dist.shape[0], k)
-    if total > guard and not force:
+    if total > guard:
         raise GuardExceeded(
             f"C({dist.shape[0]}, {k}) = {total} subsets exceeds the guard {guard}; "
-            f"raise --guard or force to proceed")
+            f"raise --guard to proceed")
     best_gr = np.inf
     best = None
     R_opt = np.inf
@@ -121,16 +121,14 @@ def _min_gap_ratio(dist: np.ndarray, k: int, guard: int, force: bool) -> tuple:
     return best, best_gr, R_opt, r_opt
 
 
-def optimal_gap_ratio(m: FiniteMetric, k: int, guard: int = DEFAULT_GUARD,
-                      force: bool = False) -> OracleResult:
-    """Exhaustive minimum of GR over all k-subsets, lexicographic tie-break.
-
-    Refuses instances with more than ``guard`` subsets unless forced.
-    """
+def optimal_gap_ratio(m: FiniteMetric, k: int,
+                      guard: int = DEFAULT_GUARD) -> OracleResult:
+    """Exhaustive minimum of GR over all k-subsets, lexicographic tie-break;
+    refuses instances with more than ``guard`` subsets."""
     k = int(k)
     if not 2 <= k <= m.n:
         raise GapError("k-out-of-range", f"k must satisfy 2 <= k <= {m.n}, got {k}")
-    best, best_gr, R_opt, r_opt = _min_gap_ratio(m.dist, k, guard, force)
+    best, best_gr, R_opt, r_opt = _min_gap_ratio(m.dist, k, guard)
     return OracleResult(best_sample=make_sample(best, m.n),
                         gr_opt=best_gr, R_opt=R_opt, r_opt=r_opt,
                         subsets_examined=comb(m.n, k))
@@ -212,12 +210,19 @@ def genmet_reduce(g: Graph) -> FiniteMetric:
     return FiniteMetric(n=g.n, dist=dist, source="explicit", exact2x=exact2x)
 
 
-def _domination_blocks(g: Graph, k: int, guard: int,
+def _domination_blocks(g: Graph, k: int, guard: int, claim: str,
                        reduce: Callable[[Graph], FiniteMetric]) -> Iterator[tuple]:
     """The subset kernel's blocks over ``reduce(g).exact2x`` as
     (prefix, a, b, R2, q2, hits), where hits[i, v] = |N[v] & D_i| for the
-    block's i-th subset D_i.  Refuses more than ``guard`` subsets before
-    ``reduce`` runs, so guard-exceeded takes precedence over its errors."""
+    block's i-th subset D_i.  Refuses, in this order, k outside [2, n), a
+    weighted graph and more than ``guard`` subsets, all before ``reduce``
+    runs, so these take precedence over its errors."""
+    if not 2 <= k < g.n:
+        raise GapError("k-out-of-range",
+                       f"certifier needs 2 <= k < n, got k={k}, n={g.n}")
+    if g.weighted:
+        raise GapError("weighted-unsupported",
+                       f"{claim} equivalence needs an unweighted graph")
     total = comb(g.n, k)
     if total > guard:
         raise GuardExceeded(f"C({g.n}, {k}) = {total} exceeds the guard {guard}")
@@ -242,11 +247,9 @@ def check_genmet_equivalence(g: Graph, k: int, guard: int = DEFAULT_GUARD) -> tu
     stops once it has both; raises CertificationError if only one exists.
     """
     k = int(k)
-    if not 2 <= k < g.n:
-        raise GapError("k-out-of-range",
-                       f"certifier needs 2 <= k < n, got k={k}, n={g.n}")
     ids = gr1 = None
-    for prefix, a, b, R2, q2, hits in _domination_blocks(g, k, guard, genmet_reduce):
+    for prefix, a, b, R2, q2, hits in _domination_blocks(
+            g, k, guard, "independent-domination", genmet_reduce):
         # each member v lies in N[v], so the members' hits sum to k iff no
         # edge lies inside D; GR = 2*R2/q2, so GR == 1 iff 2*R2 == q2
         rows = np.arange(a.size)
@@ -276,15 +279,9 @@ def check_eds_equivalence(g: Graph, k: int, guard: int = DEFAULT_GUARD) -> tuple
     efficient dominating set was found.
     """
     k = int(k)
-    if not 2 <= k < g.n:
-        raise GapError("k-out-of-range",
-                       f"certifier needs 2 <= k < n, got k={k}, n={g.n}")
-    if g.weighted:
-        raise GapError("weighted-unsupported",
-                       "efficient-domination equivalence needs an unweighted graph")
     witness, count = None, 0
-    for prefix, a, b, R2, q2, hits in _domination_blocks(g, k, guard,
-                                                         build_graph_metric):
+    for prefix, a, b, R2, q2, hits in _domination_blocks(
+            g, k, guard, "efficient-domination", build_graph_metric):
         profile = (q2 == 6) & (R2 == 2)  # r = 3/2 and R = 1
         eds = (hits == 1).all(axis=1)  # |N[v] & D| = 1 for every v
         bad = _first_subset(prefix, a, b, eds != profile)

@@ -21,8 +21,9 @@ The final coreset is searched exhaustively like the static one; for
 eps < 1/8 the winner's gap ratio over the full stream is within (1 + eps)
 of optimal.
 
-Ingestion is strictly sequential; finalization delegates to the shared
-subset search.
+Ingestion is strictly sequential; it and finalization use coreset's cell
+rule and representative search.  Zero distances, non-finite points and
+cell indices past 2**53 are coded errors raised before the state changes.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .coreset import GridCoreset, best_k_subset
+from .coreset import ENUM_GUARD, GridCoreset, grid_cells, search_coreset
 from .errors import GapError
-from .metric import build_cloud, build_euclidean, make_sample
 
 
 @dataclass(frozen=True)
@@ -74,16 +74,28 @@ def stream_params(eps: float, d: int) -> StreamParams:
     return StreamParams(eps=eps, eps1=eps1, eps3=eps3, d=d)
 
 
-def _cell_of(state: StreamState, x: np.ndarray) -> tuple:
-    raw = np.floor((x - state.origin) / state.cell_side).astype(np.int64)
-    return tuple(int(c) for c in raw)
+def _refuse_nonfinite(idx: int, x: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise GapError("nonfinite-coordinate",
+                       f"stream point {idx} has a non-finite coordinate {bad[0]}")
 
 
-def _grid_insert(state: StreamState, idx: int, x: np.ndarray) -> None:
-    cell = _cell_of(state, x)
+def _grid_insert(state: StreamState, x: np.ndarray) -> int:
+    """File the next stream point under its cell; return its index.  Only a
+    point the cell rule refuses, which leaves the state as it was, is
+    checked for non-finite coordinates."""
+    idx = state.points_seen
+    try:
+        cell = grid_cells(x, state.origin, state.cell_side)
+    except GapError:
+        _refuse_nonfinite(idx, x)
+        raise
+    state.points_seen += 1
     if cell not in state.cells:
         state.cells[cell] = (idx, x)
         state.peak_cells = max(state.peak_cells, len(state.cells))
+    return idx
 
 
 def _merge_cells(cells: dict) -> dict:
@@ -91,9 +103,7 @@ def _merge_cells(cells: dict) -> dict:
     donates the representative of each merged cell."""
     merged: dict = {}
     for c in sorted(cells):
-        parent = tuple(ci // 2 for ci in c)
-        if parent not in merged:
-            merged[parent] = cells[c]
+        merged.setdefault(tuple(ci // 2 for ci in c), cells[c])
     return merged
 
 
@@ -127,18 +137,21 @@ def stream_init(first_points: Iterable, k: int, eps: float) -> StreamState:
         raise GapError("too-few-distinct",
                        f"stream has only {len(T)} distinct points, k={k}")
     d = prefix[0].shape[0]
-    for x in prefix:
+    for idx, x in enumerate(prefix):
         if x.shape[0] != d:
             raise GapError("dimension-mismatch", "stream points differ in dimension")
+        _refuse_nonfinite(idx, x)
     params = stream_params(eps, d)
     R = min(float(np.linalg.norm(a - b))
             for i, (_, a) in enumerate(T) for _, b in T[i + 1:])
+    cell_side = params.eps3 * R / (2.0 * sqrt(d))
+    if cell_side == 0.0:  # distinct points whose distance underflowed
+        raise GapError("zero-distance", f"the first {k} distinct stream points "
+                       f"are {R:g} apart at closest: a cell side of 0")
     state = StreamState(params=params, k=k, origin=prefix[0].copy(),
-                        cell_side=params.eps3 * R / (2.0 * sqrt(d)),
-                        cells={}, T=T, R_thresh=R)
-    for idx, x in enumerate(prefix):
-        state.points_seen += 1
-        _grid_insert(state, idx, x)
+                        cell_side=cell_side, cells={}, T=T, R_thresh=R)
+    for x in prefix:
+        _grid_insert(state, x)
     for x in it:
         stream_ingest(state, x)
     return state
@@ -150,9 +163,7 @@ def stream_ingest(state: StreamState, x) -> StreamState:
     if x.shape[0] != state.params.d:
         raise GapError("dimension-mismatch",
                        f"point has dimension {x.shape[0]}, stream is {state.params.d}-D")
-    idx = state.points_seen
-    state.points_seen += 1
-    _grid_insert(state, idx, x)
+    idx = _grid_insert(state, x)
     if _dist_to(state.T, x) > 2.0 * state.R_thresh:
         state.T.append((idx, x))
     while len(state.T) > state.k:
@@ -171,13 +182,11 @@ def stream_ingest(state: StreamState, x) -> StreamState:
 def stream_reps(state: StreamState) -> tuple:
     """(stream indices, points array) of the live coreset, by stream order."""
     items = sorted(state.cells.values(), key=lambda iv: iv[0])
-    indices = [iv[0] for iv in items]
-    pts = np.array([iv[1] for iv in items])
-    return indices, pts
+    return [iv[0] for iv in items], np.array([iv[1] for iv in items])
 
 
 def stream_finalize(state: StreamState, k: Optional[int] = None,
-                    guard: int = 50_000_000, force: bool = False) -> tuple:
+                    guard: int = ENUM_GUARD) -> tuple:
     """Search the final grid coreset for the best k-subset.
 
     Returns (Sample of stream indices, GapReport measured inside the
@@ -186,13 +195,7 @@ def stream_finalize(state: StreamState, k: Optional[int] = None,
     """
     k = state.k if k is None else int(k)
     indices, pts = stream_reps(state)
-    if len(indices) < k:
-        raise GapError("coreset-too-small",
-                       f"coreset has {len(indices)} cells but k={k}")
-    metric = build_euclidean(build_cloud(pts))
-    local_sample, report = best_k_subset(metric, k, guard=guard, force=force)
-    chosen = [indices[i] for i in local_sample.indices]
-    sample = make_sample(chosen, state.points_seen)
+    sample, report = search_coreset(indices, pts, k, state.points_seen, guard)
     grid = GridCoreset(origin=state.origin.copy(), cell_side=state.cell_side,
                        cells={c: iv[0] for c, iv in state.cells.items()})
     return sample, report, grid

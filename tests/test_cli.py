@@ -13,8 +13,9 @@ SQUARE = "0 0\n1 0\n0 1\n1 1\n"
 
 
 def run_cli(*args, env=None):
+    # a hang fails its own test instead of stalling the suite
     return subprocess.run([sys.executable, "-m", "gapsampler", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 @pytest.fixture
@@ -210,15 +211,47 @@ def test_domain_error_contract(files, tmp_path):
     assert missing.stderr.startswith("error: unreadable-file:")
 
 
-@pytest.mark.parametrize("command", [("oracle",), ("reduce", "--claim", "genmet"),
-                                     ("reduce", "--claim", "eds")],
-                         ids=["oracle", "reduce-genmet", "reduce-eds"])
+@pytest.mark.parametrize("command", [
+    ("oracle", "--graph", "c6.edges"), ("reduce", "--claim", "genmet", "--graph", "c6.edges"),
+    ("reduce", "--claim", "eds", "--graph", "c6.edges"),
+    ("coreset", "--points", "line10.txt", "--epsilon", "0.3"),
+    ("stream", "--points", "line10.txt", "--epsilon", "0.1"),
+], ids=["oracle", "reduce-genmet", "reduce-eds", "coreset", "stream"])
 def test_guard_zero_is_a_guard(files, command):
     # --guard 0 admits no subset; it must not fall back to the default guard
-    proc = run_cli(*command, "--graph", files["c6.edges"], "-k", "2",
-                   "--guard", "0")
+    args = [files.get(a, a) for a in command]
+    proc = run_cli(*args, "-k", "2", "--guard", "0")
     assert (proc.returncode, proc.stdout) == (1, "")
     assert re.fullmatch(r"error: guard-exceeded: [^\n]+\n", proc.stderr), proc.stderr
+
+
+@pytest.mark.parametrize("command, text, code", [
+    # distinct points whose distance underflows: R_thresh = 0 never doubles away
+    (("stream", "-k", "2", "--epsilon", "0.1"), "0 0\n1e-300 0\n1 0\n2 0\n",
+     "zero-distance: "),
+    # named by its index in the stream, before the point reaches the coreset
+    (("stream", "-k", "2", "--epsilon", "0.1"), "0 0\n1 0\n0 1\n0 0\nnan 0.5\n",
+     "nonfinite-coordinate: stream point 4 "),
+    # cell indices past 2**53 used to wrap into fewer, merged cells
+    (("coreset", "-k", "4", "--epsilon", "0.3"), "0\n1e-30\n1\n2\n3\n",
+     "grid-overflow: "),
+    (("stream", "-k", "2", "--epsilon", "0.1"), "0 0\n1e-30 0\n1 0\n1 1e-30\n",
+     "grid-overflow: "),
+], ids=["stream-zero-distance", "stream-nan", "coreset-overflow", "stream-overflow"])
+def test_grid_refusals_are_one_error_line(tmp_path, command, text, code):
+    data = tmp_path / "points.txt"
+    data.write_text(text)
+    proc = run_cli(*command, "--points", str(data))
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert re.fullmatch(rf"error: {code}[^\n]+\n", proc.stderr), proc.stderr
+
+
+def test_reduce_genmet_refuses_weighted_graph(tmp_path):
+    graph = tmp_path / "weighted.edges"
+    graph.write_text("4 3\n0 1 5\n1 2 0.5\n2 3 7\n")
+    proc = run_cli("reduce", "--claim", "genmet", "--graph", str(graph), "-k", "2")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert re.fullmatch(r"error: weighted-unsupported: [^\n]+\n", proc.stderr), proc.stderr
 
 
 def test_malformed_input_reports_line(files, tmp_path):

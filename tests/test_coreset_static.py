@@ -9,6 +9,7 @@ from gapsampler import (GapError, GuardExceeded, approx_sample,
                         best_k_subset, build_cloud, build_euclidean,
                         build_grid_coreset, gap_ratio, optimal_gap_ratio,
                         static_params)
+from gapsampler.coreset import grid_cells
 
 
 def line(*xs):
@@ -91,6 +92,27 @@ def test_grid_seeded_choice_is_deterministic():
 def test_grid_rejects_bad_cell_side():
     with pytest.raises(GapError):
         build_grid_coreset(line(0.0, 1.0), 0.0)
+
+
+def test_grid_cells_stop_at_2_to_the_53():
+    origin = np.zeros(1)
+    below = np.array([[-(2.0 ** 53 - 1)], [-0.5], [2.0 ** 53 - 1]])
+    cells = grid_cells(below, origin, 1.0)
+    assert cells == [(-(2 ** 53 - 1),), (-1,), (2 ** 53 - 1,)]
+    assert all(type(c[0]) is int for c in cells)
+    assert grid_cells(np.array([2.5]), origin, 1.0) == (2,)  # one point: one cell
+    for bad in (2.0 ** 53, -(2.0 ** 53), np.inf, np.nan):
+        for points in (np.array([[0.0], [bad]]), np.array([bad])):
+            with pytest.raises(GapError) as e:
+                grid_cells(points, origin, 1.0)
+            assert e.value.code == "grid-overflow"
+
+
+def test_grid_refuses_cells_past_2_to_the_53():
+    # five distinct sites; an int64 cast merged them into three cells
+    with pytest.raises(GapError) as e:
+        build_grid_coreset(line(0.0, 1e-30, 1.0, 2.0, 3.0), 1e-31)
+    assert e.value.code == "grid-overflow"
 
 
 # ---------------------------------------------------------------------------

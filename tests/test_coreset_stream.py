@@ -91,6 +91,36 @@ def test_init_streams_the_rest_of_a_generator():
     assert_same_state(state, ref)
 
 
+def test_init_refuses_zero_distance():
+    # the two points are distinct, but their distance underflows to 0, and
+    # a threshold of 0 would never double past the next distinct point
+    with pytest.raises(GapError) as e:
+        stream_init([[0.0, 0.0], [1e-300, 0.0]], 2, 0.1)
+    assert e.value.code == "zero-distance"
+
+
+@pytest.mark.parametrize("prefix, bad", [([[np.nan], [1.0]], 0), ([[0.0], [np.inf]], 1),
+                                         ([[0.0], [1.0], [np.nan]], 2)])
+def test_init_refuses_nonfinite_prefix(prefix, bad):
+    with pytest.raises(GapError) as e:
+        stream_init(prefix, len(prefix), 0.1)
+    assert e.value.code == "nonfinite-coordinate"
+    assert f"stream point {bad} " in str(e.value)
+
+
+@pytest.mark.parametrize("x, code", [([np.nan, 0.5], "nonfinite-coordinate"),
+                                     ([1e300, 0.0], "grid-overflow")])
+def test_ingest_refusal_leaves_state_unchanged(x, code):
+    pts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+    state, ref = run_stream(pts, 2, 0.1), run_stream(pts, 2, 0.1)
+    with pytest.raises(GapError) as e:
+        stream_ingest(state, x)
+    assert e.value.code == code
+    if code == "nonfinite-coordinate":
+        assert "stream point 4 " in str(e.value)
+    assert_same_state(state, ref)
+
+
 def test_init_mixed_dimension_after_prefix():
     def points():
         yield from ([0.0, 0.0], [1.0, 0.0], [0.0, 2.0])

@@ -379,6 +379,23 @@ def test_eds_rejects_weighted():
     assert e.value.code == "weighted-unsupported"
 
 
+@pytest.mark.parametrize("certify", [check_genmet_equivalence, check_eds_equivalence],
+                         ids=["genmet", "eds"])
+def test_certifiers_refuse_weighted_graphs(certify):
+    # codes in order of precedence: k-out-of-range, weighted-unsupported,
+    # guard-exceeded; neither certifier may drop the weights silently
+    g = build_graph(4, [(0, 1, 5.0), (1, 2, 0.5), (2, 3, 7.0)])
+    for k, guard, code in ((1, 0, "k-out-of-range"), (2, 0, "weighted-unsupported"),
+                           (2, 10, "weighted-unsupported")):
+        with pytest.raises(GapError) as e:
+            certify(g, k, guard=guard)
+        assert e.value.code == code
+    unweighted = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(GapError) as e:
+        certify(unweighted, 2, guard=0)
+    assert e.value.code == "guard-exceeded"
+
+
 def test_certifiers_small_exhaustive(monkeypatch):
     # every labeled graph on 4 and 5 vertices, every valid k, against the
     # scalar certifiers; one a row per block splits each prefix's pairs

@@ -86,8 +86,10 @@ def grid_cells(points: np.ndarray, origin: np.ndarray, side: float) -> list:
     """Cell floor((p - origin) / side) of a point (d,) as a d-tuple of Python
     ints, or the list of the cells of the rows of ``points`` (n, d).  Raises
     grid-overflow when a quotient is not finite or reaches 2**53 in
-    magnitude: past that, float rounding moves points between cells."""
-    q = np.floor((points - origin) / side)
+    magnitude: past that, float rounding moves points between cells.  An
+    inf or NaN quotient raises that error, not a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.floor((points - origin) / side)
     try:  # int() refuses nan and inf
         flat = list(map(int, q.ravel().tolist()))
     except (ValueError, OverflowError):

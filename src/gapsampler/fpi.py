@@ -9,7 +9,9 @@ far, and no earlier pair is closer).  Together they cap the gap ratio at 2
 after every iteration.
 
 Both facts hold bit-exactly in floats: every quantity involved is either a
-distance-matrix entry or such an entry halved, and halving is exact.
+distance-matrix entry or such an entry halved, and halving is exact.  On a
+point-backed Euclidean metric the run reads the diameter pair and k rows,
+never the n x n matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from math import sqrt
 import numpy as np
 
 from .errors import GapError
-from .metric import FiniteMetric, GapReport, _first_pair, gap_ratio, make_sample
+from .metric import (FiniteMetric, GapReport, _first_pair, diameter, gap_ratio,
+                     make_sample)
 
 
 @dataclass(frozen=True)
@@ -43,32 +46,44 @@ class FpiTrace:
     final: GapReport
 
 
-def greedy_batch(D: np.ndarray, k: int) -> tuple:
-    """Farthest-point insertion on every metric of a (B, n, n) batch.
+def greedy_batch(D, k: int) -> tuple:
+    """Farthest-point insertion on every metric of a batch.
 
-    Each run starts from the lexicographically smallest diameter pair and
-    then inserts, k - 2 times, the site farthest from the sample, ties going
-    to the smallest index.  Returns (order, q, R): order (B, k) holds the
-    insertion order; column s - 2 of q and of R, both (B, k - 1) in D's
-    dtype, is the minimum pair distance and the covering radius of the first
-    s sites.  Each step reads one row of D per metric, so D is never copied.
+    D is a (B, n, n) array of distance matrices, or one FiniteMetric
+    (B = 1).  Each run starts from the lexicographically smallest diameter
+    pair (_first_pair over D, or metric.diameter) and then inserts, k - 2
+    times, the site farthest from the sample, ties going to the smallest
+    index.  Returns (order, q, R): order (B, k) holds the insertion order;
+    column s - 2 of q and of R, both (B, k - 1) in D's dtype, is the
+    minimum pair distance and the covering radius of the first s sites.
+    Each step reads one distance row per metric from one accessor: a
+    gather from the array, which is never copied, or the metric's block,
+    which a point-backed metric computes from its points.
     """
-    B = D.shape[0]
+    if isinstance(D, FiniteMetric):
+        i, j, _ = diameter(D)
+        i, j, rows = np.array([i]), np.array([j]), D.block
+    else:
+        i, j = _first_pair(D, largest=True)
+
+        def rows(c):
+            return D[ar, c]
+    B = i.shape[0]
     ar = np.arange(B)
+    row_i = rows(i)
     order = np.empty((B, k), dtype=np.int64)
-    q = np.empty((B, k - 1), dtype=D.dtype, order="F")  # contiguous columns
+    q = np.empty((B, k - 1), dtype=row_i.dtype, order="F")  # contiguous columns
     R = np.empty_like(q)
-    i, j = _first_pair(D, largest=True)
     order[:, 0], order[:, 1] = i, j
-    q[:, 0] = D[ar, i, j]
-    dmin = np.minimum(D[ar, i], D[ar, j])  # each site's distance to the sample
+    q[:, 0] = row_i[ar, j]
+    dmin = np.minimum(row_i, rows(j))  # each site's distance to the sample
     R[:, 0] = dmin.max(axis=1)
     for s in range(2, k):
         c = dmin.argmax(axis=1)  # first occurrence = smallest index
         order[:, s] = c
         # the new closest pair, if any, involves the inserted site
         q[:, s - 1] = np.minimum(q[:, s - 2], dmin[ar, c])
-        np.minimum(dmin, D[ar, c], out=dmin)
+        np.minimum(dmin, rows(c), out=dmin)
         R[:, s - 1] = dmin.max(axis=1)
     return order, q, R
 
@@ -82,7 +97,7 @@ def farthest_point_insertion(m: FiniteMetric, k: int) -> tuple:
     k = int(k)
     if not 2 <= k <= m.n:
         raise GapError("k-out-of-range", f"k must satisfy 2 <= k <= {m.n}, got {k}")
-    order, q, R = (a[0].tolist() for a in greedy_batch(m.dist[None], k))
+    order, q, R = (a[0].tolist() for a in greedy_batch(m, k))
     # the site inserted at size s is R[s - 2] away from the sample
     steps = tuple(FpiStep(size_before=s, chosen=order[s], R_before=R[s - 2],
                           r_after=q[s - 1] / 2.0, R_after=R[s - 1])

@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import GapError
-from .metric import PointCloud, _first_pair, _pairwise
+from .metric import PointCloud, _pairwise, build_euclidean, min_gap
 
 PREDICATE_TOL = 1e-12
 
@@ -317,11 +317,8 @@ def _square_sites(cloud: PointCloud) -> np.ndarray:
     return pts
 
 
-def _square_report(pts: np.ndarray, cover: tuple) -> SquareGapReport:
-    d = _pairwise(pts, pts)
-    np.fill_diagonal(d, np.inf)
-    pair = tuple(map(int, _first_pair(d, largest=False)))
-    r = float(d[pair]) / 2.0
+def _square_report(cloud: PointCloud, cover: tuple) -> SquareGapReport:
+    r, pair = min_gap(build_euclidean(cloud), range(cloud.n))
     R, witness, kind = cover
     return SquareGapReport(r=r, R=R, gap_ratio=R / r, closest_pair=pair,
                            farthest_point=witness, candidate_kind=kind)
@@ -329,7 +326,8 @@ def _square_report(pts: np.ndarray, cover: tuple) -> SquareGapReport:
 
 def gap_report_unit_square(cloud: PointCloud) -> SquareGapReport:
     """Gap report with M = the continuous unit square."""
-    return _square_report(_square_sites(cloud), covering_radius_unit_square(cloud))
+    _square_sites(cloud)
+    return _square_report(cloud, covering_radius_unit_square(cloud))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +352,7 @@ def delaunay_angle_audit(cloud: PointCloud) -> AngleAuditReport:
     """
     pts = _square_sites(cloud)
     tri = delaunay(cloud)  # shared with the covering-radius search
-    report = _square_report(pts, _covering_radius(pts, tri))
+    report = _square_report(cloud, _covering_radius(pts, tri))
     g = report.gap_ratio
     R = report.R
     theta = asin(min(1.0, 1.0 / g))

@@ -8,7 +8,11 @@ largest distance from any site of M to its nearest sampled site.  Their
 quotient GR = R / r is the gap ratio; the lower it is, the more evenly the
 sample spreads over the space.
 
-Distances live in float64 matrices.  Metrics whose distances are all
+Distances are float64.  Graph and explicit metrics store their matrix; a
+Euclidean metric is point-backed and builds its matrix only when something
+reads ``dist`` (the oracle and the coreset search do).  The gap reports,
+the diameter and farthest-point insertion read only the rows and blocks
+they need, with the matrix entries' bits.  Metrics whose distances are all
 half-integers (shortest paths of unweighted graphs, the {1,2} clique
 reductions) also carry ``exact2x``, the doubled distance matrix in int64,
 for integer-only checks and exact rational gap ratios.  Halves are exactly
@@ -75,9 +79,14 @@ class Graph:
     weighted: bool
 
 
-@dataclass(frozen=True)
 class FiniteMetric:
-    """Symmetric distance matrix over n sites.
+    """Symmetric distances over n sites; immutable.
+
+    Graph and explicit metrics store the (n, n) float64 matrix ``dist``.
+    A Euclidean metric is point-backed: it keeps the cloud's read-only
+    ``points`` and builds ``dist`` = _pairwise(points, points) only on
+    first access, then caches it read-only.  ``block`` reads any part of
+    the matrix, with its bits, without building it.
 
     ``exact2x`` is 2*dist as int64 whenever every distance is an exact
     half-integer and, for graph metrics, within build_graph_metric's 2**53
@@ -85,10 +94,42 @@ class FiniteMetric:
     ``source`` is one of ``euclidean``, ``graph``, ``explicit``.
     """
 
-    n: int
-    dist: np.ndarray  # (n, n) float64
-    source: str
-    exact2x: Optional[np.ndarray] = None  # (n, n) int64
+    def __init__(self, n: int, dist: Optional[np.ndarray], source: str,
+                 exact2x: Optional[np.ndarray] = None,
+                 points: Optional[np.ndarray] = None):
+        vars(self).update(n=n, _dist=dist, source=source, exact2x=exact2x,
+                          points=points)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FiniteMetric is immutable: cannot set {name}")
+
+    @property
+    def dist(self) -> np.ndarray:
+        """(n, n) float64 distance matrix, read-only."""
+        if self._dist is None:
+            d = self.block()
+            d.setflags(write=False)
+            vars(self)["_dist"] = d
+        return self._dist
+
+    def block(self, rows=None, cols=None) -> np.ndarray:
+        """dist[np.ix_(rows, cols)], None standing for every site; a new
+        array, except dist itself when both are None and dist is built.
+
+        A point-backed metric that has not built dist computes the block
+        from its points, with dist's bits; a distance past float64's range
+        is inf, without a warning, as in dist.
+        """
+        if self._dist is None:
+            p = self.points
+            with np.errstate(over="ignore"):
+                return _pairwise(p if rows is None else p[rows],
+                                 p if cols is None else p[cols])
+        if rows is not None and cols is not None:
+            return self._dist[np.ix_(rows, cols)]
+        every = slice(None)
+        return self._dist[every if rows is None else rows,
+                          every if cols is None else cols]
 
 
 @dataclass(frozen=True)
@@ -221,6 +262,18 @@ def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     .sum(-1)) bit for bit; numpy sums 8 or more terms pairwise instead.
     The output is filled _BLOCK rows at a time with in-place ufuncs, so
     peak memory is the result plus one (_BLOCK, len(b)) scratch block.
+
+    Each entry is computed on its own, so any block of rows and columns
+    has the bits of the same entries of the full matrix.  While every
+    square and partial sum stays in float64's normal range, an entry's
+    relative error is at most (d / 2 + 2) * 2**-53 to first order: the
+    difference and the square round once each, the d - 1 additions of
+    nonnegative terms once each, the square root once and halves the
+    relative error of its argument.  So for d <= 4096 two entries' errors
+    and two more roundings stay below 1e-12, the margin _farthest_pair
+    prunes with.  A square below 2**-1022 rounds with an absolute error of
+    at most 2**-1075; that moves an entry by at most sqrt(d) * 2**-537,
+    below 1e-150 for any d under 10**20.
     """
     cols = np.ascontiguousarray(b.T)  # (d, m): one contiguous row per coordinate
     n, d = a.shape
@@ -278,16 +331,49 @@ def _first_pair(mat: np.ndarray, largest: bool) -> tuple:
     return i, j + (i == j)
 
 
+def _farthest_pair(points: np.ndarray) -> tuple:
+    """(i, j, dist) that _first_pair gives on _pairwise(points, points),
+    scanning only the rows that can hold the maximum.
+
+    With c the centroid, dc[i] = |p_i - c| and Rc = max(dc), the triangle
+    inequality bounds every entry of row i by dc[i] + Rc.  L, the maximum
+    of the row of the point farthest from c, is a distance of the cloud,
+    so a row bounded below L cannot hold the diameter.  By _pairwise's
+    error bound, row i is skipped only when
+    (dc[i] + Rc) * (1 + 1e-12) + 1e-150 < min(L, 1e150): the cap keeps
+    every square of a skipped row finite, the 1e-150 covers squares that
+    underflow, and a NaN or inf bound (a centroid that overflowed, or
+    d > 4096, past the margin's error bound) skips nothing.  Every row
+    holding the maximum survives, so scanning the survivors in index
+    order, _BLOCK rows at a time, keeps _first_pair's rule: the first row
+    holding the maximum, then its first column, and (0, 1) on a full tie.
+    Points on a sphere about c keep every row: time stays O(n^2), memory
+    O(n * _BLOCK).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        dc = _pairwise(points.mean(axis=0)[None], points)[0]
+        L = _pairwise(points[[np.argmax(dc)]], points).max()
+        margin = 1.0 + 1e-12 if points.shape[1] <= 4096 else np.inf
+        bound = (dc + dc.max()) * margin + 1e-150
+        rows = np.flatnonzero(~(bound < min(L, 1e150)))
+        best, i, j = -np.inf, 0, 0
+        for lo in range(0, rows.size, _BLOCK):
+            block = _pairwise(points[rows[lo:lo + _BLOCK]], points)
+            top = block.max(axis=1)
+            t = int(np.argmax(top))
+            if top[t] > best:
+                best, i, j = top[t], int(rows[lo + t]), int(np.argmax(block[t]))
+    return i, j + (i == j), float(best)
+
+
 def build_euclidean(cloud: PointCloud) -> FiniteMetric:
-    """L2 distance matrix over a point cloud (see _pairwise).
+    """Point-backed L2 metric over a point cloud (see _pairwise); it keeps
+    cloud.points, not a copy, and computes no distance here.
 
     A distance past float64's range is inf, without a warning; the report
     writer rejects it as non-finite.
     """
-    with np.errstate(over="ignore"):
-        dist = _pairwise(cloud.points, cloud.points)
-    dist.setflags(write=False)
-    return FiniteMetric(n=cloud.n, dist=dist, source="euclidean")
+    return FiniteMetric(n=cloud.n, dist=None, source="euclidean", points=cloud.points)
 
 
 def build_graph_metric(g: Graph) -> FiniteMetric:
@@ -428,10 +514,10 @@ def min_gap(m: FiniteMetric, p) -> tuple:
     minimum.
     """
     idx = _as_indices(m, p, 2)
-    sub = m.dist[np.ix_(idx, idx)]
+    sub = m.block(idx, idx)
     np.fill_diagonal(sub, np.inf)
-    i, j = (int(idx[a]) for a in _first_pair(sub, largest=False))
-    return float(m.dist[i, j]) / 2.0, (i, j)
+    a, b = _first_pair(sub, largest=False)
+    return float(sub[a, b]) / 2.0, (int(idx[a]), int(idx[b]))
 
 
 def max_gap(m: FiniteMetric, p) -> tuple:
@@ -441,7 +527,7 @@ def max_gap(m: FiniteMetric, p) -> tuple:
     Witness is the smallest site index realizing R.
     """
     idx = _as_indices(m, p, 1)
-    nearest = m.dist[:, idx].min(axis=1)
+    nearest = m.block(None, idx).min(axis=1)
     site = int(np.argmax(nearest))  # first occurrence = smallest index
     return float(nearest[site]), site
 
@@ -471,8 +557,14 @@ def gap_fraction(m: FiniteMetric, p) -> Fraction:
 
 
 def diameter(m: FiniteMetric) -> tuple:
-    """(i, j, dist): lexicographically smallest pair at maximum distance."""
+    """(i, j, dist): lexicographically smallest pair at maximum distance.
+
+    A point-backed metric scans only the rows that can hold it
+    (_farthest_pair), with the same result.
+    """
     if m.n < 2:
         raise GapError("too-few-sites", "diameter needs at least 2 sites")
+    if m.points is not None:
+        return _farthest_pair(m.points)
     i, j = map(int, _first_pair(m.dist, largest=True))
     return i, j, float(m.dist[i, j])

@@ -22,8 +22,9 @@ eps < 1/8 the winner's gap ratio over the full stream is within (1 + eps)
 of optimal.
 
 Ingestion is strictly sequential; it and finalization use coreset's cell
-rule and representative search.  Zero distances, non-finite points and
-cell indices past 2**53 are coded errors raised before the state changes.
+rule and representative search.  Zero or overflowing first distances,
+non-finite points and cell indices past 2**53 are coded errors raised
+before the state changes.
 """
 
 from __future__ import annotations
@@ -142,12 +143,16 @@ def stream_init(first_points: Iterable, k: int, eps: float) -> StreamState:
             raise GapError("dimension-mismatch", "stream points differ in dimension")
         _refuse_nonfinite(idx, x)
     params = stream_params(eps, d)
-    R = min(float(np.linalg.norm(a - b))
-            for i, (_, a) in enumerate(T) for _, b in T[i + 1:])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf is refused below
+        R = min(float(np.linalg.norm(a - b))
+                for i, (_, a) in enumerate(T) for _, b in T[i + 1:])
     cell_side = params.eps3 * R / (2.0 * sqrt(d))
     if cell_side == 0.0:  # distinct points whose distance underflowed
         raise GapError("zero-distance", f"the first {k} distinct stream points "
                        f"are {R:g} apart at closest: a cell side of 0")
+    if R == np.inf:  # the norm's squares overflowed; every cell index would be 0
+        raise GapError("distance-overflow", f"the first {k} distinct stream points "
+                       "are too far apart: a squared distance overflows float64")
     state = StreamState(params=params, k=k, origin=prefix[0].copy(),
                         cell_side=cell_side, cells={}, T=T, R_thresh=R)
     for x in prefix:

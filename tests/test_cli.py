@@ -91,7 +91,8 @@ def test_evaluate_graph_past_the_exact_bound(tmp_path):
 @pytest.mark.parametrize("flag, text, sample, code", [
     ("--graph", "3 2\n0 1 1e308\n1 2 1e308\n", "0\n2\n", "distance-overflow"),
     ("--points", "1e200 0\n0 0\n", "0\n1\n", "non-finite-report"),
-], ids=["graph", "cloud"])
+    ("--points", "0 0\n1e-200 0\n", "0\n1\n", "zero-distance"),
+], ids=["graph", "cloud", "cloud-underflow"])
 def test_overflow_is_one_error_line(tmp_path, flag, text, sample, code):
     data, ends = tmp_path / "data.txt", tmp_path / "ends.txt"
     data.write_text(text)
@@ -237,7 +238,17 @@ def test_guard_zero_is_a_guard(files, command):
      "grid-overflow: "),
     (("stream", "-k", "2", "--epsilon", "0.1"), "0 0\n1e-30 0\n1 0\n1 1e-30\n",
      "grid-overflow: "),
-], ids=["stream-zero-distance", "stream-nan", "coreset-overflow", "stream-overflow"])
+    # differences past float64's range, with no numpy warning: an inf first
+    # distance (a cell side of inf would put every point in cell 0) ...
+    (("stream", "-k", "2", "--epsilon", "0.1"), "1e308 0\n-1e308 0\n0 0\n0.5 0\n1 0\n",
+     "distance-overflow: "),
+    (("stream", "-k", "2", "--epsilon", "0.1"), "0 0\n-1e308 0\n1e308 0\n",
+     "distance-overflow: "),
+    # ... and an inf quotient in the cell rule
+    (("stream", "-k", "2", "--epsilon", "0.1"), "0 0\n1 0\n0 1\n1e308 0\n",
+     "grid-overflow: "),
+], ids=["stream-zero-distance", "stream-nan", "coreset-overflow", "stream-overflow",
+        "stream-far-prefix", "stream-inf-distance", "stream-far-late-point"])
 def test_grid_refusals_are_one_error_line(tmp_path, command, text, code):
     data = tmp_path / "points.txt"
     data.write_text(text)

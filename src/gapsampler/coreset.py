@@ -20,7 +20,7 @@ full input, which is what the (1 + eps) guarantee speaks about.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import floor, sqrt
 from typing import Optional
 
 import numpy as np
@@ -82,22 +82,35 @@ def static_params(eps: float, R_P1: float, d: int) -> EpsParams:
     return EpsParams(eps=eps, eps1=eps1, eps2=eps2, d=d, R_P1=float(R_P1))
 
 
-def grid_cells(points: np.ndarray, origin: np.ndarray, side: float) -> list:
+def grid_cells(points, origin, side: float):
     """Cell floor((p - origin) / side) of a point (d,) as a d-tuple of Python
     ints, or the list of the cells of the rows of ``points`` (n, d).  Raises
     grid-overflow when a quotient is not finite or reaches 2**53 in
     magnitude: past that, float rounding moves points between cells.  An
-    inf or NaN quotient raises that error, not a numpy warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = np.floor((points - origin) / side)
-    try:  # int() refuses nan and inf
-        flat = list(map(int, q.ravel().tolist()))
+    inf or NaN quotient raises that error, not a numpy warning.
+
+    Rows are subtracted and divided in numpy; one point, a sequence of
+    floats or a (d,) array, on Python floats with the same operations, so
+    a point's cell does not depend on the form it arrives in."""
+    if getattr(points, "ndim", 1) == 2:
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = ((points - origin) / side).ravel().tolist()
+        return list(zip(*[iter(_floors(q, side))] * points.shape[1]))
+    o = origin.tolist() if isinstance(origin, np.ndarray) else origin
+    p = points.tolist() if isinstance(points, np.ndarray) else points
+    return tuple(_floors([(u - v) / side for u, v in zip(p, o)], side))
+
+
+def _floors(quotients: list, side: float) -> list:
+    """grid_cells' floor of each quotient, refusing what has no safe cell."""
+    try:  # floor() refuses nan and inf
+        flat = list(map(floor, quotients))
     except (ValueError, OverflowError):
         flat = [2 ** 53]
     if not (-2 ** 53 < min(flat) and max(flat) < 2 ** 53):
         raise GapError("grid-overflow", f"a cell index at cell side {side:g} is not "
                        "finite or reaches 2**53; the points span too many cells")
-    return list(zip(*[iter(flat)] * q.shape[1])) if q.ndim == 2 else tuple(flat)
+    return flat
 
 
 def build_grid_coreset(cloud: PointCloud, cell_side: float,

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import sqrt
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -260,6 +261,7 @@ def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     exactly symmetric with a zero diagonal, which FPI's halving identity
     relies on.  For d <= 7 this equals sqrt(((a[:, None] - b[None]) ** 2)
     .sum(-1)) bit for bit; numpy sums 8 or more terms pairwise instead.
+    _dist(a[i], b[j]) is the same entry on Python floats.
     The output is filled _BLOCK rows at a time with in-place ufuncs, so
     peak memory is the result plus one (_BLOCK, len(b)) scratch block.
 
@@ -290,6 +292,22 @@ def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             np.add(acc, sq, out=acc)
         np.sqrt(acc, out=acc)
     return out
+
+
+def _dist(a, b) -> float:
+    """_pairwise's entry for one pair of points, given as float sequences.
+
+    The same rule on Python floats, for per-point callers: the squares of
+    the coordinate differences are added in coordinate order, then
+    square-rooted, so the result has the matrix entry's bits.  The loop is
+    explicit because builtin sum() of floats is compensated from Python
+    3.12 on.  A square past float64's range is inf, without a warning.
+    """
+    acc = 0.0
+    for u, v in zip(a, b):
+        t = u - v
+        acc += t * t
+    return sqrt(acc)
 
 
 def _min_plus(a: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -21,22 +21,27 @@ The final coreset is searched exhaustively like the static one; for
 eps < 1/8 the winner's gap ratio over the full stream is within (1 + eps)
 of optimal.
 
-Ingestion is strictly sequential; it and finalization use coreset's cell
-rule and representative search.  Zero or overflowing first distances,
-non-finite points and cell indices past 2**53 are coded errors raised
-before the state changes.
+Ingestion is strictly sequential and runs per point on Python floats:
+distances are metric._dist, one entry of the pairwise kernel, and cells
+come from coreset's cell rule, whose finalization shares the
+representative search.  The state keeps its own copy of every point it
+holds, so a caller may reuse one buffer for the whole stream.  Zero or
+overflowing first distances, a point whose distance to every center
+overflows, non-finite points and cell indices past 2**53 are coded errors
+raised before the state changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import inf, sqrt
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .coreset import ENUM_GUARD, GridCoreset, grid_cells, search_coreset
 from .errors import GapError
+from .metric import _dist
 
 
 @dataclass(frozen=True)
@@ -82,16 +87,19 @@ def _refuse_nonfinite(idx: int, x: np.ndarray) -> None:
                        f"stream point {idx} has a non-finite coordinate {bad[0]}")
 
 
-def _grid_insert(state: StreamState, x: np.ndarray) -> int:
-    """File the next stream point under its cell; return its index.  Only a
-    point the cell rule refuses, which leaves the state as it was, is
-    checked for non-finite coordinates."""
-    idx = state.points_seen
+def _grid_cell(state: StreamState, x: np.ndarray, xs: list) -> tuple:
+    """The cell of the next stream point x, given also as floats xs.  Only a
+    point the cell rule refuses is checked for non-finite coordinates."""
     try:
-        cell = grid_cells(x, state.origin, state.cell_side)
+        return grid_cells(xs, state.origin, state.cell_side)
     except GapError:
-        _refuse_nonfinite(idx, x)
+        _refuse_nonfinite(state.points_seen, x)
         raise
+
+
+def _grid_insert(state: StreamState, cell: tuple, x: np.ndarray) -> int:
+    """File the next stream point under its cell; return its index."""
+    idx = state.points_seen
     state.points_seen += 1
     if cell not in state.cells:
         state.cells[cell] = (idx, x)
@@ -108,8 +116,20 @@ def _merge_cells(cells: dict) -> dict:
     return merged
 
 
-def _dist_to(points: list, x: np.ndarray) -> float:
-    return min(float(np.linalg.norm(x - p)) for _, p in points)
+def _dist_to(centers: list, xs: list) -> float:
+    """Distance from xs to the nearest of centers, all as float lists."""
+    near = inf
+    for c in centers:
+        d = _dist(c, xs)
+        if d < near:
+            near = d
+    return near
+
+
+def _owned_point(x) -> np.ndarray:
+    """x as a new flat float64 array that owns its data: the state may keep
+    it, and a caller may refill its own buffer with the next point."""
+    return np.asarray(x, dtype=np.float64).flatten()
 
 
 def stream_init(first_points: Iterable, k: int, eps: float) -> StreamState:
@@ -128,7 +148,7 @@ def stream_init(first_points: Iterable, k: int, eps: float) -> StreamState:
     prefix = []   # every consumed point, duplicates included
     T = []        # (stream index, point) of each first occurrence
     for x in it:
-        x = np.asarray(x, dtype=np.float64).reshape(-1)
+        x = _owned_point(x)
         prefix.append(x)
         if not any(np.array_equal(x, t) for _, t in T):
             T.append((len(prefix) - 1, x))
@@ -143,44 +163,55 @@ def stream_init(first_points: Iterable, k: int, eps: float) -> StreamState:
             raise GapError("dimension-mismatch", "stream points differ in dimension")
         _refuse_nonfinite(idx, x)
     params = stream_params(eps, d)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf is refused below
-        R = min(float(np.linalg.norm(a - b))
-                for i, (_, a) in enumerate(T) for _, b in T[i + 1:])
+    centers = [t.tolist() for _, t in T]
+    R = min(_dist(a, b) for i, a in enumerate(centers) for b in centers[i + 1:])
     cell_side = params.eps3 * R / (2.0 * sqrt(d))
     if cell_side == 0.0:  # distinct points whose distance underflowed
         raise GapError("zero-distance", f"the first {k} distinct stream points "
                        f"are {R:g} apart at closest: a cell side of 0")
-    if R == np.inf:  # the norm's squares overflowed; every cell index would be 0
+    if R == inf:  # the squares overflowed; every cell index would be 0
         raise GapError("distance-overflow", f"the first {k} distinct stream points "
                        "are too far apart: a squared distance overflows float64")
     state = StreamState(params=params, k=k, origin=prefix[0].copy(),
                         cell_side=cell_side, cells={}, T=T, R_thresh=R)
     for x in prefix:
-        _grid_insert(state, x)
+        _grid_insert(state, _grid_cell(state, x, x.tolist()), x)
     for x in it:
         stream_ingest(state, x)
     return state
 
 
 def stream_ingest(state: StreamState, x) -> StreamState:
-    """Feed one point: grid insert, center test, doubling phases as needed."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != state.params.d:
+    """Feed one point: grid insert, center test, doubling phases as needed.
+
+    A refused point leaves the state as it was."""
+    x = _owned_point(x)
+    xs = x.tolist()
+    if len(xs) != state.params.d:
         raise GapError("dimension-mismatch",
-                       f"point has dimension {x.shape[0]}, stream is {state.params.d}-D")
-    idx = _grid_insert(state, x)
-    if _dist_to(state.T, x) > 2.0 * state.R_thresh:
+                       f"point has dimension {len(xs)}, stream is {state.params.d}-D")
+    cell = _grid_cell(state, x, xs)
+    centers = [t.tolist() for _, t in state.T]
+    near = _dist_to(centers, xs)
+    if near == inf:
+        raise GapError("distance-overflow", f"stream point {state.points_seen} is too "
+                       "far from every center: a squared distance overflows float64")
+    idx = _grid_insert(state, cell, x)
+    if near > 2.0 * state.R_thresh:
         state.T.append((idx, x))
+        centers.append(xs)
     while len(state.T) > state.k:
         state.phase += 1
         state.R_thresh *= 2.0
         state.cell_side *= 2.0
         state.cells = _merge_cells(state.cells)
         kept: list = []
-        for entry in state.T:  # insertion order
-            if not kept or _dist_to(kept, entry[1]) > state.R_thresh:
+        kept_centers: list = []
+        for entry, c in zip(state.T, centers):  # insertion order
+            if not kept or _dist_to(kept_centers, c) > state.R_thresh:
                 kept.append(entry)
-        state.T = kept
+                kept_centers.append(c)
+        state.T, centers = kept, kept_centers
     return state
 
 

@@ -247,8 +247,13 @@ def test_guard_zero_is_a_guard(files, command):
     # ... and an inf quotient in the cell rule
     (("stream", "-k", "2", "--epsilon", "0.1"), "0 0\n1 0\n0 1\n1e308 0\n",
      "grid-overflow: "),
+    # a late point in range of the grid whose squared distance to every
+    # center overflows: it would join the centers as infinitely far
+    (("stream", "-k", "2", "--epsilon", "0.1"), "0 0\n1e150 0\n-1e155 0\n",
+     "distance-overflow: stream point 2 "),
 ], ids=["stream-zero-distance", "stream-nan", "coreset-overflow", "stream-overflow",
-        "stream-far-prefix", "stream-inf-distance", "stream-far-late-point"])
+        "stream-far-prefix", "stream-inf-distance", "stream-far-late-point",
+        "stream-far-late-center"])
 def test_grid_refusals_are_one_error_line(tmp_path, command, text, code):
     data = tmp_path / "points.txt"
     data.write_text(text)

@@ -108,6 +108,41 @@ def test_grid_cells_stop_at_2_to_the_53():
             assert e.value.code == "grid-overflow"
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 9])
+def test_grid_cells_of_one_point_match_its_row(d):
+    rng = np.random.default_rng(40 + d)
+    origin = rng.normal(size=d)
+    for side in (1e-3, 0.37, 10.0):
+        points = np.concatenate([
+            rng.normal(size=(40, d)) * 30.0,
+            origin + rng.integers(-5, 6, (40, d)) * side,  # on cell boundaries
+            np.nextafter(origin, -np.inf)[None],
+            origin[None]])
+        rows = grid_cells(points, origin, side)
+        assert [grid_cells(p, origin, side) for p in points] == rows
+        assert [grid_cells(p.tolist(), origin, side) for p in points] == rows
+        assert all(type(c) is int for cell in rows for c in cell)
+    # -0.0 - 0.0 is -0.0: both forms put it in cell 0, below it is cell -1
+    zero = np.zeros(d)
+    points = np.array([[-0.0] * d, [-2.0 ** -1074] * d])
+    assert grid_cells(points, zero, 1.0) == [(0,) * d, (-1,) * d]
+    assert [grid_cells(p, zero, 1.0) for p in points] == [(0,) * d, (-1,) * d]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0 ** 53, -(2.0 ** 53)])
+@pytest.mark.parametrize("d", [1, 3])
+def test_grid_cells_refuse_the_same_inputs_in_both_forms(bad, d):
+    origin = np.zeros(d)
+    point = np.full(d, 0.5)
+    point[d // 2] = bad
+    for form in (point[None], point, point.tolist()):
+        with pytest.raises(GapError) as e:
+            grid_cells(form, origin, 1.0)
+        assert e.value.code == "grid-overflow"
+    point[d // 2] = -(2.0 ** 53 - 1)  # the last cell index accepted
+    assert grid_cells(point[None], origin, 1.0) == [grid_cells(point.tolist(), origin, 1.0)]
+
+
 def test_grid_refuses_cells_past_2_to_the_53():
     # five distinct sites; an int64 cast merged them into three cells
     with pytest.raises(GapError) as e:

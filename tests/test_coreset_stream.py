@@ -1,13 +1,16 @@
 """One-pass doubling coreset: traces, invariants, end-to-end guarantee."""
 
+import warnings
 from math import sqrt
 
 import numpy as np
 import pytest
 
-from gapsampler import (GapError, build_cloud, build_euclidean, gap_ratio,
-                        optimal_gap_ratio, stream_finalize, stream_ingest,
-                        stream_init, stream_params, stream_reps)
+from gapsampler import (GapError, StreamState, build_cloud, build_euclidean,
+                        gap_ratio, optimal_gap_ratio, stream_finalize,
+                        stream_ingest, stream_init, stream_params, stream_reps)
+from gapsampler.coreset import grid_cells
+from gapsampler.metric import _pairwise
 
 
 def run_stream(points, k, eps):
@@ -121,6 +124,45 @@ def test_ingest_refusal_leaves_state_unchanged(x, code):
     assert_same_state(state, ref)
 
 
+def test_ingest_refuses_an_overflowing_center_distance():
+    # the point is in range of the grid, but its squared distance to every
+    # center overflows: taken as infinitely far, it would become a center
+    pts = [[0.0, 0.0], [1e150, 0.0], [0.0, 1e150]]
+    state, ref = run_stream(pts, 2, 0.1), run_stream(pts, 2, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GapError) as e:
+            stream_ingest(state, [-1e155, 0.0])
+    assert e.value.code == "distance-overflow"
+    assert "stream point 3 " in str(e.value)
+    assert_same_state(state, ref)
+    stream_ingest(state, [-1e153, 0.0])  # far, but its square is finite
+    assert state.points_seen == 4
+
+
+def test_state_owns_its_points():
+    # a caller that refills one buffer per point must not rewrite the
+    # representatives and centers already kept
+    pts = np.random.default_rng(5).random((47, 2)) * 10.0
+    buf = np.empty(2)
+
+    def refilled(rows):
+        for p in rows:
+            buf[:] = p
+            yield buf
+
+    by_init = stream_init(refilled(pts), 3, 0.1)
+    by_ingest = stream_init(refilled(pts[:3]), 3, 0.1)
+    for _ in refilled(pts[3:]):
+        stream_ingest(by_ingest, buf)
+    ref = run_stream(pts, 3, 0.1)
+    for state in (by_init, by_ingest):
+        indices, reps = stream_reps(state)
+        assert np.array_equal(reps, pts[indices])
+        assert all(np.array_equal(p, pts[i]) for i, p in state.T)
+        assert_same_state(state, ref)
+
+
 def test_init_mixed_dimension_after_prefix():
     def points():
         yield from ([0.0, 0.0], [1.0, 0.0], [0.0, 2.0])
@@ -197,6 +239,93 @@ def test_grid_tracks_threshold():
     for x in pts:
         assert min(float(np.linalg.norm(x - r)) for r in reps) <= bound
     assert state.peak_cells >= len(state.cells)
+
+
+# ---------------------------------------------------------------------------
+# the per-point rules against a reference on numpy rows
+
+
+def distinct_prefix(points, k):
+    """Length of the shortest prefix holding k distinct points, or None."""
+    seen = []
+    for end, x in enumerate(points, 1):
+        if not any(np.array_equal(x, p) for p in seen):
+            seen.append(x)
+            if len(seen) == k:
+                return end
+    return None
+
+
+def reference_stream(points, k, eps):
+    """The doubling ingest on _pairwise blocks and the row form of grid_cells."""
+    end = distinct_prefix(points, k)
+    T = []
+    for idx, x in enumerate(points[:end]):
+        if not any(np.array_equal(x, p) for _, p in T):
+            T.append((idx, x))
+    P = np.array([p for _, p in T])
+    R = _pairwise(P, P)[np.triu_indices(k, 1)].min()
+    params = stream_params(eps, points.shape[1])
+    state = StreamState(params=params, k=k, origin=points[0].copy(),
+                        cell_side=params.eps3 * R / (2.0 * sqrt(params.d)),
+                        cells={}, T=T, R_thresh=R)
+
+    def file(idx, x):
+        cell = grid_cells(x[None], state.origin, state.cell_side)[0]
+        state.cells.setdefault(cell, (idx, x))
+        state.peak_cells = max(state.peak_cells, len(state.cells))
+        state.points_seen += 1
+
+    for idx, x in enumerate(points[:end]):
+        file(idx, x)
+    for idx, x in enumerate(points[end:], end):
+        file(idx, x)
+        centers = np.array([p for _, p in state.T])
+        if _pairwise(x[None], centers).min() > 2.0 * state.R_thresh:
+            state.T.append((idx, x))
+        while len(state.T) > k:
+            state.phase += 1
+            state.R_thresh *= 2.0
+            state.cell_side *= 2.0
+            merged = {}
+            for c in sorted(state.cells):
+                merged.setdefault(tuple(ci // 2 for ci in c), state.cells[c])
+            state.cells = merged
+            kept = state.T[:1]
+            for i, p in state.T[1:]:
+                if _pairwise(p[None], np.array([q for _, q in kept])).min() > state.R_thresh:
+                    kept.append((i, p))
+            state.T = kept
+    return state
+
+
+def fuzzed_streams(rng, d):
+    """Uniform, lattice (tied distances and points on cell boundaries) and
+    tight-prefix streams (the threshold doubles) at scales 1e-3 to 1e6."""
+    for scale in (1e-3, 1.0, 1e6):
+        n = int(rng.integers(40, 160))
+        yield rng.random((n, d)) * scale
+        yield rng.integers(-3, 4, (n, d)) * (scale / 8.0)
+        yield np.concatenate([rng.random((5, d)) * scale * 1e-3,
+                              rng.normal(size=(n, d)) * scale])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 9])
+def test_ingest_matches_the_row_reference(d):
+    rng = np.random.default_rng(70 + d)
+    phases = 0
+    for pts in fuzzed_streams(rng, d):
+        for k, eps in ((2, 0.1), (3, 0.05), (4, 0.12)):
+            end = distinct_prefix(pts, k)
+            if end is None:
+                continue
+            ref = reference_stream(pts, k, eps)
+            state = stream_init(pts[:end], k, eps)
+            for x in pts[end:]:
+                stream_ingest(state, x)
+            assert_same_state(state, ref)
+            phases += ref.phase
+    assert phases > 0
 
 
 # ---------------------------------------------------------------------------

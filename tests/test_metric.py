@@ -16,7 +16,7 @@ from gapsampler import (GapError, build_cloud, build_euclidean, build_explicit,
 from gapsampler import FpiStep, metric
 from gapsampler.certify import iter_connected_metrics
 from gapsampler.fpi import greedy_batch
-from gapsampler.metric import _BLOCK, TRIANGLE_TOL, _pairwise
+from gapsampler.metric import _BLOCK, TRIANGLE_TOL, _dist, _pairwise
 
 
 def line_metric(n=10):
@@ -312,6 +312,38 @@ def test_pairwise_self_is_exactly_symmetric():
         dist = _pairwise(p, p)
         assert np.array_equal(dist, dist.T)
         assert not np.diag(dist).any()
+
+
+def scalar_dist_pairs(rng, d):
+    """Point pairs at every scale the scalar rule must agree with the kernel
+    on: ordinary, squares near overflow (1e154) and underflow (1e-161),
+    subnormal coordinates, and lattice points, whose distances tie."""
+    for scale in (1.0, 1e-3, 1e5, 1e154, 1e-161):
+        yield rng.normal(size=(60, d)) * scale, rng.normal(size=(60, d)) * scale
+    tiny = 2.0 ** -1074
+    yield (rng.integers(-2000, 2000, (60, d)) * tiny,
+           rng.integers(-2000, 2000, (60, d)) * tiny)
+    yield (rng.integers(-3, 4, (60, d)) * 0.1, rng.integers(-3, 4, (60, d)) * 0.1)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_scalar_dist_is_one_pairwise_entry(d):
+    rng = np.random.default_rng(300 + d)
+    for a, b in scalar_dist_pairs(rng, d):
+        for p, q in zip(a, b):
+            with np.errstate(over="ignore"):  # squares past 1e308 are inf in both
+                want = _pairwise(p[None], q[None])[0, 0]
+            got = _dist(p.tolist(), q.tolist())
+            assert type(got) is float
+            assert got == want, (p, q)
+
+
+def test_scalar_dist_adds_squares_uncompensated():
+    # builtin sum() of floats is compensated from Python 3.12 on and gives
+    # sqrt(1e16 + 2) = 100000000.00000001 here; the kernel rounds each add
+    a, origin = [1e8, 1.0, 1.0], [0.0, 0.0, 0.0]
+    assert _dist(a, origin) == 1e8
+    assert _pairwise(np.array([a]), np.array([origin]))[0, 0] == 1e8
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -56,14 +56,14 @@ _BLOCK = 64
 class PointCloud:
     """Deduplicated ordered list of d-dimensional points.
 
-    ``duplicates_removed`` records how many exact coordinate duplicates were
-    dropped at ingestion (keeping the first occurrence).  Duplicates would
-    allow samples with r = 0, for which the gap ratio is undefined.
+    ``duplicates_removed`` records how many duplicates, points equal by value
+    to an earlier one (-0.0 equals 0.0), were dropped at ingestion (keeping
+    the first occurrence).  Duplicates would allow samples with r = 0, for
+    which the gap ratio is undefined.
     """
 
     dim: int
     points: np.ndarray  # (n, dim) float64, C-contiguous, read-only
-    labels: Optional[tuple] = None
     duplicates_removed: int = 0
 
     @property
@@ -156,8 +156,9 @@ class GapReport:
 # constructors
 
 
-def build_cloud(points: Iterable, labels: Optional[Sequence] = None) -> PointCloud:
-    """Ingest points, validating coordinates and dropping exact duplicates."""
+def build_cloud(points: Iterable) -> PointCloud:
+    """Ingest points, validating coordinates and dropping duplicates: points
+    equal by value to an earlier one, so -0.0 and 0.0 are the same."""
     arr = np.asarray(list(points) if not isinstance(points, np.ndarray) else points,
                      dtype=np.float64)
     if arr.ndim == 1 and arr.size > 0:
@@ -170,22 +171,19 @@ def build_cloud(points: Iterable, labels: Optional[Sequence] = None) -> PointClo
         bad = np.argwhere(~np.isfinite(arr))[0]
         raise GapError("nonfinite-coordinate",
                        f"point {bad[0]} has a non-finite coordinate {bad[1]}")
-    if labels is not None and len(labels) != arr.shape[0]:
-        raise GapError("malformed-points", "labels length does not match points")
 
-    seen: dict = {}
-    keep = []
-    for i in range(arr.shape[0]):
-        key = arr[i].tobytes()
-        if key not in seen:
-            seen[key] = i
-            keep.append(i)
+    # each row's key is its bytes after + 0.0: coordinates are finite and
+    # -0.0 + 0.0 is +0.0, so rows equal by value share a key
+    rows = np.ascontiguousarray(arr + 0.0)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    first: dict = {}
+    for i, key in enumerate(keys.tolist()):
+        first.setdefault(key, i)
+    keep = list(first.values())
     dropped = arr.shape[0] - len(keep)
     arr = np.ascontiguousarray(arr[keep])
     arr.setflags(write=False)
-    kept_labels = tuple(labels[i] for i in keep) if labels is not None else None
-    return PointCloud(dim=int(arr.shape[1]), points=arr, labels=kept_labels,
-                      duplicates_removed=dropped)
+    return PointCloud(dim=int(arr.shape[1]), points=arr, duplicates_removed=dropped)
 
 
 def build_graph(n: int, edges: Iterable, weighted: Optional[bool] = None,
@@ -450,7 +448,7 @@ def build_graph_metric(g: Graph) -> FiniteMetric:
     return FiniteMetric(n=n, dist=d, source="graph", exact2x=exact2x)
 
 
-def build_explicit(dist, exact2x=None) -> FiniteMetric:
+def build_explicit(dist) -> FiniteMetric:
     """Validate and wrap an explicit distance matrix.
 
     Checks symmetry, a zero diagonal with positive off-diagonal entries, and
@@ -476,16 +474,9 @@ def build_explicit(dist, exact2x=None) -> FiniteMetric:
         i, j = np.argwhere(viol > TRIANGLE_TOL)[0]
         raise GapError("invalid-matrix",
                        f"triangle inequality violated at sites ({i}, {j})")
-    if exact2x is not None:
-        e = np.asarray(exact2x, dtype=np.int64)
-        if e.shape != d.shape or (e / 2.0 != d).any():
-            raise GapError("invalid-matrix", "exact2x does not equal 2*dist")
-        e = e.copy()
-        e.setflags(write=False)
-        exact2x = e
     d = d.copy()
     d.setflags(write=False)
-    return FiniteMetric(n=n, dist=d, source="explicit", exact2x=exact2x)
+    return FiniteMetric(n=n, dist=d, source="explicit")
 
 
 # ---------------------------------------------------------------------------

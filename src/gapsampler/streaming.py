@@ -24,18 +24,19 @@ of optimal.
 Ingestion is strictly sequential and runs per point on Python floats:
 distances are metric._dist, one entry of the pairwise kernel, and cells
 come from coreset's cell rule, whose finalization shares the
-representative search.  The state keeps its own copy of every point it
-holds, so a caller may reuse one buffer for the whole stream.  Zero or
-overflowing first distances, a point whose distance to every center
-overflows, non-finite points and cell indices past 2**53 are coded errors
-raised before the state changes.
+representative search.  Every point the state holds (the origin, the
+centers and the cell representatives) is a tuple of Python floats made
+once per input point, so a caller may reuse one buffer for the whole
+stream.  Zero or overflowing first distances, a point whose distance to
+every center overflows, non-finite points and cell indices past 2**53 are
+coded errors raised before the state changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, sqrt
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -54,11 +55,13 @@ class StreamParams:
 
 @dataclass
 class StreamState:
-    """Mutable doubling-algorithm state; treat as owned by one consumer."""
+    """Mutable doubling-algorithm state; treat as owned by one consumer.
+
+    Every point it holds is a d-tuple of Python floats."""
 
     params: StreamParams
     k: int
-    origin: np.ndarray          # grid anchor: the first point seen
+    origin: tuple               # grid anchor: the first point seen
     cell_side: float
     cells: dict                 # cell index tuple -> (stream index, point)
     T: list                     # [(stream index, point), ...] insertion order
@@ -80,24 +83,24 @@ def stream_params(eps: float, d: int) -> StreamParams:
     return StreamParams(eps=eps, eps1=eps1, eps3=eps3, d=d)
 
 
-def _refuse_nonfinite(idx: int, x: np.ndarray) -> None:
+def _refuse_nonfinite(idx: int, x: tuple) -> None:
     bad = np.flatnonzero(~np.isfinite(x))
     if bad.size:
         raise GapError("nonfinite-coordinate",
                        f"stream point {idx} has a non-finite coordinate {bad[0]}")
 
 
-def _grid_cell(state: StreamState, x: np.ndarray, xs: list) -> tuple:
-    """The cell of the next stream point x, given also as floats xs.  Only a
-    point the cell rule refuses is checked for non-finite coordinates."""
+def _grid_cell(state: StreamState, x: tuple) -> tuple:
+    """The cell of the next stream point x.  Only a point the cell rule
+    refuses is checked for non-finite coordinates."""
     try:
-        return grid_cells(xs, state.origin, state.cell_side)
+        return grid_cells(x, state.origin, state.cell_side)
     except GapError:
         _refuse_nonfinite(state.points_seen, x)
         raise
 
 
-def _grid_insert(state: StreamState, cell: tuple, x: np.ndarray) -> int:
+def _grid_insert(state: StreamState, cell: tuple, x: tuple) -> int:
     """File the next stream point under its cell; return its index."""
     idx = state.points_seen
     state.points_seen += 1
@@ -116,20 +119,14 @@ def _merge_cells(cells: dict) -> dict:
     return merged
 
 
-def _dist_to(centers: list, xs: list) -> float:
-    """Distance from xs to the nearest of centers, all as float lists."""
+def _dist_to(T: list, x: tuple) -> float:
+    """Distance from x to the nearest center of T; inf when T is empty."""
     near = inf
-    for c in centers:
-        d = _dist(c, xs)
+    for _, c in T:
+        d = _dist(c, x)
         if d < near:
             near = d
     return near
-
-
-def _owned_point(x) -> np.ndarray:
-    """x as a new flat float64 array that owns its data: the state may keep
-    it, and a caller may refill its own buffer with the next point."""
-    return np.asarray(x, dtype=np.float64).flatten()
 
 
 def stream_init(first_points: Iterable, k: int, eps: float) -> StreamState:
@@ -148,23 +145,22 @@ def stream_init(first_points: Iterable, k: int, eps: float) -> StreamState:
     prefix = []   # every consumed point, duplicates included
     T = []        # (stream index, point) of each first occurrence
     for x in it:
-        x = _owned_point(x)
+        x = tuple(np.asarray(x, dtype=np.float64).ravel().tolist())
         prefix.append(x)
-        if not any(np.array_equal(x, t) for _, t in T):
+        if not any(x == t for _, t in T):  # -0.0 == 0.0; nan != nan
             T.append((len(prefix) - 1, x))
             if len(T) == k:
                 break
     if len(T) < k:
         raise GapError("too-few-distinct",
                        f"stream has only {len(T)} distinct points, k={k}")
-    d = prefix[0].shape[0]
+    d = len(prefix[0])
     for idx, x in enumerate(prefix):
-        if x.shape[0] != d:
+        if len(x) != d:
             raise GapError("dimension-mismatch", "stream points differ in dimension")
         _refuse_nonfinite(idx, x)
     params = stream_params(eps, d)
-    centers = [t.tolist() for _, t in T]
-    R = min(_dist(a, b) for i, a in enumerate(centers) for b in centers[i + 1:])
+    R = min(_dist(a, b) for i, (_, a) in enumerate(T) for _, b in T[i + 1:])
     cell_side = params.eps3 * R / (2.0 * sqrt(d))
     if cell_side == 0.0:  # distinct points whose distance underflowed
         raise GapError("zero-distance", f"the first {k} distinct stream points "
@@ -172,10 +168,10 @@ def stream_init(first_points: Iterable, k: int, eps: float) -> StreamState:
     if R == inf:  # the squares overflowed; every cell index would be 0
         raise GapError("distance-overflow", f"the first {k} distinct stream points "
                        "are too far apart: a squared distance overflows float64")
-    state = StreamState(params=params, k=k, origin=prefix[0].copy(),
+    state = StreamState(params=params, k=k, origin=prefix[0],
                         cell_side=cell_side, cells={}, T=T, R_thresh=R)
     for x in prefix:
-        _grid_insert(state, _grid_cell(state, x, x.tolist()), x)
+        _grid_insert(state, _grid_cell(state, x), x)
     for x in it:
         stream_ingest(state, x)
     return state
@@ -185,33 +181,28 @@ def stream_ingest(state: StreamState, x) -> StreamState:
     """Feed one point: grid insert, center test, doubling phases as needed.
 
     A refused point leaves the state as it was."""
-    x = _owned_point(x)
-    xs = x.tolist()
-    if len(xs) != state.params.d:
+    x = tuple(np.asarray(x, dtype=np.float64).ravel().tolist())
+    if len(x) != state.params.d:
         raise GapError("dimension-mismatch",
-                       f"point has dimension {len(xs)}, stream is {state.params.d}-D")
-    cell = _grid_cell(state, x, xs)
-    centers = [t.tolist() for _, t in state.T]
-    near = _dist_to(centers, xs)
+                       f"point has dimension {len(x)}, stream is {state.params.d}-D")
+    cell = _grid_cell(state, x)
+    near = _dist_to(state.T, x)
     if near == inf:
         raise GapError("distance-overflow", f"stream point {state.points_seen} is too "
                        "far from every center: a squared distance overflows float64")
     idx = _grid_insert(state, cell, x)
     if near > 2.0 * state.R_thresh:
         state.T.append((idx, x))
-        centers.append(xs)
     while len(state.T) > state.k:
         state.phase += 1
         state.R_thresh *= 2.0
         state.cell_side *= 2.0
         state.cells = _merge_cells(state.cells)
         kept: list = []
-        kept_centers: list = []
-        for entry, c in zip(state.T, centers):  # insertion order
-            if not kept or _dist_to(kept_centers, c) > state.R_thresh:
+        for entry in state.T:  # insertion order; the first is always kept
+            if _dist_to(kept, entry[1]) > state.R_thresh:
                 kept.append(entry)
-                kept_centers.append(c)
-        state.T, centers = kept, kept_centers
+        state.T = kept
     return state
 
 
@@ -221,17 +212,15 @@ def stream_reps(state: StreamState) -> tuple:
     return [iv[0] for iv in items], np.array([iv[1] for iv in items])
 
 
-def stream_finalize(state: StreamState, k: Optional[int] = None,
-                    guard: int = ENUM_GUARD) -> tuple:
-    """Search the final grid coreset for the best k-subset.
+def stream_finalize(state: StreamState, guard: int = ENUM_GUARD) -> tuple:
+    """Search the final grid coreset for the best state.k-subset.
 
     Returns (Sample of stream indices, GapReport measured inside the
     coreset, GridCoreset snapshot).  Stream indices count every ingested
     point (duplicates included) starting at 0.
     """
-    k = state.k if k is None else int(k)
     indices, pts = stream_reps(state)
-    sample, report = search_coreset(indices, pts, k, state.points_seen, guard)
-    grid = GridCoreset(origin=state.origin.copy(), cell_side=state.cell_side,
+    sample, report = search_coreset(indices, pts, state.k, state.points_seen, guard)
+    grid = GridCoreset(origin=np.array(state.origin), cell_side=state.cell_side,
                        cells={c: iv[0] for c, iv in state.cells.items()})
     return sample, report, grid

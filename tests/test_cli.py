@@ -102,6 +102,18 @@ def test_overflow_is_one_error_line(tmp_path, flag, text, sample, code):
     assert re.fullmatch(rf"error: {code}: [^\n]+\n", proc.stderr), proc.stderr
 
 
+def test_signed_zero_duplicates_are_dropped(tmp_path):
+    # "-0 1" repeats "0 1": one site, not two at distance 0
+    data = tmp_path / "zeros.txt"
+    data.write_text("0 1\n-0 1\n1 1\n0 0\n")
+    proc = run_cli("oracle", "--points", str(data), "-k", "2")
+    assert proc.stderr == ""
+    rep = report_of(proc)
+    assert rep["input"]["sites"] == 3
+    assert rep["warnings"] == ["dropped 1 duplicate points"]
+    assert (rep["result"]["sample"], rep["result"]["R_opt"]) == ([1, 2], 1.0)
+
+
 def test_coreset_command(files):
     res = report_of(run_cli("coreset", "--points", files["line10.txt"],
                             "-k", "2", "--epsilon", "0.45"))["result"]

@@ -163,6 +163,21 @@ def test_state_owns_its_points():
         assert_same_state(state, ref)
 
 
+def test_state_holds_float_tuples():
+    # one representation for every point held, whatever form the input has
+    pts = np.random.default_rng(8).random((60, 2)).astype(np.float32) * 10.0
+    state = stream_init(pts[:2].tolist(), 2, 0.1)
+    for x in pts[2:]:
+        stream_ingest(state, x)
+    assert state.phase > 0
+    held = [state.origin] + [p for _, p in state.T] + [p for _, p in state.cells.values()]
+    for p in held:
+        assert type(p) is tuple and len(p) == 2
+        assert all(type(v) is float for v in p)
+    grid = stream_finalize(state)[2]
+    assert grid.origin.dtype == np.float64 and np.array_equal(grid.origin, state.origin)
+
+
 def test_init_mixed_dimension_after_prefix():
     def points():
         yield from ([0.0, 0.0], [1.0, 0.0], [0.0, 2.0])
@@ -212,7 +227,7 @@ def test_center_invariants_across_phases():
     assert len(T_pts) <= 4
     for i, a in enumerate(T_pts):
         for b in T_pts[i + 1:]:
-            gap = float(np.linalg.norm(a - b))
+            gap = float(np.linalg.norm(np.subtract(a, b)))
             if state.phase == 0:
                 assert gap >= state.R_thresh
             else:
@@ -375,12 +390,11 @@ def test_finalize_replay_bitexact():
     assert a[2].cells == b[2].cells
 
 
-def test_finalize_k_override_and_too_small():
+def test_finalize_too_small():
     state = run_stream([[0.0], [10.0], [3.0], [6.0]], 2, 0.1)
-    sample, _, _ = stream_finalize(state, k=3)
-    assert len(sample.indices) == 3
+    state.k = 10  # more than the 4 cells
     with pytest.raises(GapError) as e:
-        stream_finalize(state, k=10)
+        stream_finalize(state)
     assert e.value.code == "coreset-too-small"
 
 

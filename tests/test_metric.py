@@ -9,8 +9,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gapsampler import (GapError, build_cloud, build_euclidean, build_explicit,
-                        build_graph, build_graph_metric, diameter, gap_fraction,
+from gapsampler import (GapError, approx_sample, build_cloud, build_euclidean,
+                        build_explicit, build_graph, build_graph_metric,
+                        diameter, gap_fraction,
                         farthest_point_insertion, gap_ratio, genmet_reduce,
                         make_sample, max_gap, min_gap)
 from gapsampler import FpiStep, metric
@@ -51,9 +52,18 @@ def test_euclidean_triangle_inequality_exhaustive():
 
 
 def test_cloud_dedupe_keeps_first():
-    cloud = build_cloud([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0]], labels=["a", "b", "c"])
+    cloud = build_cloud([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0]])
     assert cloud.n == 2 and cloud.duplicates_removed == 1
-    assert cloud.labels == ("a", "b")
+
+
+def test_cloud_duplicates_are_equal_by_value():
+    # -0.0 equals 0.0: a second site at distance 0 would give r = 0
+    cloud = build_cloud([[0.0, 1.0], [-0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+    assert cloud.n == 3 and cloud.duplicates_removed == 1
+    assert np.array_equal(cloud.points, [[0.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+    assert build_euclidean(cloud).dist[np.triu_indices(3, 1)].min() == 1.0
+    sample, _, _, _ = approx_sample(cloud, 3, 0.3)
+    assert sample.indices == (0, 1, 2)
 
 
 def test_cloud_rejects_bad_input():
@@ -62,8 +72,6 @@ def test_cloud_rejects_bad_input():
     with pytest.raises(GapError) as e:
         build_cloud([[0.0], [np.nan]])
     assert e.value.code == "nonfinite-coordinate"
-    with pytest.raises(GapError):
-        build_cloud([[1.0, 2.0]], labels=["a", "b"])
 
 
 def test_graph_validation():
@@ -123,13 +131,6 @@ def test_explicit_validation():
     bad = [[0.0, 1.0, 9.0], [1.0, 0.0, 1.0], [9.0, 1.0, 0.0]]
     with pytest.raises(GapError, match="triangle"):
         build_explicit(bad)
-    with pytest.raises(GapError, match="exact2x"):
-        build_explicit([[0.0, 1.0], [1.0, 0.0]], exact2x=[[0, 3], [3, 0]])
-
-
-def test_explicit_accepts_exact():
-    m = build_explicit([[0.0, 1.5], [1.5, 0.0]], exact2x=[[0, 3], [3, 0]])
-    assert m.source == "explicit" and m.exact2x[0, 1] == 3
 
 
 # ---------------------------------------------------------------------------

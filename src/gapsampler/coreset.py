@@ -1,4 +1,4 @@
-"""Static grid coreset and (1+eps)-optimal sampling by exhaustive search.
+"""Static grid coreset and (1+eps)-optimal sampling by branch-and-bound search.
 
 The pipeline: run farthest-point insertion to learn a covering radius
 R_P1, lay an axis-aligned grid whose cell side is
@@ -6,7 +6,11 @@ R_P1, lay an axis-aligned grid whose cell side is
     eps2 = eps1 * R_P1 / (2 sqrt(d)),   eps1 = eps / (3 + 2 eps),
 
 keep one representative site per nonempty cell, and search the coreset
-exhaustively for the k-subset with the smallest gap ratio.  Cells are small
+for the first k-subset with the smallest gap ratio.  The search walks the
+subsets in lexicographic order and skips those that a floor on every
+covering radius (Gonzalez 1985, from farthest-point insertion on the
+coreset) proves worse than the best so far, so it returns the exhaustive
+answer; its guard still counts all C(n, k) subsets.  Cells are small
 enough that swapping any site for its representative moves distances by at
 most eps1 * R_P1 / 2, which is what makes the final sample's gap ratio over
 the full space land within (1 + eps) of optimal for eps < 1/2.
@@ -20,15 +24,15 @@ full input, which is what the (1 + eps) guarantee speaks about.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor, sqrt
+from math import floor, inf, sqrt
 from typing import Optional
 
 import numpy as np
 
 from .errors import GapError
-from .fpi import farthest_point_insertion
-from .metric import (FiniteMetric, PointCloud, build_cloud, build_euclidean,
-                     gap_ratio, make_sample)
+from .fpi import farthest_point_insertion, greedy_batch
+from .metric import (TRIANGLE_TOL, FiniteMetric, PointCloud, build_cloud,
+                     build_euclidean, gap_ratio, make_sample)
 from .oracle import _min_gap_ratio
 
 ENUM_GUARD = 50_000_000
@@ -74,6 +78,9 @@ def static_params(eps: float, R_P1: float, d: int) -> EpsParams:
                        f"eps must lie in (0, 1/2), got {eps}")
     if not R_P1 > 0:
         raise GapError("invalid-radius", f"covering radius must be positive, got {R_P1}")
+    if R_P1 == inf:  # the squares overflowed; no grid has finite cells
+        raise GapError("distance-overflow", "the covering radius overflows float64: "
+                       "the points are too far apart")
     d = int(d)
     if d < 1:
         raise GapError("invalid-dimension", f"dimension must be >= 1, got {d}")
@@ -138,11 +145,16 @@ def build_grid_coreset(cloud: PointCloud, cell_side: float,
 
 def best_k_subset(coreset_metric: FiniteMetric, k: int,
                   guard: int = ENUM_GUARD) -> tuple:
-    """Exhaustive search over all k-subsets of a (coreset) metric.
+    """The first k-subset of a (coreset) metric with the minimum gap ratio.
 
     Enumeration is lexicographic and the first subset attaining the minimum
     gap ratio wins, so results are replayable.  r and R are both measured
-    within the given metric.
+    within the given metric.  The walk is branch and bound: it skips the
+    prefixes and pairs whose minimum pair distance proves, with the floor
+    of _radius_floor, that no subset through them can reach the best ratio
+    so far.  Its answer is the exhaustive one, bit for bit.  The guard
+    still counts all C(n, k) subsets, and a distance past float64's range
+    is refused before the search.
     """
     k = int(k)
     if k < 2:
@@ -150,9 +162,53 @@ def best_k_subset(coreset_metric: FiniteMetric, k: int,
     if coreset_metric.n < k:
         raise GapError("coreset-too-small", f"coreset has {coreset_metric.n} cells "
                        f"but k={k}; use a smaller eps")
-    best, _, _, _ = _min_gap_ratio(coreset_metric.dist, k, guard)
+    dist = coreset_metric.dist
+    if not np.isfinite(dist.max()):  # distances are >= 0; a NaN max is NaN
+        raise GapError("distance-overflow", "two coreset sites are too far apart: "
+                       "a squared distance overflows float64")
+    best, _, _, _ = _min_gap_ratio(dist, k, guard,
+                                   floor=_radius_floor(coreset_metric, k))
     sample = make_sample(best, coreset_metric.n)
     return sample, gap_ratio(coreset_metric, sample)
+
+
+def _radius_floor(m: FiniteMetric, k: int) -> float:
+    """A floor on the covering radius, read from m.dist, of every k-subset
+    of m, from one farthest-point insertion run (Gonzalez 1985).
+
+    FPI's k sites and the site farthest from them are k + 1 sites pairwise
+    at least R_FPI apart: the start pair realizes the diameter, and each
+    inserted site is R_before >= R_FPI from the earlier ones.  Any k sites
+    S leave two of them, x and y, with one nearest site c in S, so in a
+    metric R_FPI <= d(x, y) <= d(x, c) + d(c, y) <= 2 R(S).  Read from dist
+    the triangle inequality holds only within tolerances:
+
+    - build_explicit admits d(x, y) <= d(x, c) + d(c, y) + TRIANGLE_TOL,
+      up to the rounding of its audit's sum and difference, so an
+      explicit metric's absolute tolerance is tol = TRIANGLE_TOL;
+    - each _pairwise entry is within (d/2 + 2) 2**-53 of its true length,
+      relatively, and 1e-150 absolutely (see _pairwise), so the inequality
+      holds within a relative (d + 4) 2**-53 and an absolute 3e-150; any
+      other metric takes tol = 1e-149, which keeps the floor independent
+      of the scale of a cloud;
+    - a graph closed in float64 holds sums of at most n - 1 edges; each
+      entry is within (n - 2) 2**-53, relatively, of a walk's length, and
+      the inequality holds within a relative 2 (n - 2) 2**-53.
+
+    With margin = (n + d + 8) 2**-52 (d = 0 for a metric without points),
+    every case gives d(x, y) <= (d(x, c) + d(c, y)) (1 + margin - 3 2**-53)
+    + tol (1 + 2**-52), so
+
+        floor = (R_FPI - tol (1 + margin)) / 2 * (1 - margin)
+
+    is at most R(S) for every S, its own roundings included.  A floor at
+    or below 0 prunes nothing.
+    """
+    _, _, R = greedy_batch(m.dist[None], k)
+    d = 0 if m.points is None else m.points.shape[1]
+    margin = (m.n + d + 8) * 2.0 ** -52
+    tol = TRIANGLE_TOL if m.source == "explicit" else 1e-149
+    return (float(R[0, -1]) - tol * (1.0 + margin)) / 2.0 * (1.0 - margin)
 
 
 def search_coreset(reps: list, pts: np.ndarray, k: int, n: int, guard: int) -> tuple:

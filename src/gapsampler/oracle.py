@@ -43,7 +43,7 @@ class OracleResult:
 
 
 # ---------------------------------------------------------------------------
-# prefix-shared exhaustive subset kernel (shared with the coreset search)
+# prefix-shared subset kernel: exhaustive, or pruned for the coreset search
 
 # Element budget of one (a rows, b columns, sites) block of the subset
 # kernel; a block holds at least one a row, so its one scratch buffer holds
@@ -51,7 +51,8 @@ class OracleResult:
 _BLOCK = 1 << 17
 
 
-def _subset_blocks(dist: np.ndarray, k: int) -> Iterator[tuple]:
+def _subset_blocks(dist: np.ndarray, k: int,
+                   prune: Optional[Callable] = None) -> Iterator[tuple]:
     """Every k-subset of range(n) in lexicographic order, in blocks
     (prefix, a, b, cover, q): subset prefix + (a[i], b[i]) has covering
     radius cover[i] and minimum pair distance q[i], both read from ``dist``.
@@ -61,6 +62,13 @@ def _subset_blocks(dist: np.ndarray, k: int) -> Iterator[tuple]:
     minimum pair distance; the last two members a < b are evaluated as a
     block of a rows against all later b.  Only min and max touch distances,
     so results are exact for float and integer matrices alike.
+
+    ``prune``, if given, maps minimum pair distances (a scalar or an array)
+    to True where every subset with that q may be skipped.  Adding members
+    only lowers q, so a pruned prefix drops all its extensions; a pair's q
+    is tested before its cover is computed, and a block yields only its
+    surviving pairs, with the same cover and q bits, and is not yielded
+    when none survive.  The order stays lexicographic.
     """
     n = dist.shape[0]
     top = np.inf if dist.dtype.kind == "f" else np.iinfo(dist.dtype).max
@@ -70,34 +78,61 @@ def _subset_blocks(dist: np.ndarray, k: int) -> Iterator[tuple]:
     def level(prefix, start, pm, pq):
         if len(prefix) < k - 2:
             for p in range(start, n - k + len(prefix) + 1):
-                yield from level(prefix + (p,), p + 1, np.minimum(pm, dist[p]),
-                                 min(pq, pm[p]))
+                pq_p = min(pq, pm[p])
+                if prune is None or not prune(pq_p):
+                    yield from level(prefix + (p,), p + 1,
+                                     np.minimum(pm, dist[p]), pq_p)
             return
+        # a block's covers take rows * cols * n entries; with a prune, its
+        # q take rows * cols and its survivors' covers _BLOCK // n pairs at
+        # a time
+        per_pair = n if prune is None else 1
         a0 = start
         while a0 < n - 1:
             lo = a0 + 1
             cols = n - lo
-            a1 = min(n - 1, a0 + max(1, _BLOCK // (cols * n)))
+            a1 = min(n - 1, a0 + max(1, _BLOCK // (cols * per_pair)))
             rows = a1 - a0
-            near = np.minimum(pm, dist[a0:a1])
-            block = scratch[:rows * cols * n].reshape(rows, cols, n)
-            np.minimum(near[:, None, :], dist[None, lo:, :], out=block)
-            cover = block.max(axis=-1)
             q = np.minimum(np.minimum(np.minimum(pm[a0:a1], pq)[:, None],
                                       pm[None, lo:]), dist[a0:a1, lo:])
             # b = lo + j > a = a0 + i iff j >= i; row-major order is lexicographic
             i, j = np.nonzero(np.arange(cols) >= np.arange(rows)[:, None])
-            yield prefix, i + a0, j + lo, cover[i, j], q[i, j]
+            if prune is None:
+                near = np.minimum(pm, dist[a0:a1])
+                block = scratch[:rows * cols * n].reshape(rows, cols, n)
+                np.minimum(near[:, None, :], dist[None, lo:, :], out=block)
+                cover = block.max(axis=-1)
+                yield prefix, i + a0, j + lo, cover[i, j], q[i, j]
+            else:
+                q = q[i, j]
+                keep = np.flatnonzero(~prune(q))
+                step = max(1, _BLOCK // n)
+                for c in range(0, keep.size, step):
+                    s = keep[c:c + step]
+                    a, b = i[s] + a0, j[s] + lo
+                    near = dist[a]
+                    np.minimum(near, pm, out=near)
+                    np.minimum(near, dist[b], out=near)
+                    yield prefix, a, b, near.max(axis=1), q[s]
             a0 = a1
 
     yield from level((), 0, np.full(n, top, dtype=dist.dtype), top)
 
 
-def _min_gap_ratio(dist: np.ndarray, k: int, guard: int) -> tuple:
+def _min_gap_ratio(dist: np.ndarray, k: int, guard: int,
+                   floor: Optional[float] = None) -> tuple:
     """(first subset with the minimum gap ratio, that ratio, R_opt, r_opt)
     over all k-subsets, with r and R both measured in ``dist``.
 
-    Refuses instances with more than ``guard`` subsets.
+    Refuses instances with more than ``guard`` subsets.  ``floor``, if
+    given, must be at most the covering radius of every k-subset.  Then
+    GR >= floor / (q / 2) for every subset with minimum pair distance q,
+    so the walk prunes each prefix and pair whose floor / (q / 2) is
+    strictly above the best ratio found so far.  Float division rounds
+    monotonically, so a subset's bound never exceeds its ratio, and the
+    first optimal subset survives: the subset and its ratio have the same
+    bits as the exhaustive walk's.  R_opt and r_opt are separate optima
+    that a bound on GR cannot prune, so with a floor they are None.
     """
     total = comb(dist.shape[0], k)
     if total > guard:
@@ -108,16 +143,26 @@ def _min_gap_ratio(dist: np.ndarray, k: int, guard: int) -> tuple:
     best = None
     R_opt = np.inf
     r_opt = -np.inf
-    for prefix, a, b, cover, q in _subset_blocks(dist, k):
+
+    def prune(q):
+        # q = 0 (an underflowed distance) gives inf or nan, never a warning
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return floor / (q / 2.0) > best_gr
+
+    for prefix, a, b, cover, q in _subset_blocks(dist, k,
+                                                 None if floor is None else prune):
         r = q / 2.0
         gr = cover / r
         pos = int(np.argmin(gr))  # first occurrence keeps lexicographic order
         if gr[pos] < best_gr:
             best_gr = float(gr[pos])
             best = prefix + (int(a[pos]), int(b[pos]))
-        R_opt = min(R_opt, float(cover.min()))
-        r_opt = max(r_opt, float(r.max()))
+        if floor is None:
+            R_opt = min(R_opt, float(cover.min()))
+            r_opt = max(r_opt, float(r.max()))
     assert best is not None
+    if floor is not None:
+        R_opt = r_opt = None
     return best, best_gr, R_opt, r_opt
 
 

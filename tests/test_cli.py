@@ -263,9 +263,15 @@ def test_guard_zero_is_a_guard(files, command):
     # center overflows: it would join the centers as infinitely far
     (("stream", "-k", "2", "--epsilon", "0.1"), "0 0\n1e150 0\n-1e155 0\n",
      "distance-overflow: stream point 2 "),
+    # each point is in range of its nearest center or grid neighbour, but
+    # the coreset's two end points are too far apart for a squared distance
+    (("stream", "-k", "2", "--epsilon", "0.1"), "0 0\n1e154 0\n2e154 0\n",
+     "distance-overflow: two coreset sites "),
+    (("coreset", "-k", "2", "--epsilon", "0.1"), "0 0\n1e154 0\n2e154 0\n",
+     "distance-overflow: two coreset sites "),
 ], ids=["stream-zero-distance", "stream-nan", "coreset-overflow", "stream-overflow",
         "stream-far-prefix", "stream-inf-distance", "stream-far-late-point",
-        "stream-far-late-center"])
+        "stream-far-late-center", "stream-far-coreset-pair", "coreset-far-pair"])
 def test_grid_refusals_are_one_error_line(tmp_path, command, text, code):
     data = tmp_path / "points.txt"
     data.write_text(text)

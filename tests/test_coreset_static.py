@@ -7,8 +7,10 @@ import pytest
 
 from gapsampler import (GapError, GuardExceeded, approx_sample,
                         best_k_subset, build_cloud, build_euclidean,
-                        build_grid_coreset, gap_ratio, optimal_gap_ratio,
-                        static_params)
+                        build_explicit, build_grid_coreset, gap_ratio,
+                        optimal_gap_ratio, static_params, stream_finalize,
+                        stream_init)
+from gapsampler import coreset, oracle
 from gapsampler.coreset import grid_cells
 
 
@@ -180,6 +182,80 @@ def test_best_k_guard_and_size_errors():
     assert e.value.code == "coreset-too-small"
     with pytest.raises(GapError):
         best_k_subset(m, 1)
+
+
+def test_overflowing_distances_are_refused():
+    # a squared distance past float64's range: refused, not an inf report
+    far = build_euclidean(build_cloud([[0.0, 0.0], [1e154, 0.0], [2e154, 0.0]]))
+    with pytest.raises(GapError) as e:
+        best_k_subset(far, 2)
+    assert e.value.code == "distance-overflow"
+    with pytest.raises(GapError) as e:
+        static_params(0.3, np.inf, 2)
+    assert e.value.code == "distance-overflow"
+    # an overflowed R_P1 used to give a grid of one cell and coreset-too-small
+    huge = build_cloud(np.random.default_rng(1).random((300, 2)) * 2.0 ** 520)
+    with pytest.raises(GapError) as e:
+        approx_sample(huge, 8, 0.25)
+    assert e.value.code == "distance-overflow"
+
+
+def test_pruned_search_keeps_the_optimum_under_tolerated_violations(monkeypatch):
+    # five sites on a line whose unit gaps shrink by delta, so triangle
+    # inequalities fail by up to 2 * delta, under TRIANGLE_TOL.  FPI keeps
+    # the diameter pair (0, 4) and leaves site 2 at R_FPI = 2, but (1, 4)
+    # covers every site within 1 - delta, below R_FPI / 2 = 1
+    delta = 4e-10
+    D = np.zeros((5, 5))
+    for (i, j), v in {(0, 1): 1 - delta, (1, 2): 1 - delta, (2, 3): 1 - delta / 2,
+                      (3, 4): 1 - delta, (0, 2): 2, (0, 3): 3, (0, 4): 4,
+                      (1, 3): 2, (1, 4): 3, (2, 4): 2}.items():
+        D[i, j] = D[j, i] = v
+    m = build_explicit(D)
+    # one a row per block: (0, 3), next best, is found a block before (1, 4)
+    monkeypatch.setattr(oracle, "_BLOCK", 1)
+    sample, rep = best_k_subset(m, 2)
+    res = optimal_gap_ratio(m, 2)
+    assert sample.indices == res.best_sample.indices == (1, 4)
+    assert rep.gap_ratio == res.gr_opt
+    # the unmargined floor R_FPI / 2 prunes the optimum
+    monkeypatch.setattr(coreset, "_radius_floor", lambda m, k: 1.0)
+    assert best_k_subset(m, 2)[0].indices == (0, 3)
+
+
+def exact_small_clouds(seed):
+    """The bench's exact-small coreset inputs at a seed: the approx_sample
+    clouds (100 uniform points; a jittered 15 x 10 lattice with up to 3
+    rows repeated) and the 120 stream points."""
+    rng = np.random.default_rng([seed, 24])
+    gx, gy = np.meshgrid(np.arange(15), np.arange(10))
+    centers = np.stack([(gx.ravel() + 0.5) / 15, (gy.ravel() + 0.5) / 10], axis=1)
+    lattice = centers + rng.uniform(-0.1, 0.1, centers.shape) / [15, 10]
+    lattice = lattice[rng.permutation(150)]
+    repeats = int(rng.integers(0, 4))
+    lattice[rng.choice(np.arange(1, 150), size=repeats, replace=False)] = lattice[0]
+    return (np.random.default_rng([seed, 23]).random((100, 2)), lattice,
+            np.random.default_rng([seed, 25]).random((120, 2)))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_pipeline_searches_match_the_exhaustive_walk(seed, monkeypatch):
+    searched = []
+    search = coreset.best_k_subset
+
+    def spy(m, k, guard):
+        searched.append((m, k, search(m, k, guard)))
+        return searched[-1][-1]
+
+    monkeypatch.setattr(coreset, "best_k_subset", spy)
+    uniform, lattice, stream = exact_small_clouds(seed)
+    approx_sample(build_cloud(uniform), 3, 0.3)
+    approx_sample(build_cloud(lattice), 3, 0.45)
+    stream_finalize(stream_init(stream, 3, 0.1))
+    assert len(searched) == 3
+    for m, k, (sample, rep) in searched:
+        best, gr, _, _ = oracle._min_gap_ratio(m.dist, k, coreset.ENUM_GUARD)
+        assert (sample.indices, rep.gap_ratio) == (best, gr)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gapsampler import (CertificationError, GapError, GuardExceeded,
                         best_k_subset, build_cloud, build_euclidean,
@@ -13,6 +15,7 @@ from gapsampler import (CertificationError, GapError, GuardExceeded,
                         gap_ratio, genmet_reduce, is_efficient_dominating,
                         is_independent_dominating, optimal_gap_ratio)
 from gapsampler import oracle
+from gapsampler.oracle import DEFAULT_GUARD
 from gapsampler.certify import graph_from_mask
 
 
@@ -163,6 +166,22 @@ def test_kernel_blocks_match_combinations(name, budget):
 
 
 @pytest.mark.parametrize("name", KERNEL_METRICS)
+def test_kernel_prune_yields_the_surviving_subsets(name, budget):
+    # a prune on q drops every subset whose q it flags, prefixes included,
+    # and keeps the others in order with their cover and q
+    m = KERNEL_METRICS[name]
+    for dist in filter(lambda d: d is not None, (m.dist, m.exact2x)):
+        t = np.median(dist)
+        for k in (2, 3, 5, m.n - 1, m.n):
+            got = []
+            for prefix, a, b, c, qq in oracle._subset_blocks(dist, k, lambda q: q < t):
+                got += [(prefix + (int(x), int(y)), v, w)
+                        for x, y, v, w in zip(a, b, c, qq)]
+            assert got == [row for row in zip(*reference_scan(dist, k))
+                           if not row[2] < t]
+
+
+@pytest.mark.parametrize("name", KERNEL_METRICS)
 def test_oracle_and_coreset_search_match_reference(name, budget):
     m = KERNEL_METRICS[name]
     for k in (2, 3, 4, 5, 6, m.n - 1, m.n):
@@ -173,6 +192,44 @@ def test_oracle_and_coreset_search_match_reference(name, budget):
         assert res.subsets_examined == comb(m.n, k)
         sample, _ = best_k_subset(m, k)
         assert sample.indices == best
+
+
+# the largest n <= 40 with C(n, k) <= 3000, which keeps one a row per block
+# affordable
+MAX_N = {k: max(n for n in range(5, 41) if comb(n, k) <= 3000) for k in range(2, 6)}
+
+
+@st.composite
+def search_instances(draw):
+    """(cloud, k): uniform points, points of a small integer lattice (many
+    exact ties) or collinear points at integer steps, 5 <= n <= 40, scaled
+    by a power of two that keeps every square in float64's normal range."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(5, MAX_N[k]))
+    kind = draw(st.sampled_from(["uniform", "lattice", "collinear"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "uniform":
+        pts = rng.random((n, 2))
+    elif kind == "lattice":
+        side = int(np.ceil(np.sqrt(n))) + 1
+        cells = rng.choice(side * side, size=n, replace=False)
+        pts = np.stack([cells // side, cells % side], axis=1).astype(float)
+    else:
+        pts = rng.choice(3 * n, size=n, replace=False)[:, None] * [1.0, 2.0]
+    return build_cloud(pts * draw(st.sampled_from([2.0 ** -400, 1.0, 2.0 ** 400]))), k
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(instance=search_instances())
+def test_pruned_search_is_the_exhaustive_walk(budget, instance):
+    # the fixture's _BLOCK holds for every example, so pruning decisions
+    # fall on both sides of block boundaries
+    cloud, k = instance
+    m = build_euclidean(cloud)
+    best, gr, _, _ = oracle._min_gap_ratio(m.dist, k, DEFAULT_GUARD)
+    sample, rep = best_k_subset(m, k)
+    assert (sample.indices, rep.gap_ratio) == (best, gr)
 
 
 def scalar_genmet(g, k):

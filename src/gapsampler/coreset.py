@@ -33,7 +33,7 @@ from .errors import GapError
 from .fpi import farthest_point_insertion, greedy_batch
 from .metric import (TRIANGLE_TOL, FiniteMetric, PointCloud, build_cloud,
                      build_euclidean, gap_ratio, make_sample)
-from .oracle import _min_gap_ratio
+from .oracle import _check_guard, _min_gap_ratio
 
 ENUM_GUARD = 50_000_000
 
@@ -153,8 +153,8 @@ def best_k_subset(coreset_metric: FiniteMetric, k: int,
     prefixes and pairs whose minimum pair distance proves, with the floor
     of _radius_floor, that no subset through them can reach the best ratio
     so far.  Its answer is the exhaustive one, bit for bit.  The guard
-    still counts all C(n, k) subsets, and a distance past float64's range
-    is refused before the search.
+    still counts all C(n, k) subsets and is checked before any distance is
+    read; then a distance past float64's range is refused before the search.
     """
     k = int(k)
     if k < 2:
@@ -162,12 +162,12 @@ def best_k_subset(coreset_metric: FiniteMetric, k: int,
     if coreset_metric.n < k:
         raise GapError("coreset-too-small", f"coreset has {coreset_metric.n} cells "
                        f"but k={k}; use a smaller eps")
+    _check_guard(coreset_metric.n, k, guard)
     dist = coreset_metric.dist
     if not np.isfinite(dist.max()):  # distances are >= 0; a NaN max is NaN
         raise GapError("distance-overflow", "two coreset sites are too far apart: "
                        "a squared distance overflows float64")
-    best, _, _, _ = _min_gap_ratio(dist, k, guard,
-                                   floor=_radius_floor(coreset_metric, k))
+    best, _, _, _ = _min_gap_ratio(dist, k, floor=_radius_floor(coreset_metric, k))
     sample = make_sample(best, coreset_metric.n)
     return sample, gap_ratio(coreset_metric, sample)
 

@@ -119,12 +119,22 @@ def _subset_blocks(dist: np.ndarray, k: int,
     yield from level((), 0, np.full(n, top, dtype=dist.dtype), top)
 
 
-def _min_gap_ratio(dist: np.ndarray, k: int, guard: int,
+def _check_guard(n: int, k: int, guard: int) -> None:
+    """Refuse a search over more than ``guard`` k-subsets of n sites.  Every
+    search checks this before it reads a distance, so a refused instance
+    never builds a point-backed metric's matrix."""
+    total = comb(n, k)
+    if total > guard:
+        raise GuardExceeded(f"C({n}, {k}) = {total} subsets exceeds the guard {guard}; "
+                            f"raise --guard to proceed")
+
+
+def _min_gap_ratio(dist: np.ndarray, k: int,
                    floor: Optional[float] = None) -> tuple:
     """(first subset with the minimum gap ratio, that ratio, R_opt, r_opt)
     over all k-subsets, with r and R both measured in ``dist``.
 
-    Refuses instances with more than ``guard`` subsets.  ``floor``, if
+    The caller checks the guard first (_check_guard).  ``floor``, if
     given, must be at most the covering radius of every k-subset.  Then
     GR >= floor / (q / 2) for every subset with minimum pair distance q,
     so the walk prunes each prefix and pair whose floor / (q / 2) is
@@ -134,11 +144,6 @@ def _min_gap_ratio(dist: np.ndarray, k: int, guard: int,
     bits as the exhaustive walk's.  R_opt and r_opt are separate optima
     that a bound on GR cannot prune, so with a floor they are None.
     """
-    total = comb(dist.shape[0], k)
-    if total > guard:
-        raise GuardExceeded(
-            f"C({dist.shape[0]}, {k}) = {total} subsets exceeds the guard {guard}; "
-            f"raise --guard to proceed")
     best_gr = np.inf
     best = None
     R_opt = np.inf
@@ -173,7 +178,8 @@ def optimal_gap_ratio(m: FiniteMetric, k: int,
     k = int(k)
     if not 2 <= k <= m.n:
         raise GapError("k-out-of-range", f"k must satisfy 2 <= k <= {m.n}, got {k}")
-    best, best_gr, R_opt, r_opt = _min_gap_ratio(m.dist, k, guard)
+    _check_guard(m.n, k, guard)
+    best, best_gr, R_opt, r_opt = _min_gap_ratio(m.dist, k)
     return OracleResult(best_sample=make_sample(best, m.n),
                         gr_opt=best_gr, R_opt=R_opt, r_opt=r_opt,
                         subsets_examined=comb(m.n, k))
@@ -268,9 +274,7 @@ def _domination_blocks(g: Graph, k: int, guard: int, claim: str,
     if g.weighted:
         raise GapError("weighted-unsupported",
                        f"{claim} equivalence needs an unweighted graph")
-    total = comb(g.n, k)
-    if total > guard:
-        raise GuardExceeded(f"C({g.n}, {k}) = {total} exceeds the guard {guard}")
+    _check_guard(g.n, k, guard)
     closed = _closed_neighborhoods(_adjacency_matrix(g), np.int64)
     for prefix, a, b, R2, q2 in _subset_blocks(reduce(g).exact2x, k):
         hits = closed[list(prefix)].sum(axis=0) + closed[a] + closed[b]

@@ -254,7 +254,7 @@ def test_pipeline_searches_match_the_exhaustive_walk(seed, monkeypatch):
     stream_finalize(stream_init(stream, 3, 0.1))
     assert len(searched) == 3
     for m, k, (sample, rep) in searched:
-        best, gr, _, _ = oracle._min_gap_ratio(m.dist, k, coreset.ENUM_GUARD)
+        best, gr, _, _ = oracle._min_gap_ratio(m.dist, k)
         assert (sample.indices, rep.gap_ratio) == (best, gr)
 
 

@@ -6,6 +6,8 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gapsampler import (GapError, analytic_bounds, build_cloud,
                         gap_based_discrepancy_bound, gap_report_unit_square,
@@ -110,15 +112,44 @@ def count_clouds():
         yield np.array([single])
 
 
-def test_counts_equal_indicator_products():
-    for pts in count_clouds():
-        pts = build_cloud(pts).points
-        got, want = measures._counts(pts), reference_counts(pts)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+def reference_blocks(pts):
+    """The indicator-product counts as one block, in _count_blocks' form."""
+    xs, ys, closed, open_ = reference_counts(pts)
+    yield xs[:, None], ys, closed, open_
 
 
-def test_discrepancy_and_bound_match_reference_counts(monkeypatch):
+DEFAULT_BLOCK = measures._BLOCK
+
+
+@pytest.fixture
+def budgets(monkeypatch):
+    """Sets measures._BLOCK to each budget in turn: one cell (so one row per
+    block), a ragged 7 cells and the default."""
+    def each():
+        for cells in (1, 7, DEFAULT_BLOCK):
+            monkeypatch.setattr(measures, "_BLOCK", cells)
+            yield cells
+    return each
+
+
+def test_counts_equal_indicator_products(budgets):
+    clouds = [build_cloud(pts).points for pts in count_clouds()]
+    wants = [reference_counts(pts) for pts in clouds]
+    for cells in budgets():
+        for pts, want in zip(clouds, wants):
+            blocks = list(measures._count_blocks(pts))
+            ys = blocks[0][1]
+            rows = [len(closed) for _, _, closed, _ in blocks]
+            assert rows[:-1] == [max(1, cells // ys.size)] * (len(rows) - 1)
+            assert 1 <= rows[-1] <= max(1, cells // ys.size)
+            got = (np.concatenate([xb[:, 0] for xb, _, _, _ in blocks]), ys,
+                   np.vstack([closed for _, _, closed, _ in blocks]),
+                   np.vstack([open_ for _, _, _, open_ in blocks]))
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_discrepancy_and_bound_match_reference_counts(monkeypatch, budgets):
     clouds = [build_cloud(pts) for pts in count_clouds()]
     reports = [gap_report_unit_square(c) if c.n >= 2 else None for c in clouds]
 
@@ -131,17 +162,17 @@ def test_discrepancy_and_bound_match_reference_counts(monkeypatch):
             out.append(gap_based_discrepancy_bound(cloud, 0.1, 0.3))
         return out
 
-    got = run()
-    monkeypatch.setattr(measures, "_counts", reference_counts)
+    got = [run() for _ in budgets()]
+    monkeypatch.setattr(measures, "_count_blocks", reference_blocks)
     want = run()
-    assert got == want  # exact floats, same witness rectangles and kinds
+    assert all(g == want for g in got)  # exact floats, same witness rectangles and kinds
 
 
 def reference_discrepancy(cloud):
     """star_discrepancy with over and under as two out-of-place expressions."""
     pts = cloud.points
     n = pts.shape[0]
-    xs, ys, closed, open_ = measures._counts(pts)
+    xs, ys, closed, open_ = reference_counts(pts)
     area = xs[:, None] * ys[None, :]
     over = closed / n - area
     under = area - open_ / n
@@ -152,27 +183,47 @@ def reference_discrepancy(cloud):
     return float(under[ui]), (float(xs[ui[0]]), float(ys[ui[1]]), "open-limit")
 
 
-def test_discrepancy_matches_out_of_place_expression():
+def test_discrepancy_matches_out_of_place_expression(budgets):
     clouds = [build_cloud(pts) for pts in count_clouds()]
     clouds += [centered_lattice(m) for m in (1, 4, 9)]
-    for cloud in clouds:
-        rep = star_discrepancy(cloud)
-        d_star, witness = reference_discrepancy(cloud)
-        assert rep.d_star.hex() == d_star.hex() and rep.witness == witness
+    wants = [reference_discrepancy(cloud) for cloud in clouds]
+    for _ in budgets():
+        for cloud, (d_star, witness) in zip(clouds, wants):
+            rep = star_discrepancy(cloud)
+            assert rep.d_star.hex() == d_star.hex() and rep.witness == witness
+
+
+def lattice_clouds():
+    """Clouds snapped to the k/8 lattice: shared x and y values, and points
+    on the 0 and 1 edges."""
+    cell = st.tuples(st.integers(0, 8), st.integers(0, 8))
+    return st.lists(cell, min_size=1, max_size=40).map(lambda c: np.array(c) / 8.0)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pts=lattice_clouds(), cells=st.one_of(st.integers(1, 120), st.just(DEFAULT_BLOCK)),
+       r=st.floats(1e-3, 2.0), R=st.floats(1e-3, 2.0))
+def test_blocked_sweep_matches_dense_reference(monkeypatch, pts, cells, r, R):
+    monkeypatch.setattr(measures, "_BLOCK", cells)
+    cloud = build_cloud(pts)
+    rep = star_discrepancy(cloud)
+    d_star, witness = reference_discrepancy(cloud)
+    assert rep.d_star.hex() == d_star.hex() and rep.witness == witness
+    got = gap_based_discrepancy_bound(cloud, r, R)
+    assert got.hex() == reference_gap_bound(cloud, r, R).hex()
 
 
 def test_discrepancy_peak_memory():
-    cloud = build_cloud(np.random.default_rng(13).random((800, 2)))
-    grid = 801 * 801 * 8  # one (mx, my) float64 or int64 array
+    # the dense grids took about 32 bytes x n^2, over 500 MB here
+    cloud = build_cloud(np.random.default_rng(13).random((4000, 2)))
     tracemalloc.start()
     try:
         star_discrepancy(cloud)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # open_, over and the areas reused as under: four grids live at once;
-    # subtracting out of place keeps six
-    assert peak < 5 * grid
+    assert peak < 4e6
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +258,7 @@ def test_bound_never_negative():
 def reference_gap_bound(cloud, r, R):
     """The bound with out-of-place grids and fancy-indexed masked maxima."""
     n = cloud.n
-    xs, ys, closed, open_ = measures._counts(cloud.points)
+    xs, ys, closed, open_ = reference_counts(cloud.points)
     area = xs[:, None] * ys[None, :]
     s2 = xs[:, None] ** 2 + ys[None, :] ** 2
     a_vals = s2 / (r * r * n) - area
@@ -222,29 +273,29 @@ def reference_gap_bound(cloud, r, R):
     return best
 
 
-def test_bound_matches_reference_bitwise():
+def test_bound_matches_reference_bitwise(budgets):
     rng = np.random.default_rng(17)
     clouds = [build_cloud(rng.random((n, 2))) for n in (1, 7, 100, 800)]
     clouds += [centered_lattice(5), build_cloud(np.round(rng.random((60, 2)) * 8) / 8),
                build_cloud([[0, 0], [1, 0], [0, 1], [1, 1]])]
-    for cloud in clouds:
-        for r, R in ((0.01, 0.05), (0.2, 0.3), (1.0, 0.5), (1e-3, 2.0)):
-            got = gap_based_discrepancy_bound(cloud, r, R)
-            assert got.hex() == reference_gap_bound(cloud, r, R).hex()
+    radii = ((0.01, 0.05), (0.2, 0.3), (1.0, 0.5), (1e-3, 2.0))
+    wants = [[reference_gap_bound(cloud, r, R).hex() for r, R in radii] for cloud in clouds]
+    for _ in budgets():
+        for cloud, want in zip(clouds, wants):
+            got = [gap_based_discrepancy_bound(cloud, r, R).hex() for r, R in radii]
+            assert got == want
 
 
 def test_bound_peak_memory():
-    cloud = build_cloud(np.random.default_rng(13).random((800, 2)))
-    grid = 801 * 801 * 8  # one (mx, my) float64 or int64 array
+    # the dense grids took about 36 bytes x n^2, over 500 MB here
+    cloud = build_cloud(np.random.default_rng(13).random((4000, 2)))
     tracemalloc.start()
     try:
         gap_based_discrepancy_bound(cloud, 0.01, 0.05)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # both counts, the areas and n * area, plus boolean masks, at most;
-    # out-of-place grids and fancy-indexed maxima held about 7.4 grids
-    assert peak < 4.6 * grid
+    assert peak < 4e6
 
 
 def test_bound_radius_validation():

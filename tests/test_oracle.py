@@ -227,7 +227,7 @@ def test_pruned_search_is_the_exhaustive_walk(budget, instance):
     # fall on both sides of block boundaries
     cloud, k = instance
     m = build_euclidean(cloud)
-    best, gr, _, _ = oracle._min_gap_ratio(m.dist, k, DEFAULT_GUARD)
+    best, gr, _, _ = oracle._min_gap_ratio(m.dist, k)
     sample, rep = best_k_subset(m, k)
     assert (sample.indices, rep.gap_ratio) == (best, gr)
 

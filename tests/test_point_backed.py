@@ -13,9 +13,10 @@ import warnings
 import numpy as np
 import pytest
 
-from gapsampler import (FiniteMetric, GapError, approx_sample, build_cloud,
-                        build_euclidean, diameter, farthest_point_insertion,
-                        gap_ratio, max_gap, min_gap)
+from gapsampler import (FiniteMetric, GapError, GuardExceeded, approx_sample,
+                        best_k_subset, build_cloud, build_euclidean, diameter,
+                        farthest_point_insertion, gap_ratio, max_gap, min_gap,
+                        optimal_gap_ratio)
 from gapsampler import cli, coreset
 from gapsampler.fpi import greedy_batch
 from gapsampler.metric import _first_pair, _pairwise
@@ -146,6 +147,21 @@ def test_greedy_path_never_builds_the_matrix():
     assert vars(m)["_dist"] is None
     assert rep == trace.final and (i, j) == trace.init_pair
     assert diam == 2.0 * trace.r_init
+
+
+def test_guard_refuses_before_the_matrix():
+    # C(3000, 3) = 4.5e9 subsets; the 72 MB matrix is never built
+    m = build_euclidean(build_cloud(np.random.default_rng(3).random((3000, 2))))
+    for search in (best_k_subset, optimal_gap_ratio):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GuardExceeded):
+                search(m, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        assert vars(m)["_dist"] is None
 
 
 def test_approx_sample_matches_the_matrix(monkeypatch):

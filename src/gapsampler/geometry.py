@@ -13,6 +13,16 @@ distance never exceeds the true covering radius.  The superset also covers
 the degenerate layouts (1 or 2 points, all points collinear) where no
 triangulation exists.
 
+Not every candidate gets the O(n) exact nearest-site scan.  The corners
+and Voronoi vertices do, and their best score is a floor; each crossing
+first gets an upper bound, its distance to the site nearest a boundary
+probe beside it (8n probes, found by one O(n^2) scan), and only crossings
+whose bound reaches the floor are scanned.  A bound is one of the
+distances the exact scan minimises over, so pruning never changes R, the
+witness or its kind, and a wrong triangulation or a poor probe only
+weakens the pruning.  Typical inputs take O(n^2) time instead of O(n^3)
+(the worst case stays O(n^3)); memory stays O(n^2), set by the crossings.
+
 Triangulation is incremental with a bounding super-triangle that is removed
 at the end.  Orientation and in-circumcircle predicates are determinant
 tests with tolerance 1e-12; exactly cocircular insertions do not evict
@@ -270,23 +280,75 @@ def _bisector_boundary_candidates(pts: np.ndarray) -> np.ndarray:
     return out[keep]
 
 
+def _nearest_sites(cand: np.ndarray, pts: np.ndarray, reduce=np.min) -> np.ndarray:
+    """reduce (np.min or np.argmin) over each candidate's distances to the
+    sites, _NEAREST_ROWS candidates at a time; one block is alive at once."""
+    return np.concatenate([reduce(_pairwise(cand[lo:lo + _NEAREST_ROWS], pts), axis=1)
+                           for lo in range(0, cand.shape[0], _NEAREST_ROWS)])
+
+
+def _probe_sites(pts: np.ndarray) -> np.ndarray:
+    """(4, 2n) index of the nearest site to each boundary probe.
+
+    Side s is x = 0, x = 1, y = 0, y = 1 in turn; its probes sit at
+    (k + 1/2) / 2n along it, so every boundary point is within 1/4n of
+    the probe in its own slot floor(2n t) of that side.
+    """
+    per = 2 * pts.shape[0]
+    t = (np.arange(per) + 0.5) / per
+    zero, one = np.zeros(per), np.ones(per)
+    probes = np.concatenate([np.c_[zero, t], np.c_[one, t],
+                             np.c_[t, zero], np.c_[t, one]])
+    return _nearest_sites(probes, pts, np.argmin).reshape(4, per)
+
+
 def _covering_radius(pts: np.ndarray, tri: Optional[Triangulation]) -> tuple:
     """covering_radius_unit_square on validated sites and their
-    triangulation, or None when they have none."""
+    triangulation, or None when they have none.
+
+    Candidates keep their order: corners, in-square circumcenters, then
+    the bisector/boundary crossings.  The first two groups are scored
+    exactly and their best score is the floor.  A crossing c gets the
+    bound u(c), the _pairwise entry from c to the site nearest the probe
+    beside it: one of the entries the exact scan takes the minimum of, so
+    nearest(c) <= u(c) bit for bit, and u(c) <= nearest(c) + 1/2n by the
+    triangle inequality.  Crossings with u(c) below the floor score -inf;
+    the rest are scored exactly, a block at a time, raising the floor.
+    The floor is a real earlier candidate's score, so a pruned one is
+    never the first maximum.
+    """
     vor = np.empty((0, 2))
     if tri is not None:
         c = tri.circumcenters
         vor = c[(0.0 <= c[:, 0]) & (c[:, 0] <= 1.0) & (0.0 <= c[:, 1]) & (c[:, 1] <= 1.0)]
-    cand = np.concatenate([np.array(_CORNERS), vor, _bisector_boundary_candidates(pts)])
-    # nearest-site distance per candidate, _NEAREST_ROWS candidates at a time
-    nearest = np.empty(cand.shape[0])
-    for lo in range(0, cand.shape[0], _NEAREST_ROWS):
-        nearest[lo:lo + _NEAREST_ROWS] = _pairwise(cand[lo:lo + _NEAREST_ROWS],
-                                                   pts).min(axis=1)
+    cross = _bisector_boundary_candidates(pts)
+    head = np.concatenate([np.array(_CORNERS), vor])
+    nearest = np.full(head.shape[0] + cross.shape[0], -np.inf)
+    nearest[:head.shape[0]] = _nearest_sites(head, pts)
+    floor = nearest[:head.shape[0]].max()
+    cross_nearest = nearest[head.shape[0]:]
+    probe = _probe_sites(pts)
+    per = probe.shape[1]
+    for lo in range(0, cross.shape[0], _NEAREST_ROWS):
+        x, y = cross[lo:lo + _NEAREST_ROWS].T
+        # every crossing has x or y at exactly 0 or 1; t runs along its side
+        upright = (x == 0.0) | (x == 1.0)
+        t = np.where(upright, y, x)
+        side = np.where(upright, x, 2.0 + y).astype(np.int64)
+        near = pts[probe[side, np.minimum((t * per).astype(np.int64), per - 1)]]
+        # _pairwise's entry for (c, site): the same subtract, square, add, sqrt
+        dx, dy = x - near[:, 0], y - near[:, 1]
+        bound = np.sqrt(dx * dx + dy * dy)
+        live = np.flatnonzero(bound >= floor)
+        if live.size:
+            got = _nearest_sites(cross[lo + live], pts)
+            cross_nearest[lo + live] = got
+            floor = max(floor, got.max())
     best = int(np.argmax(nearest))  # first occurrence: fixed candidate order
-    kind = ("corner" if best < 4 else "voronoi-vertex" if best < 4 + vor.shape[0]
+    kind = ("corner" if best < 4 else "voronoi-vertex" if best < head.shape[0]
             else "boundary-intersection")
-    return float(nearest[best]), cand[best].copy(), kind
+    witness = head[best] if best < head.shape[0] else cross[best - head.shape[0]]
+    return float(nearest[best]), witness.copy(), kind
 
 
 def covering_radius_unit_square(cloud: PointCloud) -> tuple:
@@ -296,6 +358,12 @@ def covering_radius_unit_square(cloud: PointCloud) -> tuple:
     square, bisector/boundary intersections, and the four corners.  With one
     or two points, or a collinear layout, the Voronoi part is empty or
     degenerate and the remaining candidates already carry the maximum.
+
+    Every bisector crossing stays a candidate, but only those whose
+    probe-based upper bound reaches the best score so far get the exact
+    nearest-site scan: O(n^2) time on typical inputs (O(n^3) at worst) and
+    O(n^2) memory.  A broken triangulation only weakens the pruning; the
+    result is always the unpruned scan's first maximum.
     """
     pts = _require_2d(cloud)
     _validate_in_square(pts)

@@ -6,6 +6,8 @@ from math import asin, pi, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapsampler import (GapError, build_cloud, circumcircle_margins,
                         covering_radius_unit_square, delaunay,
@@ -382,6 +384,88 @@ def test_covering_radius_blocks_match_one_scan(monkeypatch):
             got = covering_radius_unit_square(cloud)
             assert (got[0].hex(), got[1].tobytes(), got[2]) == (
                 R.hex(), witness.tobytes(), kind)
+
+
+@st.composite
+def square_clouds(draw):
+    """Points in the unit square: uniform, on the k/8 lattice (many tied
+    candidates), in a thin horizontal strip, in clusters clipped to the
+    boundary, on one line (no triangulation), or just 1 or 2 points."""
+    kind = draw(st.sampled_from(["uniform", "lattice", "strip", "clusters",
+                                 "collinear", "tiny"]))
+    n = draw(st.integers(1, 2) if kind == "tiny" else st.integers(3, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "lattice":
+        cells = rng.choice(81, size=n, replace=False)
+        return np.stack([cells // 9, cells % 9], axis=1) / 8.0
+    if kind == "strip":
+        width = draw(st.sampled_from([1e-9, 1e-3, 0.05]))
+        return np.stack([rng.random(n), rng.random() * (1.0 - width)
+                         + width * rng.random(n)], axis=1)
+    if kind == "clusters":
+        centers = rng.random((3, 2))
+        return np.clip(centers[rng.integers(0, 3, n)]
+                       + rng.normal(0.0, 0.1, (n, 2)), 0.0, 1.0)
+    if kind == "collinear":
+        t = rng.random(n)
+        return draw(st.sampled_from([np.stack([t, t], axis=1),
+                                     np.stack([t, 1.0 - t], axis=1),
+                                     np.stack([t, np.full(n, rng.random())], axis=1)]))
+    return rng.random((n, 2))
+
+
+def test_pruned_scan_matches_reference(monkeypatch):
+    kinds = set()
+
+    @settings(max_examples=150, deadline=None)
+    @given(pts=square_clouds(), rows=st.sampled_from([1, 7, 1024]))
+    def check(pts, rows):
+        # the floor rises between blocks, so pruning decisions fall on
+        # both sides of block boundaries
+        monkeypatch.setattr(geometry, "_NEAREST_ROWS", rows)
+        cloud = build_cloud(pts)
+        R, witness, kind = covering_radius_unit_square(cloud)
+        ref_R, ref_witness, ref_kind = reference_covering_radius(cloud)
+        assert (R.hex(), witness.tobytes(), kind) == (
+            ref_R.hex(), ref_witness.tobytes(), ref_kind)
+        kinds.add(kind)
+
+    check()
+    assert kinds == {"corner", "voronoi-vertex", "boundary-intersection"}
+
+
+def test_pruned_scan_scores_few_crossings(monkeypatch):
+    cloud = build_cloud(np.random.default_rng(0).random((800, 2)))
+    rows, exact = [], geometry._pairwise
+
+    def counting(a, b):
+        rows.append(a.shape[0])
+        return exact(a, b)
+
+    monkeypatch.setattr(geometry, "_pairwise", counting)
+    covering_radius_unit_square(cloud)
+    c = delaunay(cloud).circumcenters
+    head = 4 + int(((0.0 <= c) & (c <= 1.0)).all(axis=1).sum())
+    probes = 8 * cloud.n
+    crossings = geometry._bisector_boundary_candidates(cloud.points).shape[0]
+    scored = sum(rows) - head - probes  # crossing rows given the exact scan
+    assert 0 <= scored < 0.05 * crossings
+
+
+@pytest.mark.parametrize("n, ceiling", [(150, 2.15e6), (400, 15.1e6)])
+def test_covering_radius_peak_memory(n, ceiling):
+    cloud = build_cloud(np.random.default_rng(0).random((n, 2)))
+    covering_radius_unit_square(cloud)  # first calls of some numpy routines allocate
+    tracemalloc.start()
+    try:
+        covering_radius_unit_square(cloud)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # candidate generation sets the peak (2.11 and 15.0 MB on its own); the
+    # probe table and the per-block bounds add O(n + _NEAREST_ROWS), and
+    # one more (_NEAREST_ROWS, n) distance block would add 1.2 MB at n = 150
+    assert peak < ceiling
 
 
 def test_gap_report_peak_memory():

@@ -40,7 +40,7 @@ import numpy as np
 
 from .fpi import greedy_batch
 from .metric import Graph, _min_plus, build_graph
-from .oracle import _closed_neighborhoods, _doubled_genmet
+from .oracle import _closed_neighborhoods, _genmet
 
 BIG = 64  # unreachable marker; n <= 7 keeps real distances <= 6
 
@@ -226,9 +226,9 @@ def sweep_graph_lower_bound(max_n: int = 7, chunk: int = 65536) -> dict:
     return out
 
 
-def _reduction_chunk(masks: np.ndarray, adj: np.ndarray, D2x: np.ndarray,
+def _reduction_chunk(masks: np.ndarray, adj: np.ndarray, G: np.ndarray,
                      D: np.ndarray, out: dict) -> None:
-    """Add one batch of graphs (adjacency, doubled {1,2}-metric, shortest
+    """Add one batch of graphs (adjacency, {1,2}-metric, shortest
     paths with BIG = unreachable) to ``out``; per k, at most five genmet
     then five eds violations."""
     B, n, _ = D.shape
@@ -237,14 +237,14 @@ def _reduction_chunk(masks: np.ndarray, adj: np.ndarray, D2x: np.ndarray,
     out["eds_graphs"] += int(connected.sum())
     ids, gr1, eds_exists, eds_bad = (np.zeros((n, B), dtype=bool) for _ in range(4))
     closed_nb = _closed_neighborhoods(adj, np.int8)
-    walk = _subset_walk([(D, np.minimum), (D2x, np.minimum), (closed_nb, np.add)],
+    walk = _subset_walk([(D, np.minimum), (G, np.minimum), (closed_nb, np.add)],
                         n - 1)
-    for s, ((pm, q), (pm2, q2), (hit, inner)) in walk:
+    for s, ((pm, q), (pmg, qg), (hit, inner)) in walk:
         k = len(s)
         # independent dominating on the raw graph
         ids[k] |= (inner == 0) & (hit.min(axis=0) >= 1)
-        # gap ratio 1 on the {1,2}-metric: 2*R2 == q2
-        gr1[k] |= 2 * pm2.max(axis=0) == q2
+        # gap ratio 1 on the {1,2}-metric: 2*R == q
+        gr1[k] |= 2 * pmg.max(axis=0) == qg
         # efficient domination vs (r = 3/2, R = 1) on shortest paths
         eds = (hit == 1).all(axis=0)
         prof = (q == 3) & (pm.max(axis=0) == 1)
@@ -274,5 +274,5 @@ def sweep_reduction_certificates(max_n: int = 6, chunk: int = 65536) -> dict:
     out["violations"] = []
     for n in range(3, max_n + 1):
         for masks, adj, D in _graph_batches(n, chunk):
-            _reduction_chunk(masks, adj, _doubled_genmet(adj, np.int16), D, out)
+            _reduction_chunk(masks, adj, _genmet(adj, np.int8), D, out)
     return out

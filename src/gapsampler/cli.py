@@ -70,10 +70,10 @@ def _load_metric(args):
 
 def _exact_fields(metric, sample, args) -> dict:
     """exact flag plus the rational gap ratio where available/requested."""
-    out = {"exact": metric.exact2x is not None}
+    out = {"exact": metric.exact}
     if getattr(args, "float_only", False):
         return out
-    if getattr(args, "exact", False) or metric.exact2x is not None:
+    if getattr(args, "exact", False) or metric.exact:
         frac = gap_fraction(metric, sample)  # raises exact-unavailable
         out["exact_ratio"] = [int(frac.numerator), int(frac.denominator)]
         out["exact"] = True

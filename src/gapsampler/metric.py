@@ -14,17 +14,17 @@ reads ``dist`` (the oracle and the coreset search do).  The gap reports,
 the diameter and farthest-point insertion read only the rows and blocks
 they need, with the matrix entries' bits.  Metrics whose distances are all
 half-integers (shortest paths of unweighted graphs, the {1,2} clique
-reductions) also carry ``exact2x``, the doubled distance matrix in int64,
-for integer-only checks and exact rational gap ratios.  Halves are exactly
-representable in binary floats, so dist == exact2x / 2 bit for bit, and
-every witness and tie-break is read from dist alone.
+reductions) are flagged ``exact``: halves are exactly representable in
+binary floats, so equalities on dist are equalities, gap ratios have exact
+rational forms, and ``exact2x``, the doubled matrix in int64, is derived
+from dist on request rather than stored.
 
-A graph metric gets exact2x when every doubled edge length is an integer
-and the sentinel top = (n - 1) * max doubled length + 1 has
-top <= 2**53; its shortest paths are then closed in the narrowest
-unsigned dtype that holds 2 * top (uint8, uint16, ...) and every distance
-is an exact float.  Past that bound the closure runs in float64 and
-exact2x is None.
+A graph metric is exact when every doubled edge length is an integer and
+the sentinel top = (n - 1) * max doubled length + 1 has top <= 2**53; its
+shortest paths are then closed in the narrowest unsigned dtype that holds
+2 * top (uint8, uint16, ...) and halved into dist, and every distance is
+an exact float.  Past that bound the closure runs in float64 and the
+metric is not exact.
 
 All functions here are pure; every returned object is immutable.
 """
@@ -89,16 +89,15 @@ class FiniteMetric:
     first access, then caches it read-only.  ``block`` reads any part of
     the matrix, with its bits, without building it.
 
-    ``exact2x`` is 2*dist as int64 whenever every distance is an exact
-    half-integer and, for graph metrics, within build_graph_metric's 2**53
-    bound; it is always present for unweighted graph metrics.
+    ``exact`` is True when every distance is an exact half-integer and,
+    for graph metrics, within build_graph_metric's 2**53 bound; it is
+    always True for unweighted graph metrics.
     ``source`` is one of ``euclidean``, ``graph``, ``explicit``.
     """
 
     def __init__(self, n: int, dist: Optional[np.ndarray], source: str,
-                 exact2x: Optional[np.ndarray] = None,
-                 points: Optional[np.ndarray] = None):
-        vars(self).update(n=n, _dist=dist, source=source, exact2x=exact2x,
+                 exact: bool = False, points: Optional[np.ndarray] = None):
+        vars(self).update(n=n, _dist=dist, source=source, exact=exact,
                           points=points)
 
     def __setattr__(self, name, value):
@@ -112,6 +111,15 @@ class FiniteMetric:
             d.setflags(write=False)
             vars(self)["_dist"] = d
         return self._dist
+
+    @property
+    def exact2x(self) -> Optional[np.ndarray]:
+        """2 * dist as a new read-only int64 array when ``exact``, else None."""
+        if not self.exact:
+            return None
+        e = (2 * self.dist).astype(np.int64)
+        e.setflags(write=False)
+        return e
 
     def block(self, rows=None, cols=None) -> np.ndarray:
         """dist[np.ix_(rows, cols)], None standing for every site; a new
@@ -149,7 +157,7 @@ class GapReport:
     gap_ratio: float
     closest_pair: tuple  # (i, j), i < j, realizes 2*r
     farthest_site: int  # realizes R; smallest such index
-    exact: bool  # computed with an exact2x matrix present
+    exact: bool  # computed on an exact metric
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +167,8 @@ class GapReport:
 def build_cloud(points: Iterable) -> PointCloud:
     """Ingest points, validating coordinates and dropping duplicates: points
     equal by value to an earlier one, so -0.0 and 0.0 are the same."""
-    arr = np.asarray(list(points) if not isinstance(points, np.ndarray) else points,
-                     dtype=np.float64)
+    arr = _real_array(list(points) if not isinstance(points, np.ndarray) else points,
+                      "malformed-points", "points must be an (n, d) array of reals")
     if arr.ndim == 1 and arr.size > 0:
         arr = arr[:, None]  # allow plain scalars for 1-D clouds
     if arr.size == 0:
@@ -186,6 +194,30 @@ def build_cloud(points: Iterable) -> PointCloud:
     return PointCloud(dim=int(arr.shape[1]), points=arr, duplicates_removed=dropped)
 
 
+def _real_array(values, code: str, message: str) -> np.ndarray:
+    """values as a float64 array; GapError(code) for ragged rows and for
+    entries that are not real numbers, a complex array's included (numpy
+    would drop their imaginary parts with only a warning)."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "c":
+        raise GapError(code, message)
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise GapError(code, message) from None
+
+
+def _index(v, code: str, what: str) -> int:
+    """v as an int when it is an integer (a Python or numpy int, or an
+    integral float); GapError(code) otherwise, never a truncation."""
+    try:
+        i = int(v)
+        if i == v:
+            return i
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise GapError(code, f"{what} {v!r} is not an integer")
+
+
 def build_graph(n: int, edges: Iterable, weighted: Optional[bool] = None,
                 require_connected: bool = True) -> Graph:
     """Validate a simple undirected graph.
@@ -209,7 +241,7 @@ def build_graph(n: int, edges: Iterable, weighted: Optional[bool] = None,
             saw_weight = True
         else:
             raise GapError("malformed-graph", f"edge {e!r} is not (u, v) or (u, v, w)")
-        u, v = int(u), int(v)
+        u, v = _index(u, "malformed-graph", "vertex"), _index(v, "malformed-graph", "vertex")
         if not (0 <= u < n and 0 <= v < n):
             raise GapError("malformed-graph", f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
@@ -401,13 +433,12 @@ def build_graph_metric(g: Graph) -> FiniteMetric:
     top <= 2**53, the doubled lengths are closed in integers: one
     _min_plus over np.min_scalar_type(2 * top), an unsigned dtype that
     holds every sum the closure forms (uint8 for an unweighted graph up to
-    n = 64, at most uint64).  exact2x is that closure as int64 and
-    dist = exact2x / 2.  Every doubled distance is below 2**53, so every
-    distance is an exact float and dist equals a float64 closure bit for
-    bit.  Any other graph, non-half-integer lengths or paths too long for
-    the bound, is closed once in float64 and has exact2x None; if
-    2 * (n - 1) * max(w) overflows float64 it raises distance-overflow
-    before the closure.
+    n = 64, at most uint64), halved into dist, and the metric is exact.
+    Every doubled distance is below 2**53, so every distance is an exact
+    float and dist equals a float64 closure bit for bit.  Any other graph,
+    non-half-integer lengths or paths too long for the bound, is closed
+    once in float64 and is not exact; if 2 * (n - 1) * max(w) overflows
+    float64 it raises distance-overflow before the closure.
     """
     pair = _unreachable_pair(g)
     if pair is not None:
@@ -439,13 +470,10 @@ def build_graph_metric(g: Graph) -> FiniteMetric:
           lengths)
     d.flat[::n + 1] = 0
     _min_plus(d, d)
-    exact2x = None
     if exact:
-        exact2x = d.astype(np.int64)
-        exact2x.setflags(write=False)
-        d = exact2x / 2.0
+        d = d / 2.0
     d.setflags(write=False)
-    return FiniteMetric(n=n, dist=d, source="graph", exact2x=exact2x)
+    return FiniteMetric(n=n, dist=d, source="graph", exact=exact)
 
 
 def build_explicit(dist) -> FiniteMetric:
@@ -454,7 +482,7 @@ def build_explicit(dist) -> FiniteMetric:
     Checks symmetry, a zero diagonal with positive off-diagonal entries, and
     the triangle inequality within TRIANGLE_TOL.
     """
-    d = np.asarray(dist, dtype=np.float64)
+    d = _real_array(dist, "invalid-matrix", "distance matrix must be an array of reals")
     if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] < 1:
         raise GapError("invalid-matrix", "distance matrix must be square")
     n = d.shape[0]
@@ -485,7 +513,7 @@ def build_explicit(dist) -> FiniteMetric:
 
 def make_sample(indices: Iterable, n: int) -> Sample:
     """Validate indices: distinct, in [0, n), k >= 2; stored sorted."""
-    idx = [int(i) for i in indices]
+    idx = [_index(i, "malformed-sample", "sample index") for i in indices]
     if len(idx) < 2:
         raise GapError("sample-too-small", "a sample needs at least 2 sites")
     if len(set(idx)) != len(idx):
@@ -500,7 +528,7 @@ def _as_indices(m: FiniteMetric, p, min_size: int) -> np.ndarray:
     if isinstance(p, Sample):
         idx = list(p.indices)
     else:
-        idx = [int(i) for i in p]
+        idx = [_index(i, "malformed-sample", "sample index") for i in p]
     if len(idx) < min_size:
         raise GapError("sample-too-small",
                        f"operation needs at least {min_size} sampled sites")
@@ -550,15 +578,15 @@ def gap_ratio(m: FiniteMetric, p) -> GapReport:
                        f"sites {pair[0]} and {pair[1]} are at distance 0")
     R, site = max_gap(m, idx)
     return GapReport(r=r, R=R, gap_ratio=R / r, closest_pair=pair,
-                     farthest_site=site, exact=m.exact2x is not None)
+                     farthest_site=site, exact=m.exact)
 
 
 def gap_fraction(m: FiniteMetric, p) -> Fraction:
-    """Gap ratio as an exact rational; requires exact2x.
+    """Gap ratio as an exact rational; requires an exact metric.
 
     r and R are binary fractions read from dist, so R / r is exact.
     """
-    if m.exact2x is None:
+    if not m.exact:
         raise GapError("exact-unavailable",
                        "metric has no exact doubled-integer representation")
     rep = gap_ratio(m, p)

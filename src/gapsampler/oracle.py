@@ -6,7 +6,8 @@ R_OPT, and the largest packing radius r_OPT.  Note GR_OPT is generally NOT
 R_OPT / r_OPT; the three quantities are optimized by different subsets.
 
 The certifiers turn two combinatorial equivalences into runnable checks,
-each one pass of the subset kernel on exact doubled integers (equalities are
+each one pass of the subset kernel on the reduction's exact metric (its
+distances are half-integers, exact in binary floats, so equalities are
 equalities) that reads domination from its blocks as hit counts |N[v] & D|:
 
 - a graph has an independent dominating set of size k iff the complete
@@ -46,8 +47,7 @@ class OracleResult:
 # prefix-shared subset kernel: exhaustive, or pruned for the coreset search
 
 # Element budget of one (a rows, b columns, sites) block of the subset
-# kernel; a block holds at least one a row, so its one scratch buffer holds
-# max(_BLOCK, n * (n - 1)) entries, and never more than n * (n - 1)**2.
+# kernel; a block holds at least one a row.
 _BLOCK = 1 << 17
 
 
@@ -72,8 +72,6 @@ def _subset_blocks(dist: np.ndarray, k: int,
     """
     n = dist.shape[0]
     top = np.inf if dist.dtype.kind == "f" else np.iinfo(dist.dtype).max
-    scratch = np.empty(min(max(_BLOCK, n * (n - 1)), n * (n - 1) ** 2),
-                       dtype=dist.dtype)
 
     def level(prefix, start, pm, pq):
         if len(prefix) < k - 2:
@@ -99,9 +97,7 @@ def _subset_blocks(dist: np.ndarray, k: int,
             i, j = np.nonzero(np.arange(cols) >= np.arange(rows)[:, None])
             if prune is None:
                 near = np.minimum(pm, dist[a0:a1])
-                block = scratch[:rows * cols * n].reshape(rows, cols, n)
-                np.minimum(near[:, None, :], dist[None, lo:, :], out=block)
-                cover = block.max(axis=-1)
+                cover = np.minimum(near[:, None, :], dist[None, lo:, :]).max(axis=-1)
                 yield prefix, i + a0, j + lo, cover[i, j], q[i, j]
             else:
                 q = q[i, j]
@@ -237,13 +233,13 @@ def is_efficient_dominating(g: Graph, D) -> bool:
 # reductions
 
 
-def _doubled_genmet(adj: np.ndarray, dtype) -> np.ndarray:
-    """Doubled {1, 2}-metric of adjacency matrices (..., n, n) as ``dtype``:
-    2 on edges, 4 on non-edges, 0 on the diagonal."""
+def _genmet(adj: np.ndarray, dtype) -> np.ndarray:
+    """{1, 2}-metric of adjacency matrices (..., n, n) as ``dtype``: 1 on
+    edges, 2 on non-edges, 0 on the diagonal."""
     n = adj.shape[-1]
-    exact2x = np.where(adj, dtype(2), dtype(4))
-    exact2x[..., np.arange(n), np.arange(n)] = 0
-    return exact2x
+    d = np.where(adj, dtype(1), dtype(2))
+    d[..., np.arange(n), np.arange(n)] = 0
+    return d
 
 
 def genmet_reduce(g: Graph) -> FiniteMetric:
@@ -254,17 +250,15 @@ def genmet_reduce(g: Graph) -> FiniteMetric:
     """
     if g.n < 2:
         raise GapError("too-few-sites", "reduction needs at least 2 vertices")
-    exact2x = _doubled_genmet(_adjacency_matrix(g), np.int64)
-    dist = exact2x / 2.0
+    dist = _genmet(_adjacency_matrix(g), np.float64)
     dist.setflags(write=False)
-    exact2x.setflags(write=False)
-    return FiniteMetric(n=g.n, dist=dist, source="explicit", exact2x=exact2x)
+    return FiniteMetric(n=g.n, dist=dist, source="explicit", exact=True)
 
 
 def _domination_blocks(g: Graph, k: int, guard: int, claim: str,
                        reduce: Callable[[Graph], FiniteMetric]) -> Iterator[tuple]:
-    """The subset kernel's blocks over ``reduce(g).exact2x`` as
-    (prefix, a, b, R2, q2, hits), where hits[i, v] = |N[v] & D_i| for the
+    """The subset kernel's blocks over ``reduce(g).dist`` as
+    (prefix, a, b, R, q, hits), where hits[i, v] = |N[v] & D_i| for the
     block's i-th subset D_i.  Refuses, in this order, k outside [2, n), a
     weighted graph and more than ``guard`` subsets, all before ``reduce``
     runs, so these take precedence over its errors."""
@@ -276,9 +270,9 @@ def _domination_blocks(g: Graph, k: int, guard: int, claim: str,
                        f"{claim} equivalence needs an unweighted graph")
     _check_guard(g.n, k, guard)
     closed = _closed_neighborhoods(_adjacency_matrix(g), np.int64)
-    for prefix, a, b, R2, q2 in _subset_blocks(reduce(g).exact2x, k):
+    for prefix, a, b, R, q in _subset_blocks(reduce(g).dist, k):
         hits = closed[list(prefix)].sum(axis=0) + closed[a] + closed[b]
-        yield prefix, a, b, R2, q2, hits
+        yield prefix, a, b, R, q, hits
 
 
 def _first_subset(prefix: tuple, a: np.ndarray, b: np.ndarray,
@@ -297,14 +291,14 @@ def check_genmet_equivalence(g: Graph, k: int, guard: int = DEFAULT_GUARD) -> tu
     """
     k = int(k)
     ids = gr1 = None
-    for prefix, a, b, R2, q2, hits in _domination_blocks(
+    for prefix, a, b, R, q, hits in _domination_blocks(
             g, k, guard, "independent-domination", genmet_reduce):
         # each member v lies in N[v], so the members' hits sum to k iff no
-        # edge lies inside D; GR = 2*R2/q2, so GR == 1 iff 2*R2 == q2
+        # edge lies inside D; GR = 2*R/q, so GR == 1 iff 2*R == q
         rows = np.arange(a.size)
         inner = hits[:, list(prefix)].sum(axis=1) + hits[rows, a] + hits[rows, b]
         ids = ids or _first_subset(prefix, a, b, (inner == k) & (hits >= 1).all(axis=1))
-        gr1 = gr1 or _first_subset(prefix, a, b, 2 * R2 == q2)
+        gr1 = gr1 or _first_subset(prefix, a, b, 2 * R == q)
         if ids and gr1:
             break
     if (ids is None) != (gr1 is None):
@@ -322,16 +316,16 @@ def check_genmet_equivalence(g: Graph, k: int, guard: int = DEFAULT_GUARD) -> tu
 def check_eds_equivalence(g: Graph, k: int, guard: int = DEFAULT_GUARD) -> tuple:
     """Certify, for every k-subset D of a connected unweighted graph:
     D is an efficient dominating set iff the sample D has r = 3/2 and R = 1
-    on the shortest-path metric (integer arithmetic: q2 = 6, R2 = 2).
+    on the shortest-path metric (exact in floats: q = 3, R = 1).
 
     Returns (exists, certificates) where ``exists`` says whether any size-k
     efficient dominating set was found.
     """
     k = int(k)
     witness, count = None, 0
-    for prefix, a, b, R2, q2, hits in _domination_blocks(
+    for prefix, a, b, R, q, hits in _domination_blocks(
             g, k, guard, "efficient-domination", build_graph_metric):
-        profile = (q2 == 6) & (R2 == 2)  # r = 3/2 and R = 1
+        profile = (q == 3) & (R == 1)  # r = 3/2 and R = 1
         eds = (hits == 1).all(axis=1)  # |N[v] & D| = 1 for every v
         bad = _first_subset(prefix, a, b, eds != profile)
         if bad:

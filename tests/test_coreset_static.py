@@ -359,3 +359,15 @@ def test_approx_search_memory_does_not_grow_with_subset_count():
         tracemalloc.stop()
     assert grid.size == 150
     assert peak < 40e6
+
+
+def test_subset_search_memory_is_one_block():
+    # the pruned search allocates per block, not a kernel-sized scratch
+    m = build_euclidean(build_cloud(np.random.default_rng(0).random((150, 2))))
+    tracemalloc.start()
+    try:
+        best_k_subset(m, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6

@@ -74,6 +74,40 @@ def test_cloud_rejects_bad_input():
     assert e.value.code == "nonfinite-coordinate"
 
 
+@pytest.mark.parametrize("build, bad, code", [
+    (build_cloud, [[0, 0], [1]], "malformed-points"),
+    (build_cloud, [["a", "b"]], "malformed-points"),
+    (build_cloud, [[0, 1j]], "malformed-points"),
+    (build_cloud, np.array([[0, 1j]]), "malformed-points"),
+    (build_explicit, [[0, 1], [1]], "invalid-matrix"),
+    (build_explicit, [[0, "a"], ["a", 0]], "invalid-matrix"),
+], ids=["ragged-cloud", "string-cloud", "complex-cloud", "complex-array-cloud",
+        "ragged-matrix", "string-matrix"])
+def test_malformed_input_is_a_coded_error(build, bad, code):
+    with pytest.raises(GapError) as e:
+        build(bad)
+    assert e.value.code == code
+
+
+def test_non_integral_indices_are_refused():
+    for bad in ([0, 1.9], [0.5, 2], [0, float("nan")], [0, float("inf")], [0, "1"]):
+        with pytest.raises(GapError) as e:
+            make_sample(bad, 3)
+        assert e.value.code == "malformed-sample"
+        with pytest.raises(GapError) as e:
+            gap_ratio(line_metric(3), bad)
+        assert e.value.code == "malformed-sample"
+    for bad in ([(0, 1.5), (1, 2)], [(0, 1), (1, 2.25, 1.0)], [(0, None), (1, 2)]):
+        with pytest.raises(GapError) as e:
+            build_graph(3, bad)
+        assert e.value.code == "malformed-graph"
+    # integral floats and numpy integers are indices
+    assert make_sample([np.int64(2), 0.0, np.int8(1)], 3).indices == (0, 1, 2)
+    assert gap_ratio(line_metric(3), [np.uint8(0), 2.0]).closest_pair == (0, 2)
+    g = build_graph(3, [(0.0, np.int32(1)), (np.int64(1), 2.0, 1.0)])
+    assert g.edges == ((0, 1, 1.0), (1, 2, 1.0))
+
+
 def test_graph_validation():
     with pytest.raises(GapError, match="out of range"):
         build_graph(3, [(0, 5)])
@@ -809,6 +843,24 @@ def test_graph_metric_peak_memory():
         tracemalloc.stop()
     assert m.exact2x is not None
     assert peak <= 2.5 * n * n * 8
+
+
+def test_graph_metric_keeps_one_matrix():
+    # an exact metric stores only dist; exact2x is derived on request
+    n = 1000
+    g = build_graph(n, random_connected_edges(np.random.default_rng(5), n, n // 2))
+    tracemalloc.start()
+    try:
+        m = build_graph_metric(g)
+        farthest_point_insertion(m, 32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * n * n
+    assert m.exact
+    e = m.exact2x
+    assert e.dtype == np.int64 and not e.flags.writeable
+    assert np.array_equal(e, (2 * m.dist).astype(np.int64))
 
 
 def loop_triangle_pair(d):

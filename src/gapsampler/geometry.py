@@ -27,11 +27,20 @@ Triangulation is incremental with a bounding super-triangle that is removed
 at the end.  Orientation and in-circumcircle predicates are determinant
 tests with tolerance 1e-12; exactly cocircular insertions do not evict
 earlier triangles, so cocircular ties resolve by insertion order.  This is a
-documented desk-scale choice, not exact arithmetic.  Each insertion runs the
-in-circumcircle expression once over every live triangle as numpy arrays,
-with the scalar predicate's operands and operation order, so every cavity
-decision has the bits a per-triangle scalar test would give; the cavity
-boundary, circumcircles and edge neighbours are array operations too.
+documented desk-scale choice, not exact arithmetic.  Each insertion tests
+every live triangle in one packed scan: a triangle is a column of an
+(18, cap) array holding its coordinates and the operands of the three 2x2
+minors of the in-circumcircle determinant, so the scan is nine ufunc calls
+with the scalar predicate's operands and operation order, and every cavity
+decision has the bits a per-triangle scalar test would give.  The cavity
+boundary of the few bad triangles (their directed edges whose reverse is
+absent, kept where the orientation test is positive) is found on Python
+floats, the same IEEE operations as the array form.  New triangles take the
+bad triangles' columns, so storage order follows the insertion history, and
+it never matters: every live triangle is tested, so the bad set depends
+only on the set of live triangles, the boundary only on the bad set, and
+the output is sorted.  Circumcircles and edge neighbours are array
+operations on the final triangles.
 
 The angle audit ties the triangulation to the gap ratio g = R/r: any
 triangle whose vertices all sit at distance >= R from the boundary has every
@@ -58,7 +67,7 @@ _CORNERS = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
 # scratch is one (_NEAREST_ROWS, n) distance block, not (candidates, n)
 _NEAREST_ROWS = 1024
 
-# starting row capacity of delaunay's live-triangle arrays; they double
+# starting column capacity of delaunay's packed triangle array; it doubles
 _TRI_CAP = 64
 
 
@@ -99,18 +108,38 @@ def _orient(a, b, c) -> float:
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
+# Rows of a packed triangle column, as indices into (ax, bx, cx, ay, by, cy):
+# the three coordinates per axis, then the four operands of the three 2x2
+# cross terms, bx*cy - by*cx, ax*cy - ay*cx and ax*by - ay*bx.
+_PACK = np.array([0, 1, 2, 3, 4, 5, 1, 0, 0, 5, 5, 4, 4, 3, 3, 2, 2, 1])
+_ROWS = np.arange(18)[:, None]
+_SLOT = _PACK % 3
+
+
+def _in_circle_packed(xy, p18):
+    """_in_circumcircle of every column of a packed (18, m) array.
+
+    p18 is the point as an (18, 1) column, packed alike (x on the rows of
+    x coordinates, y on those of y).  Nine ufunc calls over all columns.
+    """
+    d = xy - p18
+    s = d[0:6] * d[0:6]
+    s = s[0:3] + s[3:6]  # ax^2 + ay^2, bx^2 + by^2, cx^2 + cy^2
+    cr = d[6:9] * d[9:12] - d[12:15] * d[15:18]
+    w = s * cr
+    return w[0] - w[1] + w[2]
+
+
 def _in_circumcircle(a, b, c, p):
     """Positive when p lies strictly inside the circumcircle of CCW (a,b,c).
 
     Elementwise: a, b and c may be (2, m) coordinate rows, one column per
     triangle, and every column gets the bits a scalar call would give.
     """
-    ax, ay = a[0] - p[0], a[1] - p[1]
-    bx, by = b[0] - p[0], b[1] - p[1]
-    cx, cy = c[0] - p[0], c[1] - p[1]
-    return ((ax * ax + ay * ay) * (bx * cy - by * cx)
-            - (bx * bx + by * by) * (ax * cy - ay * cx)
-            + (cx * cx + cy * cy) * (ax * by - ay * bx))
+    abc = np.array([a[0], b[0], c[0], a[1], b[1], c[1]], dtype=np.float64)
+    det = _in_circle_packed(abc[_PACK].reshape(18, -1),
+                            np.asarray(p, dtype=np.float64)[_PACK // 3, None])
+    return det.reshape(abc.shape[1:])
 
 
 def _circumcircles(a, b, c) -> tuple:
@@ -158,6 +187,21 @@ def _edge_neighbors(triangles: np.ndarray, n: int) -> np.ndarray:
     return out.reshape(triangles.shape)
 
 
+def _fill_holes(xy: np.ndarray, tris: list, holes: list) -> None:
+    """Drop the live triangles at the ascending slots `holes`: the last
+    live columns of xy, and their triples in the flat list tris, that are
+    not holes move into the holes below the new end; tris is cut there."""
+    live = len(tris) // 3
+    end = live - len(holes)
+    gone = set(holes)
+    low = [h for h in holes if h < end]
+    movers = [s for s in range(end, live) if s not in gone]
+    xy[:, low] = xy[:, movers]
+    for h, s in zip(low, movers):
+        tris[3 * h:3 * h + 3] = tris[3 * s:3 * s + 3]
+    del tris[3 * end:]
+
+
 def delaunay(cloud: PointCloud) -> Triangulation:
     """Incremental Delaunay triangulation (super-triangle, then removal).
 
@@ -182,49 +226,54 @@ def delaunay(cloud: PointCloud) -> Triangulation:
                     [center[0] + 3.0 * m, center[1] - m],
                     [center[0], center[1] + 3.0 * m]])
     verts = np.vstack([pts, sup])
-    nv = n + 3
-    # live triangles are the first `live` rows of tris; the same columns of
-    # xy hold their vertex coordinates (ax, ay, bx, by, cx, cy)
-    tris = np.empty((_TRI_CAP, 3), dtype=np.int64)
-    xy = np.empty((6, _TRI_CAP))
-    tris[0] = (n, n + 1, n + 2)
-    xy[:, 0] = sup.ravel()
-    live = 1
+    vxy = verts.tolist()  # Python floats for the cavity's _orient
+    # packed[r, v] is vertex v's x or y, whichever row r of a packed column
+    # holds: column v is vertex v as a point p18, and row r of triangle
+    # (a, b, c) is packed[r, (a, b, c)[_SLOT[r]]]
+    packed = verts.T[_PACK // 3]
+    # live triangles, in any order: column t of xy packs the triangle
+    # tris[3t:3t + 3].  A flat list of ints, since 3-tuples would outlive
+    # the call in Python's tuple free list (19 KB at n = 150)
+    tris = [n, n + 1, n + 2]
+    xy = np.empty((18, _TRI_CAP))
+    xy[:, :1] = packed[_ROWS, np.reshape(tris, (-1, 3)).T[_SLOT]]
 
-    for pi_ in range(n):
-        p = verts[pi_]
-        bad = np.flatnonzero(_in_circumcircle(xy[0:2, :live], xy[2:4, :live],
-                                              xy[4:6, :live], p) > PREDICATE_TOL)
-        if bad.size == 0:
+    for i in range(n):
+        live = len(tris) // 3
+        det = _in_circle_packed(xy[:, :live], packed[:, i:i + 1])
+        bad = (det > PREDICATE_TOL).nonzero()[0].tolist()
+        if not bad:
             continue
         # the cavity boundary: directed edges of bad triangles, as a set,
-        # whose reverse is not among them
-        cav = tris[bad]
-        directed = np.unique(cav.ravel() * nv + cav[:, [1, 2, 0]].ravel())
-        reverse = directed % nv * nv + directed // nv
-        at = np.minimum(np.searchsorted(directed, reverse), directed.size - 1)
-        u, v = np.divmod(directed[directed[at] != reverse], nv)
-        keep = _orient(verts[u].T, verts[v].T, p) > 0
-        u, v = u[keep], v[keep]
+        # whose reverse is not among them, kept where _orient(u, v, p) > 0
+        directed = set()
+        for t in bad:
+            a, b, c = tris[3 * t:3 * t + 3]
+            directed.update(((a, b), (b, c), (c, a)))
+        px, py = vxy[i]
+        new = []
+        for u, v in directed:
+            if (v, u) not in directed:
+                (ux, uy), (vx, vy) = vxy[u], vxy[v]
+                if (vx - ux) * (py - uy) - (vy - uy) * (px - ux) > 0:
+                    new += (u, v, i)
 
-        # drop the cavity: the surviving rows past the new end fill its holes
-        live -= bad.size
-        holes = bad[:np.searchsorted(bad, live)]
-        stays = np.ones(bad.size, dtype=bool)
-        stays[bad[holes.size:] - live] = False
-        movers = live + np.flatnonzero(stays)
-        tris[holes] = tris[movers]
-        xy[:, holes] = xy[:, movers]
-        while live + u.size > len(tris):
-            tris = np.concatenate([tris, np.empty_like(tris)])
+        # new triangles take the bad slots, then the end; when fewer come
+        # back than left, the last live columns fill the remaining holes
+        k = len(new) // 3
+        for j, t in enumerate(bad[:k]):
+            tris[3 * t:3 * t + 3] = new[3 * j:3 * j + 3]
+        tris += new[3 * len(bad):]
+        slots = bad[:k] + list(range(live, len(tris) // 3))
+        while len(tris) > 3 * xy.shape[1]:
             xy = np.concatenate([xy, np.empty_like(xy)], axis=1)
-        new = slice(live, live + u.size)
-        tris[new, 0], tris[new, 1], tris[new, 2] = u, v, pi_
-        xy[0:2, new], xy[2:4, new] = verts[u].T, verts[v].T
-        xy[4:6, new] = p[:, None]
-        live += u.size
+        if new:
+            xy[:, slots] = packed[_ROWS, np.reshape(new, (-1, 3)).T[_SLOT]]
+        if k < len(bad):
+            _fill_holes(xy, tris, bad[k:])
 
-    tris = tris[:live][(tris[:live] < n).all(axis=1)]
+    tris = np.array(tris, dtype=np.int64).reshape(-1, 3)
+    tris = tris[(tris < n).all(axis=1)]
     if not tris.size:
         raise GapError("collinear-points", "no triangle survives; points nearly collinear")
     triangles = tris[np.lexsort(tris.T[::-1])]
@@ -402,12 +451,20 @@ def gap_report_unit_square(cloud: PointCloud) -> SquareGapReport:
 # angle audit
 
 
-def _triangle_angles(a, b, c) -> np.ndarray:
-    def ang(p, q, s):
-        u, v = q - p, s - p
-        cosv = (u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
-        return float(np.arccos(np.clip(cosv, -1.0, 1.0)))
-    return np.array([ang(a, b, c), ang(b, c, a), ang(c, a, b)])
+def _triangle_angles(corners: np.ndarray) -> np.ndarray:
+    """(m, 3) angles at a, b and c of triangles with (m, 3, 2) corners.
+
+    Dots and squared norms are stacked matmuls, one vector pair per
+    matrix: numpy takes each as a 1-D dot, the BLAS call `u @ v` and
+    np.linalg.norm make, so every angle has their bits (elementwise
+    multiply-adds would not: BLAS may fuse them).
+    """
+    u = (corners[:, [1, 2, 0]] - corners).reshape(-1, 1, 2)
+    v = (corners[:, [2, 0, 1]] - corners).reshape(-1, 2, 1)
+    dot = (u @ v).ravel()
+    norms = np.sqrt((u @ u.transpose(0, 2, 1)).ravel()) * np.sqrt(
+        (v.transpose(0, 2, 1) @ v).ravel())
+    return np.arccos(np.clip(dot / norms, -1.0, 1.0)).reshape(-1, 3)
 
 
 def delaunay_angle_audit(cloud: PointCloud) -> AngleAuditReport:
@@ -426,20 +483,13 @@ def delaunay_angle_audit(cloud: PointCloud) -> AngleAuditReport:
     theta = asin(min(1.0, 1.0 / g))
     boundary_dist = np.minimum.reduce([pts[:, 0], 1.0 - pts[:, 0],
                                        pts[:, 1], 1.0 - pts[:, 1]])
-    interior = []
-    violations = []
-    min_angle = None
-    for t, (ia, ib, ic) in enumerate(tri.triangles):
-        if min(boundary_dist[ia], boundary_dist[ib], boundary_dist[ic]) < R:
-            continue
-        interior.append(t)
-        angles = _triangle_angles(pts[ia], pts[ib], pts[ic])
-        lo, hi = float(angles.min()), float(angles.max())
-        if min_angle is None or lo < min_angle:
-            min_angle = lo
-        if lo < theta - 1e-9 or hi > pi - 2.0 * theta + 1e-9:
-            violations.append((t, lo, hi))
+    interior = np.flatnonzero(boundary_dist[tri.triangles].min(axis=1) >= R)
+    angles = _triangle_angles(pts[tri.triangles[interior]])
+    lo, hi = angles.min(axis=1), angles.max(axis=1)
+    bad = (lo < theta - 1e-9) | (hi > pi - 2.0 * theta + 1e-9)
+    violations = zip(interior[bad].tolist(), lo[bad].tolist(), hi[bad].tolist())
+    min_angle = float(lo.min()) if interior.size else None
     return AngleAuditReport(gap_ratio=g, covering_radius=R, theta_bound=theta,
-                            interior_triangles=tuple(interior),
+                            interior_triangles=tuple(interior.tolist()),
                             min_interior_angle=min_angle,
                             violations=tuple(violations))

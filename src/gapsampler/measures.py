@@ -52,6 +52,14 @@ def _square_points(cloud: PointCloud) -> np.ndarray:
     return cloud.points
 
 
+def _sorted_unique(v: np.ndarray) -> np.ndarray:
+    """np.unique(v) for a finite 1-D float array, by np.unique's own sort
+    and neighbour rule, without the np.ma check whose first call imports
+    numpy.ma."""
+    v = np.sort(v)
+    return v[np.r_[True, v[1:] != v[:-1]]]
+
+
 def _count_blocks(pts: np.ndarray) -> Iterator[tuple]:
     """The candidate grid's counts, one block of rows at a time.
 
@@ -67,8 +75,8 @@ def _count_blocks(pts: np.ndarray) -> Iterator[tuple]:
     one row and one column, its first row taken from the carried row.
     Memory is O(n + _BLOCK); the points are binned once, sorted by cell.
     """
-    xs = np.unique(np.append(pts[:, 0], 1.0))
-    ys = np.unique(np.append(pts[:, 1], 1.0))
+    xs = _sorted_unique(np.append(pts[:, 0], 1.0))
+    ys = _sorted_unique(np.append(pts[:, 1], 1.0))
     my = ys.size
     cells = np.sort(np.searchsorted(xs, pts[:, 0]) * my + np.searchsorted(ys, pts[:, 1]))
     rows = max(1, _BLOCK // my)

@@ -167,8 +167,12 @@ class GapReport:
 def build_cloud(points: Iterable) -> PointCloud:
     """Ingest points, validating coordinates and dropping duplicates: points
     equal by value to an earlier one, so -0.0 and 0.0 are the same."""
-    arr = _real_array(list(points) if not isinstance(points, np.ndarray) else points,
-                      "malformed-points", "points must be an (n, d) array of reals")
+    if not isinstance(points, np.ndarray):
+        try:
+            points = list(points)
+        except TypeError:
+            raise GapError("malformed-points", "points must be an (n, d) array of reals") from None
+    arr = _real_array(points, "malformed-points", "points must be an (n, d) array of reals")
     if arr.ndim == 1 and arr.size > 0:
         arr = arr[:, None]  # allow plain scalars for 1-D clouds
     if arr.size == 0:
@@ -227,6 +231,7 @@ def build_graph(n: int, edges: Iterable, weighted: Optional[bool] = None,
     Connectivity is required by default; the {1,2} clique reduction is the
     one consumer that accepts disconnected inputs.
     """
+    n = _index(n, "malformed-graph", "vertex count")
     if n < 1:
         raise GapError("empty-graph", "graph needs at least one vertex")
     norm = []
@@ -250,7 +255,13 @@ def build_graph(n: int, edges: Iterable, weighted: Optional[bool] = None,
         if key in seen:
             raise GapError("malformed-graph", f"parallel edge ({key[0]}, {key[1]})")
         seen.add(key)
-        w = float(w)
+        if isinstance(w, np.complexfloating):  # float() would drop its imaginary part
+            w = complex(w)
+        try:
+            w = float(w)
+        except (TypeError, ValueError):
+            raise GapError("malformed-graph",
+                           f"edge ({u}, {v}) weight {w!r} is not a real number") from None
         if not (w > 0 and np.isfinite(w)):
             raise GapError("malformed-graph", f"edge ({u}, {v}) weight {w} not positive")
         norm.append((key[0], key[1], w))

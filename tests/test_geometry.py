@@ -190,6 +190,21 @@ def equivalence_clouds():
             yield np.stack([x, 0.2 + 0.6 * x + eps * rng.standard_normal(n)], axis=1)
     # planar-audit's delaunay-200 input at seed 12, which loses a hull edge
     yield np.random.default_rng([12, 43]).random((200, 2))
+    # planar-audit's n = 200 and n = 400 clouds at two seeds: the live
+    # triangle storage doubles several times
+    for seed in (0, 1):
+        for tag, n in ((43, 200), (46, 400)):
+            yield np.random.default_rng([seed, tag]).random((n, 2))
+    yield ring_then_center()
+
+
+def ring_then_center(k=11, radius=100.0):
+    """A regular k-gon, then its center.  Every triangle's circumcircle is
+    the ring's, so at this radius the in-circumcircle tests are rounding
+    noise above the tolerance; inserting the center evicts two more
+    triangles than its cavity gives back."""
+    theta = np.arange(k) * 2.0 * pi / k
+    return np.vstack([radius * np.stack([np.cos(theta), np.sin(theta)], axis=1), [0.0, 0.0]])
 
 
 def test_in_circumcircle_rows_match_scalar_bitwise():
@@ -203,6 +218,27 @@ def test_in_circumcircle_rows_match_scalar_bitwise():
         got = geometry._in_circumcircle(*abc, p)
         want = [scalar_in_circumcircle(*abc[:, :, t], p) for t in range(abc.shape[2])]
         assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
+
+
+def test_delaunay_refills_holes(monkeypatch):
+    # the ring is one of equivalence_clouds(), whose bits are checked below
+    holes, real = [], geometry._fill_holes
+    monkeypatch.setattr(geometry, "_fill_holes",
+                        lambda xy, tris, h: holes.append(len(h)) or real(xy, tris, h))
+    delaunay(build_cloud(ring_then_center()))
+    assert holes == [2]
+
+
+def test_fill_holes_moves_the_last_live_columns():
+    tris = [t for t in range(8) for _ in range(3)]
+    xy = np.arange(18.0)[:, None] * 100 + np.arange(10.0)  # 2 spare columns
+    geometry._fill_holes(xy, tris, [1, 4, 6])
+    # slots 5 and 7 move into holes 1 and 4; hole 6 is past the new end
+    assert tris == [0, 0, 0, 5, 5, 5, 2, 2, 2, 3, 3, 3, 7, 7, 7]
+    assert np.array_equal(xy[:, :5] % 100, np.tile([0.0, 5, 2, 3, 7], (18, 1)))
+    tris = [0, 1, 2, 3, 4, 5]
+    geometry._fill_holes(xy, tris, [0, 1])
+    assert tris == []
 
 
 def test_delaunay_matches_scalar_loop_bitwise():
@@ -558,8 +594,18 @@ def test_audit_random_clouds_never_violate():
         assert sin_ok(audit)
 
 
+def reference_angles(a, b, c):
+    """A triangle's angles at a, b and c, one BLAS dot and two norms each."""
+    def ang(p, q, s):
+        u, v = q - p, s - p
+        cosv = (u @ v) / (np.linalg.norm(u) * np.linalg.norm(v))
+        return float(np.arccos(np.clip(cosv, -1.0, 1.0)))
+    return np.array([ang(a, b, c), ang(b, c, a), ang(c, a, b)])
+
+
 def reference_audit(cloud):
-    """The audit as a square report followed by a second triangulation."""
+    """The audit as a square report followed by a second triangulation and
+    a per-triangle, per-angle loop."""
     rep = gap_report_unit_square(cloud)
     tri = delaunay(cloud)
     theta = asin(min(1.0, 1.0 / rep.gap_ratio))
@@ -571,7 +617,7 @@ def reference_audit(cloud):
         if min(boundary_dist[ia], boundary_dist[ib], boundary_dist[ic]) < rep.R:
             continue
         interior.append(t)
-        angles = geometry._triangle_angles(pts[ia], pts[ib], pts[ic])
+        angles = reference_angles(pts[ia], pts[ib], pts[ic])
         lo, hi = float(angles.min()), float(angles.max())
         if min_angle is None or lo < min_angle:
             min_angle = lo
@@ -583,8 +629,17 @@ def reference_audit(cloud):
         violations=tuple(violations))
 
 
+def audit_clouds():
+    """planar-audit's audit clouds at seeds 0 and 1, and two jittered lattices."""
+    for seed in (0, 1):
+        for tag, n in ((40, 50), (41, 100), (42, 150)):
+            yield build_cloud(np.random.default_rng([seed, tag]).random((n, 2)))
+    yield jittered_lattice(0)
+    yield jittered_lattice(1)
+
+
 def test_audit_matches_reference_and_triangulates_once(monkeypatch):
-    clouds = [jittered_lattice(2), build_cloud(CORNERS)]
+    clouds = [*audit_clouds(), jittered_lattice(2), build_cloud(CORNERS)]
     clouds += [build_cloud(pts) for pts in candidate_clouds() if len(pts) >= 3]
     want = []
     for cloud in clouds:
@@ -603,5 +658,5 @@ def test_audit_matches_reference_and_triangulates_once(monkeypatch):
                 delaunay_angle_audit(cloud)
             assert (got.value.code, str(got.value)) == ref
         else:
-            assert delaunay_angle_audit(cloud) == ref
+            assert delaunay_angle_audit(cloud) == ref  # float == is bitwise on angles
         assert len(calls) == 1

@@ -1,6 +1,8 @@
 """Exact star discrepancy, the gap-based bound, and closed-form floors."""
 
 import itertools
+import subprocess
+import sys
 import tracemalloc
 from math import sqrt
 
@@ -224,6 +226,35 @@ def test_discrepancy_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 4e6
+
+
+def test_sorted_unique_matches_np_unique_bitwise():
+    rng = np.random.default_rng(17)
+    for v in (rng.random(50), np.round(rng.random(200) * 8) / 8,
+              np.array([0.0, -0.0, 0.5, -0.0, 0.5, 1.0]), np.array([-0.0, 0.0]),
+              np.array([1.0])):
+        got, want = measures._sorted_unique(v), np.unique(v)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_planar_requests_leave_numpy_ma_unimported():
+    # np.unique's first call in a process imports numpy.ma, about 1.1 MB
+    # under tracemalloc, inside whichever request makes it
+    code = """if True:
+        import sys
+        import numpy as np
+        from gapsampler import (build_cloud, delaunay_angle_audit, gap_report_unit_square,
+                                gap_based_discrepancy_bound, star_discrepancy)
+        cloud = build_cloud(np.random.default_rng(0).random((100, 2)))
+        rep = gap_report_unit_square(cloud)
+        delaunay_angle_audit(cloud)
+        star_discrepancy(cloud)
+        gap_based_discrepancy_bound(cloud, rep.r, rep.R)
+        assert "numpy.ma" not in sys.modules
+    """
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -79,10 +79,16 @@ def test_cloud_rejects_bad_input():
     (build_cloud, [["a", "b"]], "malformed-points"),
     (build_cloud, [[0, 1j]], "malformed-points"),
     (build_cloud, np.array([[0, 1j]]), "malformed-points"),
+    (build_cloud, 5, "malformed-points"),
     (build_explicit, [[0, 1], [1]], "invalid-matrix"),
     (build_explicit, [[0, "a"], ["a", 0]], "invalid-matrix"),
+    (lambda w: build_graph(3, [(0, 1, w), (1, 2)]), "a", "malformed-graph"),
+    (lambda w: build_graph(3, [(0, 1, w), (1, 2)]), 1j, "malformed-graph"),
+    (lambda w: build_graph(3, [(0, 1, w), (1, 2)]), np.complex128(2 + 0j), "malformed-graph"),
+    (lambda n: build_graph(n, []), 3.5, "malformed-graph"),
 ], ids=["ragged-cloud", "string-cloud", "complex-cloud", "complex-array-cloud",
-        "ragged-matrix", "string-matrix"])
+        "scalar-cloud", "ragged-matrix", "string-matrix", "string-weight",
+        "complex-weight", "numpy-complex-weight", "non-integral-n"])
 def test_malformed_input_is_a_coded_error(build, bad, code):
     with pytest.raises(GapError) as e:
         build(bad)
@@ -104,8 +110,8 @@ def test_non_integral_indices_are_refused():
     # integral floats and numpy integers are indices
     assert make_sample([np.int64(2), 0.0, np.int8(1)], 3).indices == (0, 1, 2)
     assert gap_ratio(line_metric(3), [np.uint8(0), 2.0]).closest_pair == (0, 2)
-    g = build_graph(3, [(0.0, np.int32(1)), (np.int64(1), 2.0, 1.0)])
-    assert g.edges == ((0, 1, 1.0), (1, 2, 1.0))
+    g = build_graph(3.0, [(0.0, np.int32(1)), (np.int64(1), 2.0, 1.0)])
+    assert type(g.n) is int and g.edges == ((0, 1, 1.0), (1, 2, 1.0))
 
 
 def test_graph_validation():

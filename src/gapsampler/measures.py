@@ -55,7 +55,9 @@ def _square_points(cloud: PointCloud) -> np.ndarray:
 def _sorted_unique(v: np.ndarray) -> np.ndarray:
     """np.unique(v) for a finite 1-D float array, by np.unique's own sort
     and neighbour rule, without the np.ma check whose first call imports
-    numpy.ma."""
+    numpy.ma.  That import is a one-time cost per process which the bench
+    memory pass would charge to a request, since it does not warm numpy
+    up; once it does, np.unique can come back (ROADMAP item 11)."""
     v = np.sort(v)
     return v[np.r_[True, v[1:] != v[:-1]]]
 

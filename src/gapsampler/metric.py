@@ -238,10 +238,14 @@ def build_graph(n: int, edges: Iterable, weighted: Optional[bool] = None,
     seen = set()
     saw_weight = False
     for e in edges:
-        if len(e) == 2:
+        try:
+            size = len(e)
+        except TypeError:
+            size = None
+        if size == 2:
             u, v = e
             w = 1.0
-        elif len(e) == 3:
+        elif size == 3:
             u, v, w = e
             saw_weight = True
         else:

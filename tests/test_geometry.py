@@ -221,12 +221,17 @@ def test_in_circumcircle_rows_match_scalar_bitwise():
 
 
 def test_delaunay_refills_holes(monkeypatch):
-    # the ring is one of equivalence_clouds(), whose bits are checked below
+    # the ring is one of equivalence_clouds(), whose bits are checked below.
+    # Its cavity evicts more triangles than it gives back only because
+    # PREDICATE_TOL is absolute; relative or exact predicates (ROADMAP
+    # item 6) will triangulate it right, and this test should then give
+    # way to an input that still reaches the refill, or go, leaving
+    # test_fill_holes_moves_the_last_live_columns to check the refill.
     holes, real = [], geometry._fill_holes
     monkeypatch.setattr(geometry, "_fill_holes",
                         lambda xy, tris, h: holes.append(len(h)) or real(xy, tris, h))
     delaunay(build_cloud(ring_then_center()))
-    assert holes == [2]
+    assert holes
 
 
 def test_fill_holes_moves_the_last_live_columns():

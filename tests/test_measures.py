@@ -239,10 +239,14 @@ def test_sorted_unique_matches_np_unique_bitwise():
 
 def test_planar_requests_leave_numpy_ma_unimported():
     # np.unique's first call in a process imports numpy.ma, about 1.1 MB
-    # under tracemalloc, inside whichever request makes it
+    # under tracemalloc, inside whichever request makes it.  numpy 1.x
+    # imports numpy.ma with numpy itself, so there is nothing to check.
     code = """if True:
         import sys
         import numpy as np
+        if "numpy.ma" in sys.modules:
+            print("eager")
+            sys.exit(0)
         from gapsampler import (build_cloud, delaunay_angle_audit, gap_report_unit_square,
                                 gap_based_discrepancy_bound, star_discrepancy)
         cloud = build_cloud(np.random.default_rng(0).random((100, 2)))
@@ -255,6 +259,8 @@ def test_planar_requests_leave_numpy_ma_unimported():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          timeout=120)
     assert run.returncode == 0, run.stderr
+    if run.stdout.strip() == "eager":
+        pytest.skip("this numpy imports numpy.ma eagerly")
 
 
 # ---------------------------------------------------------------------------

@@ -86,9 +86,10 @@ def test_cloud_rejects_bad_input():
     (lambda w: build_graph(3, [(0, 1, w), (1, 2)]), 1j, "malformed-graph"),
     (lambda w: build_graph(3, [(0, 1, w), (1, 2)]), np.complex128(2 + 0j), "malformed-graph"),
     (lambda n: build_graph(n, []), 3.5, "malformed-graph"),
+    (lambda e: build_graph(3, [e]), 5, "malformed-graph"),
 ], ids=["ragged-cloud", "string-cloud", "complex-cloud", "complex-array-cloud",
         "scalar-cloud", "ragged-matrix", "string-matrix", "string-weight",
-        "complex-weight", "numpy-complex-weight", "non-integral-n"])
+        "complex-weight", "numpy-complex-weight", "non-integral-n", "non-sequence-edge"])
 def test_malformed_input_is_a_coded_error(build, bad, code):
     with pytest.raises(GapError) as e:
         build(bad)

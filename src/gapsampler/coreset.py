@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import GapError
 from .fpi import farthest_point_insertion, greedy_batch
-from .metric import (TRIANGLE_TOL, FiniteMetric, PointCloud, build_cloud,
+from .metric import (TRIANGLE_TOL, FiniteMetric, PointCloud, _index, build_cloud,
                      build_euclidean, gap_ratio, make_sample)
 from .oracle import _check_guard, _min_gap_ratio
 
@@ -81,7 +81,7 @@ def static_params(eps: float, R_P1: float, d: int) -> EpsParams:
     if R_P1 == inf:  # the squares overflowed; no grid has finite cells
         raise GapError("distance-overflow", "the covering radius overflows float64: "
                        "the points are too far apart")
-    d = int(d)
+    d = _index(d, "invalid-dimension", "dimension")
     if d < 1:
         raise GapError("invalid-dimension", f"dimension must be >= 1, got {d}")
     eps1 = eps / (3.0 + 2.0 * eps)
@@ -156,7 +156,7 @@ def best_k_subset(coreset_metric: FiniteMetric, k: int,
     still counts all C(n, k) subsets and is checked before any distance is
     read; then a distance past float64's range is refused before the search.
     """
-    k = int(k)
+    k = _index(k, "k-out-of-range", "k")
     if k < 2:
         raise GapError("k-out-of-range", f"k must be >= 2, got {k}")
     if coreset_metric.n < k:
@@ -228,7 +228,7 @@ def approx_sample(cloud: PointCloud, k: int, eps: float,
     farthest-point sample is 0, so no grid parameters exist) short-circuits
     to the exact answer, the whole site set, with params and coreset None.
     """
-    k = int(k)
+    k = _index(k, "k-out-of-range", "k")
     if not 2 <= k <= cloud.n:
         raise GapError("k-out-of-range", f"k must satisfy 2 <= k <= {cloud.n}, got {k}")
     metric_full = build_euclidean(cloud)

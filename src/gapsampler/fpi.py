@@ -22,8 +22,8 @@ from math import sqrt
 import numpy as np
 
 from .errors import GapError
-from .metric import (FiniteMetric, GapReport, _first_pair, diameter, gap_ratio,
-                     make_sample)
+from .metric import (FiniteMetric, GapReport, _first_pair, _index, diameter,
+                     gap_ratio, make_sample)
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def farthest_point_insertion(m: FiniteMetric, k: int) -> tuple:
     Ties in the per-step argmax (and in the diameter scan) break toward the
     smallest site index, so runs are replayable.
     """
-    k = int(k)
+    k = _index(k, "k-out-of-range", "k")
     if not 2 <= k <= m.n:
         raise GapError("k-out-of-range", f"k must satisfy 2 <= k <= {m.n}, got {k}")
     order, q, R = (a[0].tolist() for a in greedy_batch(m, k))
@@ -131,7 +131,7 @@ def rho(k: int) -> float:
     This is 2/alpha evaluated at the square's gap-ratio floor
     2/sqrt(3) - C/sqrt(k); it decreases monotonically toward sqrt(3).
     """
-    k = int(k)
+    k = _index(k, "k-out-of-range", "k")
     if k < 2:
         raise GapError("k-out-of-range", f"k must be >= 2, got {k}")
     return 27.0 ** 0.25 * sqrt(k) / (3.0 ** 0.25 * sqrt(k) - sqrt(2.0))

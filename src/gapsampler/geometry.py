@@ -63,8 +63,8 @@ PREDICATE_TOL = 1e-12
 
 _CORNERS = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
 
-# candidates per block of the covering radius's nearest-site scan; the
-# scratch is one (_NEAREST_ROWS, n) distance block, not (candidates, n)
+# crossings bounded, then scanned, per stride of the covering radius's
+# pruned loop; the scans' distance blocks are _pairwise's own
 _NEAREST_ROWS = 1024
 
 # starting column capacity of delaunay's packed triangle array; it doubles
@@ -117,10 +117,13 @@ _SLOT = _PACK % 3
 
 
 def _in_circle_packed(xy, p18):
-    """_in_circumcircle of every column of a packed (18, m) array.
+    """In-circumcircle determinant of a point against every triangle
+    packed as a column of the (18, m) array xy: positive when the point
+    lies strictly inside the circumcircle of the CCW triangle (a, b, c).
 
     p18 is the point as an (18, 1) column, packed alike (x on the rows of
-    x coordinates, y on those of y).  Nine ufunc calls over all columns.
+    x coordinates, y on those of y).  Nine ufunc calls over all columns,
+    each with the scalar determinant's operands and operation order.
     """
     d = xy - p18
     s = d[0:6] * d[0:6]
@@ -128,18 +131,6 @@ def _in_circle_packed(xy, p18):
     cr = d[6:9] * d[9:12] - d[12:15] * d[15:18]
     w = s * cr
     return w[0] - w[1] + w[2]
-
-
-def _in_circumcircle(a, b, c, p):
-    """Positive when p lies strictly inside the circumcircle of CCW (a,b,c).
-
-    Elementwise: a, b and c may be (2, m) coordinate rows, one column per
-    triangle, and every column gets the bits a scalar call would give.
-    """
-    abc = np.array([a[0], b[0], c[0], a[1], b[1], c[1]], dtype=np.float64)
-    det = _in_circle_packed(abc[_PACK].reshape(18, -1),
-                            np.asarray(p, dtype=np.float64)[_PACK // 3, None])
-    return det.reshape(abc.shape[1:])
 
 
 def _circumcircles(a, b, c) -> tuple:
@@ -329,13 +320,6 @@ def _bisector_boundary_candidates(pts: np.ndarray) -> np.ndarray:
     return out[keep]
 
 
-def _nearest_sites(cand: np.ndarray, pts: np.ndarray, reduce=np.min) -> np.ndarray:
-    """reduce (np.min or np.argmin) over each candidate's distances to the
-    sites, _NEAREST_ROWS candidates at a time; one block is alive at once."""
-    return np.concatenate([reduce(_pairwise(cand[lo:lo + _NEAREST_ROWS], pts), axis=1)
-                           for lo in range(0, cand.shape[0], _NEAREST_ROWS)])
-
-
 def _probe_sites(pts: np.ndarray) -> np.ndarray:
     """(4, 2n) index of the nearest site to each boundary probe.
 
@@ -348,7 +332,7 @@ def _probe_sites(pts: np.ndarray) -> np.ndarray:
     zero, one = np.zeros(per), np.ones(per)
     probes = np.concatenate([np.c_[zero, t], np.c_[one, t],
                              np.c_[t, zero], np.c_[t, one]])
-    return _nearest_sites(probes, pts, np.argmin).reshape(4, per)
+    return _pairwise(probes, pts, np.argmin).reshape(4, per)
 
 
 def _covering_radius(pts: np.ndarray, tri: Optional[Triangulation]) -> tuple:
@@ -362,7 +346,7 @@ def _covering_radius(pts: np.ndarray, tri: Optional[Triangulation]) -> tuple:
     beside it: one of the entries the exact scan takes the minimum of, so
     nearest(c) <= u(c) bit for bit, and u(c) <= nearest(c) + 1/2n by the
     triangle inequality.  Crossings with u(c) below the floor score -inf;
-    the rest are scored exactly, a block at a time, raising the floor.
+    the rest are scored exactly, a stride at a time, raising the floor.
     The floor is a real earlier candidate's score, so a pruned one is
     never the first maximum.
     """
@@ -373,7 +357,7 @@ def _covering_radius(pts: np.ndarray, tri: Optional[Triangulation]) -> tuple:
     cross = _bisector_boundary_candidates(pts)
     head = np.concatenate([np.array(_CORNERS), vor])
     nearest = np.full(head.shape[0] + cross.shape[0], -np.inf)
-    nearest[:head.shape[0]] = _nearest_sites(head, pts)
+    nearest[:head.shape[0]] = _pairwise(head, pts, np.min)
     floor = nearest[:head.shape[0]].max()
     cross_nearest = nearest[head.shape[0]:]
     probe = _probe_sites(pts)
@@ -390,7 +374,7 @@ def _covering_radius(pts: np.ndarray, tri: Optional[Triangulation]) -> tuple:
         bound = np.sqrt(dx * dx + dy * dy)
         live = np.flatnonzero(bound >= floor)
         if live.size:
-            got = _nearest_sites(cross[lo + live], pts)
+            got = _pairwise(cross[lo + live], pts, np.min)
             cross_nearest[lo + live] = got
             floor = max(floor, got.max())
     best = int(np.argmax(nearest))  # first occurrence: fixed candidate order

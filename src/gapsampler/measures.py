@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import GapError
 from .geometry import _validate_in_square
-from .metric import PointCloud
+from .metric import PointCloud, _index
 
 SQUARE_FLOOR_C = 2.0 ** 1.5 / 3.0 ** 0.75
 _BLOCK = 1 << 15  # cells per row block of the count sweep
@@ -177,7 +177,7 @@ def analytic_bounds(kind: str, k=None) -> float:
     if name == "unit-square":
         if k is None:
             raise GapError("missing-k", "unit-square bound needs k")
-        k = int(k)
+        k = _index(k, "k-out-of-range", "k")
         if k < 2:
             raise GapError("k-out-of-range", f"unit-square bound needs k >= 2, got {k}")
         return 2.0 / sqrt(3.0) - SQUARE_FLOOR_C / sqrt(k)

@@ -12,12 +12,13 @@ Distances are float64.  Graph and explicit metrics store their matrix; a
 Euclidean metric is point-backed and builds its matrix only when something
 reads ``dist`` (the oracle and the coreset search do).  The gap reports,
 the diameter and farthest-point insertion read only the rows and blocks
-they need, with the matrix entries' bits.  Metrics whose distances are all
-half-integers (shortest paths of unweighted graphs, the {1,2} clique
-reductions) are flagged ``exact``: halves are exactly representable in
-binary floats, so equalities on dist are equalities, gap ratios have exact
-rational forms, and ``exact2x``, the doubled matrix in int64, is derived
-from dist on request rather than stored.
+they need, with the matrix entries' bits; R and the diameter reduce rows
+as the distance kernel makes them, a block of _BLOCK entries at a time.
+Metrics whose distances are all half-integers (shortest paths of
+unweighted graphs, the {1,2} clique reductions) are flagged ``exact``:
+halves are exactly representable in binary floats, so equalities on dist
+are equalities, gap ratios have exact rational forms, and ``exact2x``, the
+doubled matrix in int64, is derived from dist on request, not stored.
 
 A graph metric is exact when every doubled edge length is an integer and
 the sentinel top = (n - 1) * max doubled length + 1 has top <= 2**53; its
@@ -43,9 +44,9 @@ from .errors import GapError
 # Tolerance for the triangle-inequality audit of explicit matrices.
 TRIANGLE_TOL = 1e-9
 
-# Rows per block of the pairwise-distance kernel; its one scratch block holds
-# _BLOCK rows of the output.
-_BLOCK = 64
+# Entries per row block of the pairwise-distance kernel: a block has
+# max(1, _BLOCK // len(b)) rows, and each scratch array holds one block.
+_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -121,24 +122,27 @@ class FiniteMetric:
         e.setflags(write=False)
         return e
 
-    def block(self, rows=None, cols=None) -> np.ndarray:
+    def block(self, rows=None, cols=None, reduce=None) -> np.ndarray:
         """dist[np.ix_(rows, cols)], None standing for every site; a new
-        array, except dist itself when both are None and dist is built.
+        array, except a read-only view of dist when both are None and dist
+        is built.  With ``reduce`` (np.min, np.max or np.argmin), that
+        reduction of each row of the block instead.
 
         A point-backed metric that has not built dist computes the block
-        from its points, with dist's bits; a distance past float64's range
-        is inf, without a warning, as in dist.
+        from its points, with dist's bits, and reduces it one kernel block
+        at a time (see _pairwise); a distance past float64's range is inf,
+        without a warning, as in dist.
         """
         if self._dist is None:
             p = self.points
             with np.errstate(over="ignore"):
                 return _pairwise(p if rows is None else p[rows],
-                                 p if cols is None else p[cols])
+                                 p if cols is None else p[cols], reduce)
         if rows is not None and cols is not None:
-            return self._dist[np.ix_(rows, cols)]
+            rows, cols = np.ix_(rows, cols)
         every = slice(None)
-        return self._dist[every if rows is None else rows,
-                          every if cols is None else cols]
+        blk = self._dist[every if rows is None else rows, every if cols is None else cols]
+        return blk if reduce is None else reduce(blk, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -298,8 +302,10 @@ def _unreachable_pair(g: Graph) -> Optional[tuple]:
     return (0, seen.index(False))
 
 
-def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) L2 distances between the rows of a and of b.
+def _pairwise(a: np.ndarray, b: np.ndarray, reduce=None) -> np.ndarray:
+    """(len(a), len(b)) L2 distances between the rows of a and of b, or
+    with ``reduce`` (np.min, np.max or np.argmin) the (len(a),) reduction
+    of each row.
 
     Squared coordinate differences are summed in coordinate order, then
     square-rooted.  (x - y)^2 == (y - x)^2 exactly, so _pairwise(p, p) is
@@ -307,8 +313,11 @@ def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     relies on.  For d <= 7 this equals sqrt(((a[:, None] - b[None]) ** 2)
     .sum(-1)) bit for bit; numpy sums 8 or more terms pairwise instead.
     _dist(a[i], b[j]) is the same entry on Python floats.
-    The output is filled _BLOCK rows at a time with in-place ufuncs, so
-    peak memory is the result plus one (_BLOCK, len(b)) scratch block.
+    Rows are computed max(1, _BLOCK // len(b)) at a time with in-place
+    ufuncs into the output, beside one scratch block.  With ``reduce`` a
+    second scratch block stands in for the output, and each block is
+    reduced as soon as it is done: memory is O(len(a) + _BLOCK + d len(b)),
+    never the whole matrix.
 
     Each entry is computed on its own, so any block of rows and columns
     has the bits of the same entries of the full matrix.  While every
@@ -324,11 +333,14 @@ def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     cols = np.ascontiguousarray(b.T)  # (d, m): one contiguous row per coordinate
     n, d = a.shape
-    out = np.empty((n, cols.shape[1]))
-    scratch = np.empty((min(_BLOCK, n), cols.shape[1]))
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        acc, sq = out[lo:hi], scratch[:hi - lo]
+    m = cols.shape[1]
+    step = max(1, _BLOCK // m)
+    out = np.empty((n, m)) if reduce is None else []
+    scratch = np.empty((1 if reduce is None else 2, min(step, n), m))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        sq = scratch[0, :hi - lo]
+        acc = out[lo:hi] if reduce is None else scratch[1, :hi - lo]
         np.subtract(a[lo:hi, 0, None], cols[0], out=acc)
         np.multiply(acc, acc, out=acc)
         for c in range(1, d):
@@ -336,7 +348,9 @@ def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             np.multiply(sq, sq, out=sq)
             np.add(acc, sq, out=acc)
         np.sqrt(acc, out=acc)
-    return out
+        if reduce is not None:
+            out.append(reduce(acc, axis=1))
+    return out if reduce is None else np.concatenate(out)
 
 
 def _dist(a, b) -> float:
@@ -407,11 +421,10 @@ def _farthest_pair(points: np.ndarray) -> tuple:
     every square of a skipped row finite, the 1e-150 covers squares that
     underflow, and a NaN or inf bound (a centroid that overflowed, or
     d > 4096, past the margin's error bound) skips nothing.  Every row
-    holding the maximum survives, so scanning the survivors in index
-    order, _BLOCK rows at a time, keeps _first_pair's rule: the first row
-    holding the maximum, then its first column, and (0, 1) on a full tie.
-    Points on a sphere about c keep every row: time stays O(n^2), memory
-    O(n * _BLOCK).
+    holding the maximum survives, so the first survivor whose row maximum
+    is the largest, then the first column of its recomputed row, keeps
+    _first_pair's rule, (0, 1) on a full tie included.  Points on a sphere
+    about c keep every row: time stays O(n^2), memory O(n + _BLOCK).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         dc = _pairwise(points.mean(axis=0)[None], points)[0]
@@ -419,14 +432,11 @@ def _farthest_pair(points: np.ndarray) -> tuple:
         margin = 1.0 + 1e-12 if points.shape[1] <= 4096 else np.inf
         bound = (dc + dc.max()) * margin + 1e-150
         rows = np.flatnonzero(~(bound < min(L, 1e150)))
-        best, i, j = -np.inf, 0, 0
-        for lo in range(0, rows.size, _BLOCK):
-            block = _pairwise(points[rows[lo:lo + _BLOCK]], points)
-            top = block.max(axis=1)
-            t = int(np.argmax(top))
-            if top[t] > best:
-                best, i, j = top[t], int(rows[lo + t]), int(np.argmax(block[t]))
-    return i, j + (i == j), float(best)
+        top = _pairwise(points[rows], points, np.max)
+        t = int(np.argmax(top))
+        i = int(rows[t])
+        j = int(np.argmax(_pairwise(points[[i]], points)[0]))
+    return i, j + (i == j), float(top[t])
 
 
 def build_euclidean(cloud: PointCloud) -> FiniteMetric:
@@ -576,10 +586,12 @@ def max_gap(m: FiniteMetric, p) -> tuple:
     """(R, farthest_site): covering radius of p over all sites of m.
 
     R = max over sites q of min over sampled s of dist(q, s); 0 when p = M.
-    Witness is the smallest site index realizing R.
+    Witness is the smallest site index realizing R.  Each site's minimum
+    is reduced from its row as it is computed, so a point-backed metric
+    needs O(n + _BLOCK) memory, not the (n, k) block.
     """
     idx = _as_indices(m, p, 1)
-    nearest = m.block(None, idx).min(axis=1)
+    nearest = m.block(None, idx, np.min)
     site = int(np.argmax(nearest))  # first occurrence = smallest index
     return float(nearest[site]), site
 

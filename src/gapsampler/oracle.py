@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .errors import GapError, GuardExceeded, CertificationError
-from .metric import (FiniteMetric, Graph, Sample, build_graph_metric,
+from .metric import (FiniteMetric, Graph, Sample, _index, build_graph_metric,
                      make_sample)
 
 DEFAULT_GUARD = 10_000_000
@@ -171,7 +171,7 @@ def optimal_gap_ratio(m: FiniteMetric, k: int,
                       guard: int = DEFAULT_GUARD) -> OracleResult:
     """Exhaustive minimum of GR over all k-subsets, lexicographic tie-break;
     refuses instances with more than ``guard`` subsets."""
-    k = int(k)
+    k = _index(k, "k-out-of-range", "k")
     if not 2 <= k <= m.n:
         raise GapError("k-out-of-range", f"k must satisfy 2 <= k <= {m.n}, got {k}")
     _check_guard(m.n, k, guard)
@@ -289,7 +289,7 @@ def check_genmet_equivalence(g: Graph, k: int, guard: int = DEFAULT_GUARD) -> tu
     One pass of the subset kernel finds the first subset of each kind and
     stops once it has both; raises CertificationError if only one exists.
     """
-    k = int(k)
+    k = _index(k, "k-out-of-range", "k")
     ids = gr1 = None
     for prefix, a, b, R, q, hits in _domination_blocks(
             g, k, guard, "independent-domination", genmet_reduce):
@@ -321,7 +321,7 @@ def check_eds_equivalence(g: Graph, k: int, guard: int = DEFAULT_GUARD) -> tuple
     Returns (exists, certificates) where ``exists`` says whether any size-k
     efficient dominating set was found.
     """
-    k = int(k)
+    k = _index(k, "k-out-of-range", "k")
     witness, count = None, 0
     for prefix, a, b, R, q, hits in _domination_blocks(
             g, k, guard, "efficient-domination", build_graph_metric):

@@ -42,7 +42,7 @@ import numpy as np
 
 from .coreset import ENUM_GUARD, GridCoreset, grid_cells, search_coreset
 from .errors import GapError
-from .metric import _dist
+from .metric import _dist, _index
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def stream_params(eps: float, d: int) -> StreamParams:
     eps = float(eps)
     if not 0.0 < eps < 0.125:
         raise GapError("eps-out-of-range", f"eps must lie in (0, 1/8), got {eps}")
-    d = int(d)
+    d = _index(d, "invalid-dimension", "dimension")
     if d < 1:
         raise GapError("invalid-dimension", f"dimension must be >= 1, got {d}")
     eps1 = eps / (2.0 + eps)
@@ -138,7 +138,7 @@ def stream_init(first_points: Iterable, k: int, eps: float) -> StreamState:
     far.  Any remaining points of ``first_points`` are passed one at a time
     to stream_ingest, so only the prefix is ever buffered.
     """
-    k = int(k)
+    k = _index(k, "k-out-of-range", "k")
     if k < 2:
         raise GapError("k-out-of-range", f"k must be >= 2, got {k}")
     it = iter(first_points)

@@ -11,7 +11,10 @@ from hypothesis import strategies as st
 
 from gapsampler import (GapError, build_cloud, circumcircle_margins,
                         covering_radius_unit_square, delaunay,
-                        delaunay_angle_audit, gap_report_unit_square, geometry)
+                        delaunay_angle_audit, gap_report_unit_square, geometry,
+                        metric)
+
+DEFAULT_BLOCK = metric._BLOCK
 
 CORNERS = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
 CORNERS_IN_ORDER = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]  # candidate order
@@ -208,14 +211,17 @@ def ring_then_center(k=11, radius=100.0):
 
 
 def test_in_circumcircle_rows_match_scalar_bitwise():
-    # cavity decisions sit at the tolerance only rarely, so the predicate's
-    # bits are checked directly, near cocircular points included
+    # cavity decisions sit at the tolerance only rarely, so the packed
+    # scan's bits are checked directly, near cocircular points included
     rng = np.random.default_rng(31)
     theta = rng.random((3, 500)) * 2.0 * pi
     abc = np.stack([np.cos(theta), np.sin(theta)], axis=1)  # (3, 2, m) on a circle
     abc[:, :, 250:] = rng.random((3, 2, 250))
+    # one column per triangle, packed as delaunay packs it: rows
+    # ax bx cx ay by cy picked by _PACK, and the point by _PACK // 3
+    xy = abc.transpose(1, 0, 2).reshape(6, -1)[geometry._PACK]
     for p in (np.array([1.0, 0.0]), np.array([0.3, -0.2]), rng.random(2)):
-        got = geometry._in_circumcircle(*abc, p)
+        got = geometry._in_circle_packed(xy, p[geometry._PACK // 3, None])
         want = [scalar_in_circumcircle(*abc[:, :, t], p) for t in range(abc.shape[2])]
         assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
 
@@ -459,11 +465,14 @@ def test_pruned_scan_matches_reference(monkeypatch):
     kinds = set()
 
     @settings(max_examples=150, deadline=None)
-    @given(pts=square_clouds(), rows=st.sampled_from([1, 7, 1024]))
-    def check(pts, rows):
-        # the floor rises between blocks, so pruning decisions fall on
-        # both sides of block boundaries
+    @given(pts=square_clouds(), rows=st.sampled_from([1, 7, 1024]),
+           budget=st.sampled_from([1, DEFAULT_BLOCK]))
+    def check(pts, rows, budget):
+        # the floor rises between strides, so pruning decisions fall on
+        # both sides of stride boundaries; a budget of one entry gives
+        # every scanned candidate its own distance block
         monkeypatch.setattr(geometry, "_NEAREST_ROWS", rows)
+        monkeypatch.setattr(metric, "_BLOCK", budget)
         cloud = build_cloud(pts)
         R, witness, kind = covering_radius_unit_square(cloud)
         ref_R, ref_witness, ref_kind = reference_covering_radius(cloud)
@@ -479,9 +488,9 @@ def test_pruned_scan_scores_few_crossings(monkeypatch):
     cloud = build_cloud(np.random.default_rng(0).random((800, 2)))
     rows, exact = [], geometry._pairwise
 
-    def counting(a, b):
+    def counting(a, b, reduce=None):
         rows.append(a.shape[0])
-        return exact(a, b)
+        return exact(a, b, reduce)
 
     monkeypatch.setattr(geometry, "_pairwise", counting)
     covering_radius_unit_square(cloud)
@@ -504,8 +513,9 @@ def test_covering_radius_peak_memory(n, ceiling):
     finally:
         tracemalloc.stop()
     # candidate generation sets the peak (2.11 and 15.0 MB on its own); the
-    # probe table and the per-block bounds add O(n + _NEAREST_ROWS), and
-    # one more (_NEAREST_ROWS, n) distance block would add 1.2 MB at n = 150
+    # probe table and the per-stride bounds add O(n + _NEAREST_ROWS), and
+    # the exact scans, which run after it, hold at most two 2^16-entry kernel
+    # blocks (1 MB)
     assert peak < ceiling
 
 

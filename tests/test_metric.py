@@ -14,10 +14,11 @@ from gapsampler import (GapError, approx_sample, build_cloud, build_euclidean,
                         diameter, gap_fraction,
                         farthest_point_insertion, gap_ratio, genmet_reduce,
                         make_sample, max_gap, min_gap)
+import gapsampler as gs
 from gapsampler import FpiStep, metric
 from gapsampler.certify import iter_connected_metrics
 from gapsampler.fpi import greedy_batch
-from gapsampler.metric import _BLOCK, TRIANGLE_TOL, _dist, _pairwise
+from gapsampler.metric import TRIANGLE_TOL, _dist, _pairwise
 
 
 def line_metric(n=10):
@@ -113,6 +114,37 @@ def test_non_integral_indices_are_refused():
     assert gap_ratio(line_metric(3), [np.uint8(0), 2.0]).closest_pair == (0, 2)
     g = build_graph(3.0, [(0.0, np.int32(1)), (np.int64(1), 2.0, 1.0)])
     assert type(g.n) is int and g.edges == ((0, 1, 1.0), (1, 2, 1.0))
+
+
+def _hexagon():
+    return build_graph(6, [(i, (i + 1) % 6) for i in range(6)])
+
+
+SIZE_ENTRY_POINTS = {
+    "farthest_point_insertion": lambda k: farthest_point_insertion(line_metric(6), k),
+    "optimal_gap_ratio": lambda k: gs.optimal_gap_ratio(line_metric(6), k),
+    "check_genmet_equivalence": lambda k: gs.check_genmet_equivalence(_hexagon(), k),
+    "check_eds_equivalence": lambda k: gs.check_eds_equivalence(_hexagon(), k),
+    "best_k_subset": lambda k: gs.best_k_subset(line_metric(6), k),
+    "approx_sample": lambda k: approx_sample(build_cloud(np.arange(20.0) ** 1.5), k, 0.3),
+    "stream_init": lambda k: gs.stream_init([[float(i)] for i in range(6)], k, 0.1),
+    "analytic_bounds": lambda k: gs.analytic_bounds("unit-square", k),
+    "rho": lambda k: gs.rho(k),
+    "static_params": lambda d: gs.static_params(0.3, 1.0, d),
+    "stream_params": lambda d: gs.stream_params(0.1, d),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZE_ENTRY_POINTS))
+def test_non_integral_sizes_are_refused(name):
+    call = SIZE_ENTRY_POINTS[name]
+    code = "invalid-dimension" if name.endswith("_params") else "k-out-of-range"
+    for bad in (3.7, "3", "x"):  # never truncated, and never a raw ValueError
+        with pytest.raises(GapError) as e:
+            call(bad)
+        assert e.value.code == code
+    # integral floats and numpy integers are sizes, with the int's result
+    assert repr(call(3.0)) == repr(call(np.int64(3))) == repr(call(3))
 
 
 def test_graph_validation():
@@ -305,15 +337,16 @@ def test_duplicate_sample_indices_rejected():
 
 
 def loop_distances(a, b):
-    """Reference: squared differences summed in coordinate order, then sqrt."""
-    out = np.empty((len(a), len(b)))
-    for i, p in enumerate(a):
-        for j, q in enumerate(b):
-            acc = 0.0
-            for x, y in zip(p, q):
-                acc += (x - y) * (x - y)
-            out[i, j] = np.sqrt(acc)
-    return out
+    """Reference: squared differences summed in coordinate order, then sqrt.
+
+    The loop runs over the coordinates; each step is one elementwise
+    subtract, multiply and add over every pair, which rounds each entry
+    as the same operations on Python floats would."""
+    acc = np.zeros((len(a), len(b)))
+    for c in range(a.shape[1]):
+        t = a[:, c, None] - b[None, :, c]
+        acc = acc + t * t
+    return np.sqrt(acc)
 
 
 def broadcast_distances(a, b):
@@ -322,38 +355,92 @@ def broadcast_distances(a, b):
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
-KERNEL_SHAPES = [(1, 1), (_BLOCK - 1, 5), (_BLOCK, _BLOCK), (_BLOCK + 1, 3),
-                 (2 * _BLOCK + 1, _BLOCK - 1), (7, 2 * _BLOCK + 1)]
+DEFAULT_BLOCK = metric._BLOCK
+
+
+def kernel_shapes(budget):
+    """(rows, cols) around the kernel's row step max(1, budget // cols), for
+    1, 3 and 64 columns and for more columns than the budget: a step less
+    a row, one step, a step and a row, and two steps and a row."""
+    shapes = [(1, 1)]
+    for cols in (1, 3, 64, budget + 1):
+        step = max(1, budget // cols)
+        shapes += [(max(1, step - 1), cols), (step, cols), (step + 1, cols),
+                   (2 * step + 1, cols)]
+    return shapes
+
+
+@pytest.fixture
+def budgets(monkeypatch):
+    """Sets metric._BLOCK to each budget in turn: one entry (one row per
+    block), 7 entries (a few rows per block on narrow shapes) and the
+    default; yields the shapes that straddle each budget's row step."""
+    def each():
+        for budget in (1, 7, DEFAULT_BLOCK):
+            monkeypatch.setattr(metric, "_BLOCK", budget)
+            yield kernel_shapes(budget)
+    return each
 
 
 @pytest.mark.parametrize("d", range(1, 13))
-def test_pairwise_equals_coordinate_order_loop(d):
+def test_pairwise_equals_coordinate_order_loop(d, budgets):
     rng = np.random.default_rng(d)
-    for na, nb in KERNEL_SHAPES:
-        a = rng.normal(size=(na, d)) * 10.0 ** rng.integers(-3, 4)
-        b = rng.normal(size=(nb, d))
-        assert np.array_equal(_pairwise(a, b), loop_distances(a, b))
+    for shapes in budgets():
+        for na, nb in shapes:
+            a = rng.normal(size=(na, d)) * 10.0 ** rng.integers(-3, 4)
+            b = rng.normal(size=(nb, d))
+            assert np.array_equal(_pairwise(a, b), loop_distances(a, b))
 
 
 @pytest.mark.parametrize("d", range(1, 10))
-def test_pairwise_against_broadcast_expression(d):
+def test_pairwise_against_broadcast_expression(d, budgets):
     rng = np.random.default_rng(100 + d)
-    for na, nb in KERNEL_SHAPES:
-        a, b = rng.random((na, d)), rng.random((nb, d))
-        got, old = _pairwise(a, b), broadcast_distances(a, b)
-        if d <= 7:
-            assert np.array_equal(got, old)
-        else:  # numpy sums 8+ terms pairwise: last-bit differences only
-            assert np.all(np.abs(got - old) <= 4 * 2.0 ** -52 * old)
+    for shapes in budgets():
+        for na, nb in shapes:
+            a, b = rng.random((na, d)), rng.random((nb, d))
+            got, old = _pairwise(a, b), broadcast_distances(a, b)
+            if d <= 7:
+                assert np.array_equal(got, old)
+            else:  # numpy sums 8+ terms pairwise: last-bit differences only
+                assert np.all(np.abs(got - old) <= 4 * 2.0 ** -52 * old)
 
 
-def test_pairwise_self_is_exactly_symmetric():
+def test_pairwise_self_is_exactly_symmetric(budgets):
     rng = np.random.default_rng(9)
-    for d in (1, 2, 3, 8, 11):
-        p = rng.normal(size=(2 * _BLOCK + 1, d))
-        dist = _pairwise(p, p)
-        assert np.array_equal(dist, dist.T)
-        assert not np.diag(dist).any()
+    for _ in budgets():
+        for d in (1, 2, 3, 8, 11):
+            for n in (3, 400):  # 400 rows straddle the default budget's step
+                p = rng.normal(size=(n, d))
+                dist = _pairwise(p, p)
+                assert np.array_equal(dist, dist.T)
+                assert not np.diag(dist).any()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 9])
+def test_pairwise_reduce_equals_the_reduced_block(d, budgets):
+    # rows reduced block by block have the bits of the whole block's row
+    # reductions: on lattice points, whose distances tie (argmin takes the
+    # first), and at 1e154, where some squares overflow to inf
+    rng = np.random.default_rng(400 + d)
+    seen = set()
+    for shapes in budgets():
+        for na, nb in shapes:
+            for kind in ("normal", "lattice", "overflow"):
+                if kind == "lattice":
+                    a, b = (rng.integers(-2, 3, (n, d)) * 0.5 for n in (na, nb))
+                else:
+                    scale = 1e154 if kind == "overflow" else 1.0
+                    a, b = (rng.normal(size=(n, d)) * scale for n in (na, nb))
+                with np.errstate(over="ignore"):
+                    full = _pairwise(a, b)
+                    for reduce in (np.min, np.max, np.argmin):
+                        got, want = _pairwise(a, b, reduce), reduce(full, axis=1)
+                        assert got.dtype == want.dtype and np.array_equal(got, want)
+                if np.isinf(full).any():
+                    seen.add("inf")
+                if nb > 1 and (full == full.min(axis=1, keepdims=True)).sum(axis=1).max() > 1:
+                    seen.add("tie")
+    assert seen == {"inf", "tie"}
 
 
 def scalar_dist_pairs(rng, d):

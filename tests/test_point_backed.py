@@ -17,9 +17,9 @@ from gapsampler import (FiniteMetric, GapError, GuardExceeded, approx_sample,
                         best_k_subset, build_cloud, build_euclidean, diameter,
                         farthest_point_insertion, gap_ratio, max_gap, min_gap,
                         optimal_gap_ratio)
-from gapsampler import cli, coreset
+from gapsampler import cli, coreset, metric
 from gapsampler.fpi import greedy_batch
-from gapsampler.metric import _first_pair, _pairwise
+from gapsampler.metric import _farthest_pair, _first_pair, _pairwise
 
 
 def matrix_metric(cloud):
@@ -130,9 +130,19 @@ def test_diameter_matches_the_full_scan_across_scales():
             assert diameter(build_euclidean(cloud)) == full_scan(cloud)
 
 
+@pytest.mark.parametrize("budget", [1, metric._BLOCK])
+def test_farthest_pair_is_first_pair_under_budgets(monkeypatch, budget):
+    # a budget of one entry scans each surviving row as its own block
+    monkeypatch.setattr(metric, "_BLOCK", budget)
+    clouds = [build_cloud(pts) for pts in CLOUDS.values()]
+    clouds += [build_cloud(np.array(pts)) for pts in EDGE]
+    for cloud in clouds:
+        assert _farthest_pair(cloud.points) == full_scan(cloud)
+
+
 def test_greedy_path_never_builds_the_matrix():
     # the matrix would take 3.2 GB; FPI, its report and the diameter read
-    # a few rows and one (n, k) block
+    # a few rows, and the report reduces its (n, k) block row by row
     cloud = build_cloud(np.random.default_rng(64).random((20000, 2)))
     m = build_euclidean(cloud)
     tracemalloc.start()
@@ -147,6 +157,24 @@ def test_greedy_path_never_builds_the_matrix():
     assert vars(m)["_dist"] is None
     assert rep == trace.final and (i, j) == trace.init_pair
     assert diam == 2.0 * trace.r_init
+
+
+@pytest.mark.parametrize("call, ceiling", [
+    (lambda m: farthest_point_insertion(m, 1024), 16e6),
+    (diameter, 8e6),
+], ids=["fpi-k1024", "diameter"])
+def test_greedy_peak_memory(call, ceiling):
+    # 10^5 uniform 2-D points: the report's (n, k) block alone would be
+    # 819 MB at k = 1,024, and the points are 1.6 MB
+    m = build_euclidean(build_cloud(np.random.default_rng(0).random((100000, 2))))
+    call(m)  # first calls of some numpy routines allocate
+    tracemalloc.start()
+    try:
+        call(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ceiling
 
 
 def test_guard_refuses_before_the_matrix():

@@ -12,6 +12,14 @@ over the whole chunk at once.  No isomorphism reduction is attempted:
 labeled enumeration is cheap at these sizes and keeps the bookkeeping
 trivial.
 
+Every batch is stored batch-last, (n, n, B), from the mask decoding on:
+the closure, the connectivity filter and the subset walk then run each
+elementwise op over B contiguous values.  The functions hand out
+(B, n, n) views of that storage (X[b] is graph b's matrix), so no layer
+copies a batch to change its layout.  A sweep refuses, before any work,
+a max_n that is not an integer, is below its claim's smallest order or
+is above MAX_ORDER, and a chunk below 1.
+
 Claims covered:
 
 - greedy guarantees: along every farthest-point run, the covering radius
@@ -38,11 +46,13 @@ from typing import Iterator
 
 import numpy as np
 
+from .errors import GapError
 from .fpi import greedy_batch
-from .metric import Graph, _min_plus, build_graph
+from .metric import Graph, _index, _min_plus, build_graph
 from .oracle import _closed_neighborhoods, _genmet
 
-BIG = 64  # unreachable marker; n <= 7 keeps real distances <= 6
+BIG = 64  # unreachable marker; n <= MAX_ORDER keeps real distances <= 10
+MAX_ORDER = 11  # K_11's 55 edges fit an int64 mask; K_12 has 66
 
 
 def graph_from_mask(n: int, mask: int, require_connected: bool = True) -> Graph:
@@ -54,22 +64,23 @@ def graph_from_mask(n: int, mask: int, require_connected: bool = True) -> Graph:
 
 
 def adjacency_batch(n: int, masks: np.ndarray) -> np.ndarray:
-    """(B, n, n) boolean adjacency matrices for a vector of bitmasks."""
-    pairs = list(combinations(range(n), 2))
-    bits = ((masks[:, None] >> np.arange(len(pairs))) & 1).astype(bool)
-    adj = np.zeros((masks.shape[0], n, n), dtype=bool)
-    for e, (u, v) in enumerate(pairs):
-        adj[:, u, v] = bits[:, e]
-        adj[:, v, u] = bits[:, e]
-    return adj
+    """(B, n, n) boolean adjacency matrices for a vector of bitmasks, a
+    view of (n, n, B) storage: one row of B bits per pair of K_n."""
+    u, v = np.triu_indices(n, 1)  # the pairs in lexicographic order
+    bits = ((masks[None] >> np.arange(len(u))[:, None]) & 1).astype(bool)
+    adj = np.zeros((n, n, masks.shape[0]), dtype=bool)
+    adj[u, v] = adj[v, u] = bits
+    return adj.transpose(2, 0, 1)
 
 
 def apsp_batch(adj: np.ndarray) -> np.ndarray:
-    """Batched Floyd-Warshall on unweighted adjacency; BIG = unreachable."""
+    """Batched Floyd-Warshall on unweighted adjacency as int16 hop counts,
+    BIG = unreachable; closed in adj's storage order, batch-last for
+    adjacency_batch's views."""
     n = adj.shape[-1]
-    D = np.where(adj, np.int16(1), np.int16(BIG))
-    D[:, np.arange(n), np.arange(n)] = 0
-    return _min_plus(D, D)
+    D = np.where(adj.transpose(1, 2, 0), np.int16(1), np.int16(BIG))
+    D[np.arange(n), np.arange(n)] = 0
+    return _min_plus(D, D).transpose(2, 0, 1)
 
 
 def _graph_batches(n: int, chunk: int) -> Iterator[tuple]:
@@ -85,19 +96,25 @@ def _graph_batches(n: int, chunk: int) -> Iterator[tuple]:
 def iter_connected_metrics(n: int, chunk: int = 65536) -> Iterator[tuple]:
     """Yield (masks, D) for every connected labeled graph on n vertices."""
     for masks, _, D in _graph_batches(n, chunk):
-        connected = D.max(axis=(1, 2)) < BIG
+        S = D.transpose(1, 2, 0)
+        connected = S.max(axis=(0, 1)) < BIG
         if connected.any():
-            yield masks[connected], D[connected]
+            # compress keeps the batch last; S[..., connected] would not
+            S = np.compress(connected, S, axis=2)
+            yield masks[connected], S.transpose(2, 0, 1)
 
 
 def _subset_walk(batches: list, max_k: int) -> Iterator[tuple]:
     """Every subset s of range(n) with 2 <= |s| <= max_k, depth first in
     lexicographic order, as (s, [(pm, pq) per (batch A, ufunc op)]).
 
-    A (B, n, n) batch is walked vertex-major, so member v's block
-    A[:, :, v].T is one contiguous (n, B) array.  pm folds the members'
-    blocks with op; pq folds pm[v] of each member v over the members before
-    it.  On distances with np.minimum, pm[x] is x's distance to s and pq its
+    A (B, n, n) batch is walked vertex-major, as A.transpose(1, 2, 0), so
+    member v's block A[:, v, :].T is one contiguous (n, B) array; that is
+    member v's column too, since every batch a sweep passes is symmetric.
+    On the batch-last views the sweeps pass, the transpose is the storage
+    itself and nothing is copied.  pm folds the members' blocks with op;
+    pq folds pm[v] of each member v over the members before it.  On
+    distances with np.minimum, pm[x] is x's distance to s and pq its
     minimum pair distance; on closed neighbourhoods with np.add,
     pm[x] = |N[x] & s| and pq counts the edges inside s.
 
@@ -109,7 +126,7 @@ def _subset_walk(batches: list, max_k: int) -> Iterator[tuple]:
     peaking at 36.9 MB, not 19.8).  Here every op runs over B contiguous
     values.
     """
-    tables = [(np.ascontiguousarray(A.transpose(2, 1, 0)), op) for A, op in batches]
+    tables = [(np.ascontiguousarray(A.transpose(1, 2, 0)), op) for A, op in batches]
     n = len(tables[0][0])
 
     def level(s, states):
@@ -129,6 +146,20 @@ def _subset_walk(batches: list, max_k: int) -> Iterator[tuple]:
 # sweeps
 
 
+def _sweep_orders(max_n, chunk, least: int) -> tuple:
+    """(range(least, max_n + 1), chunk) as ints; GapError, before any work,
+    for a max_n that is not an integer in [least, MAX_ORDER] or a chunk
+    that is not an integer >= 1."""
+    max_n = _index(max_n, "max-n-out-of-range", "max_n")
+    if not least <= max_n <= MAX_ORDER:
+        raise GapError("max-n-out-of-range",
+                       f"max_n {max_n} is outside [{least}, {MAX_ORDER}]")
+    chunk = _index(chunk, "chunk-out-of-range", "chunk")
+    if chunk < 1:
+        raise GapError("chunk-out-of-range", f"chunk {chunk} is below 1")
+    return range(least, max_n + 1), chunk
+
+
 def sweep_fpi_guarantees(max_n: int = 7, chunk: int = 65536) -> dict:
     """Greedy per-step guarantees on every connected graph with n <= max_n.
 
@@ -136,8 +167,9 @@ def sweep_fpi_guarantees(max_n: int = 7, chunk: int = 65536) -> dict:
     R[s+1] <= R[s], q[s+1] == R[s] (the half-radius identity, since
     r = q/2), and R[s] <= q[s] (gap ratio <= 2) for every s >= 2.
     """
+    orders, chunk = _sweep_orders(max_n, chunk, 2)
     out = {"graphs": 0, "steps_checked": 0, "violations": []}
-    for n in range(2, max_n + 1):
+    for n in orders:
         for masks, D in iter_connected_metrics(n, chunk):
             _, q, R = greedy_batch(D, n)
             out["graphs"] += masks.shape[0]
@@ -186,9 +218,10 @@ def sweep_fpi_vs_oracle(max_n: int = 7, ks: tuple = (2, 3),
     For each k, asserts GR_FPI <= bound(GR_OPT) * GR_OPT + 1e-9 with
     bound(a) = 2/a when a >= 2/3 else 4/(2-a), and GR_FPI <= 3 * GR_OPT.
     """
+    orders, chunk = _sweep_orders(max_n, chunk, 2)
     out = {"graphs": 0, "pairs_checked": 0, "worst_ratio": 0.0,
            "violations": []}
-    for n in range(2, max_n + 1):
+    for n in orders:
         for masks, D in iter_connected_metrics(n, chunk):
             _fpi_vs_oracle_chunk(masks, D, ks, out)
     return out
@@ -218,9 +251,10 @@ def sweep_graph_lower_bound(max_n: int = 7, chunk: int = 65536) -> dict:
     Integer form: 3R >= q (since GR = 2R/q), and 3R == q holds only at R == 1
     (hence q == 3, i.e. r = 3/2).  Exhaustive and exact.
     """
+    orders, chunk = _sweep_orders(max_n, chunk, 3)
     out = {"graphs": 0, "samples_checked": 0, "equality_cases": 0,
            "violations": []}
-    for n in range(3, max_n + 1):
+    for n in orders:
         for masks, D in iter_connected_metrics(n, chunk):
             _lower_bound_chunk(masks, D, out)
     return out
@@ -232,7 +266,7 @@ def _reduction_chunk(masks: np.ndarray, adj: np.ndarray, G: np.ndarray,
     paths with BIG = unreachable) to ``out``; per k, at most five genmet
     then five eds violations."""
     B, n, _ = D.shape
-    connected = D.max(axis=(1, 2)) < BIG
+    connected = D.transpose(1, 2, 0).max(axis=(0, 1)) < BIG
     out["genmet_graphs"] += B
     out["eds_graphs"] += int(connected.sum())
     ids, gr1, eds_exists, eds_bad = (np.zeros((n, B), dtype=bool) for _ in range(4))
@@ -269,10 +303,11 @@ def sweep_reduction_certificates(max_n: int = 6, chunk: int = 65536) -> dict:
     graphs (its metric side is the shortest-path metric).  k ranges over
     2 <= k < n.
     """
+    orders, chunk = _sweep_orders(max_n, chunk, 3)
     out = dict.fromkeys(("genmet_graphs", "genmet_checked", "genmet_true",
                          "eds_graphs", "eds_checked", "eds_true"), 0)
     out["violations"] = []
-    for n in range(3, max_n + 1):
+    for n in orders:
         for masks, adj, D in _graph_batches(n, chunk):
             _reduction_chunk(masks, adj, _genmet(adj, np.int8), D, out)
     return out

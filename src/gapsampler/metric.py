@@ -372,8 +372,10 @@ def _dist(a, b) -> float:
 def _min_plus(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Fold every (min, +) path through one intermediate site into out.
 
-    For k in turn, out = min(out, a[:, k] + a[k, :]); any leading axes of a
-    and out are a batch.  _min_plus(D, D) is the in-place Floyd-Warshall
+    For k in turn, out = min(out, a[:, k] + a[k, :]); any trailing axes of
+    a and out are a batch, so a batch of matrices is stored (n, n, B) and
+    every elementwise op runs over B contiguous values per entry, not over
+    an n-wide inner row.  _min_plus(D, D) is the in-place Floyd-Warshall
     closure (shortest paths, given edge lengths and a zero diagonal); with
     an all-inf out it is the one (min, +) product d * d, the shortest
     two-hop detour between every pair, which build_explicit's triangle
@@ -385,8 +387,8 @@ def _min_plus(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     arrays of a's one dtype are added, so numpy's value-based casting
     (numpy < 2) cannot change the sums' dtype.
     """
-    for k in range(a.shape[-1]):
-        np.minimum(out, a[..., :, k, None] + a[..., None, k, :], out=out)
+    for k in range(a.shape[0]):
+        np.minimum(out, a[:, k, None] + a[None, k], out=out)
     return out
 
 

@@ -11,6 +11,7 @@ from gapsampler import certify
 from gapsampler.certify import (BIG, adjacency_batch, apsp_batch,
                                 graph_from_mask, iter_connected_metrics)
 from gapsampler.fpi import greedy_batch
+from gapsampler.oracle import _closed_neighborhoods, _genmet
 
 # connected labeled graphs on n = 2..5 vertices
 CONNECTED_COUNTS = {2: 1, 3: 4, 4: 38, 5: 728}
@@ -87,6 +88,29 @@ def test_disconnected_graphs_hit_the_sentinel():
     assert D.max() == BIG
 
 
+def test_batches_are_stored_batch_last():
+    """Every certify batch is a (B, n, n) view of (n, n, B) storage, and the
+    subset walk reads that storage itself, with no copy."""
+    n = 5
+    masks = np.arange(1 << 10, dtype=np.int64)
+    adj = adjacency_batch(n, masks)
+    D = apsp_batch(adj)
+    _, Dc = next(iter_connected_metrics(n))
+    G, closed_nb = _genmet(adj, np.int8), _closed_neighborhoods(adj, np.int8)
+    for X, dtype in ((adj, bool), (D, np.int16), (Dc, np.int16), (G, np.int8),
+                     (closed_nb, np.int8)):
+        assert X.dtype == dtype and X.shape[1:] == (n, n)
+        assert X.strides[0] == X.itemsize
+    assert (len(adj), len(Dc)) == (1 << 10, CONNECTED_COUNTS[n])
+    for batch in ([(D, np.minimum), (G, np.minimum), (closed_nb, np.add)],
+                  [(Dc, np.minimum)]):
+        s, states = next(certify._subset_walk(batch, 2))
+        # pq of the first subset (0, 1) is row 1 of vertex 0's table
+        assert s == (0, 1)
+        for (A, _), (_, pq) in zip(batch, states):
+            assert np.shares_memory(pq, A)
+
+
 def test_connected_counts():
     for n, want in CONNECTED_COUNTS.items():
         got = sum(masks.shape[0] for masks, _ in iter_connected_metrics(n))
@@ -125,6 +149,52 @@ def test_sweep_reductions_small():
     assert out["violations"] == []
     assert 0 < out["eds_true"] < out["eds_checked"]
     assert 0 < out["genmet_true"] < out["genmet_checked"]
+
+
+# sweep, its smallest order, and the graphs it sweeps at that order
+SWEEP_LEAST = [(sweep_fpi_guarantees, 2, {"graphs": 1}),
+               (sweep_fpi_vs_oracle, 2, {"graphs": 1}),
+               (sweep_graph_lower_bound, 3, {"graphs": 4}),
+               (sweep_reduction_certificates, 3, {"genmet_graphs": 8, "eds_graphs": 4})]
+SWEEP_IDS = [f.__name__ for f, *_ in SWEEP_LEAST]
+
+
+@pytest.mark.parametrize("sweep, least, _", SWEEP_LEAST, ids=SWEEP_IDS)
+@pytest.mark.parametrize("max_n, chunk, code", [
+    (0, 64, "max-n-out-of-range"),
+    (-3, 64, "max-n-out-of-range"),
+    ("least - 1", 64, "max-n-out-of-range"),
+    (12, 64, "max-n-out-of-range"),  # K_12's 66 edges overflow an int64 mask
+    (4.5, 64, "max-n-out-of-range"),
+    ("4", 64, "max-n-out-of-range"),
+    (4, 0, "chunk-out-of-range"),
+    (4, -1, "chunk-out-of-range"),
+    (4, 2.5, "chunk-out-of-range"),
+])
+def test_sweep_sizes_are_refused_before_any_work(monkeypatch, sweep, least, _,
+                                                 max_n, chunk, code):
+    if max_n == "least - 1":
+        max_n = least - 1
+
+    def decode(n, masks):
+        raise AssertionError(f"order {n} decoded before the refusal")
+
+    monkeypatch.setattr(certify, "adjacency_batch", decode)
+    with pytest.raises(GapError) as err:
+        sweep(max_n=max_n, chunk=chunk)
+    assert err.value.code == code
+
+
+@pytest.mark.parametrize("sweep, least, graphs", SWEEP_LEAST, ids=SWEEP_IDS)
+def test_sweep_sizes_at_the_edges_are_accepted(sweep, least, graphs):
+    """Integral floats and numpy ints are sizes too, a one-mask chunk
+    sweeps what the default does, and the smallest order sweeps graphs."""
+    want = sweep(max_n=4)
+    assert sweep(max_n=4.0, chunk=np.int64(7)) == want
+    assert sweep(max_n=np.int64(4), chunk=1.0) == want
+    smallest = sweep(max_n=least)
+    assert smallest["violations"] == []
+    assert {key: smallest[key] for key in graphs} == graphs
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,13 @@ def test_bounds_command():
     assert graph["value"] == pytest.approx(2.0 / 3.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_certify_out_of_range_order_is_one_error_line(max_n):
+    proc = run_cli("certify", "--claim", "graph-floor", "--max-n", max_n)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert re.fullmatch(r"error: max-n-out-of-range: [^\n]+\n", proc.stderr), proc.stderr
+
+
 def test_certify_command():
     res = report_of(run_cli("certify", "--claim", "graph-floor",
                             "--max-n", "4"))["result"]

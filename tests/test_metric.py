@@ -16,7 +16,7 @@ from gapsampler import (GapError, approx_sample, build_cloud, build_euclidean,
                         make_sample, max_gap, min_gap)
 import gapsampler as gs
 from gapsampler import FpiStep, metric
-from gapsampler.certify import iter_connected_metrics
+from gapsampler.certify import BIG, iter_connected_metrics
 from gapsampler.fpi import greedy_batch
 from gapsampler.metric import TRIANGLE_TOL, _dist, _pairwise
 
@@ -875,6 +875,32 @@ def test_integer_closure_sentinel_and_dtype(monkeypatch):
             np.dtype(np.uint64)} <= dtypes
     build_graph_metric(path_graph(3, 2.0 ** 51))  # top = 2**53 + 1
     assert seen[-1].dtype == np.float64
+
+
+@pytest.mark.parametrize("dtype, top", [(np.int16, BIG), (np.float64, np.inf)],
+                         ids=["int16-hops", "float64-lengths"])
+def test_min_plus_batch_is_the_trailing_axis(dtype, top):
+    """Trailing axes of _min_plus's arrays are a batch: an (n, n, B) stack
+    closes, and forms its (min, +) product, exactly as each (n, n) slice
+    does alone."""
+    rng = np.random.default_rng(23)
+    n, B = 6, 37  # B != n, so a leading-axis batch reads the wrong axis
+    edge = rng.random((n, n, B)) < 0.35
+    edge |= edge.transpose(1, 0, 2)
+    w = 1 if dtype is np.int16 else rng.random((n, n, B)) * 10
+    S = np.where(edge, w, top).astype(dtype)
+    S[np.arange(n), np.arange(n)] = 0
+    closed = S.copy()
+    metric._min_plus(closed, closed)
+    assert (closed == top).any()  # some slices stay disconnected
+    product = metric._min_plus(S, np.full_like(S, top))
+    for b in range(B):
+        d = np.ascontiguousarray(S[..., b])
+        assert metric._min_plus(d, np.full_like(d, top)).tobytes() == \
+            np.ascontiguousarray(product[..., b]).tobytes()
+        metric._min_plus(d, d)
+        assert d.tobytes() == np.ascontiguousarray(closed[..., b]).tobytes()
+    assert (closed < S).any()  # the closure found shorter paths
 
 
 def test_graph_metric_past_the_exact_bound():

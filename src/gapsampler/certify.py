@@ -18,7 +18,8 @@ elementwise op over B contiguous values.  The functions hand out
 (B, n, n) views of that storage (X[b] is graph b's matrix), so no layer
 copies a batch to change its layout.  A sweep refuses, before any work,
 a max_n that is not an integer, is below its claim's smallest order or
-is above MAX_ORDER, and a chunk below 1.
+is above MAX_ORDER, and a chunk below 1; the decoding and the connected
+enumeration refuse an order above MAX_ORDER too.
 
 Claims covered:
 
@@ -63,9 +64,23 @@ def graph_from_mask(n: int, mask: int, require_connected: bool = True) -> Graph:
     return build_graph(n, edges, require_connected=require_connected)
 
 
+def _order(n, least: int, what: str) -> int:
+    """n as an int; GapError max-n-out-of-range, before any work, for an n
+    that is not an integer in [least, MAX_ORDER].  Above MAX_ORDER an int64
+    mask cannot hold every edge of K_n: masks >> e is 0 for e >= 64, so the
+    decoding would drop edges without a word."""
+    n = _index(n, "max-n-out-of-range", what)
+    if not least <= n <= MAX_ORDER:
+        raise GapError("max-n-out-of-range",
+                       f"{what} {n} is outside [{least}, {MAX_ORDER}]")
+    return n
+
+
 def adjacency_batch(n: int, masks: np.ndarray) -> np.ndarray:
     """(B, n, n) boolean adjacency matrices for a vector of bitmasks, a
-    view of (n, n, B) storage: one row of B bits per pair of K_n."""
+    view of (n, n, B) storage: one row of B bits per pair of K_n.  Refuses
+    an n outside [1, MAX_ORDER] (_order)."""
+    n = _order(n, 1, "n")
     u, v = np.triu_indices(n, 1)  # the pairs in lexicographic order
     bits = ((masks[None] >> np.arange(len(u))[:, None]) & 1).astype(bool)
     adj = np.zeros((n, n, masks.shape[0]), dtype=bool)
@@ -85,7 +100,9 @@ def apsp_batch(adj: np.ndarray) -> np.ndarray:
 
 def _graph_batches(n: int, chunk: int) -> Iterator[tuple]:
     """Yield (masks, adjacency, shortest paths) for every labeled graph on
-    n vertices, ``chunk`` bitmasks at a time; BIG = unreachable."""
+    n vertices, ``chunk`` bitmasks at a time; BIG = unreachable.  Refuses
+    an n outside [1, MAX_ORDER] (_order) before the first batch."""
+    n = _order(n, 1, "n")
     total = 1 << (n * (n - 1) // 2)
     for start in range(0, total, chunk):
         masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
@@ -94,7 +111,8 @@ def _graph_batches(n: int, chunk: int) -> Iterator[tuple]:
 
 
 def iter_connected_metrics(n: int, chunk: int = 65536) -> Iterator[tuple]:
-    """Yield (masks, D) for every connected labeled graph on n vertices."""
+    """Yield (masks, D) for every connected labeled graph on n vertices;
+    an n outside [1, MAX_ORDER] is refused before the first batch."""
     for masks, _, D in _graph_batches(n, chunk):
         S = D.transpose(1, 2, 0)
         connected = S.max(axis=(0, 1)) < BIG
@@ -150,10 +168,7 @@ def _sweep_orders(max_n, chunk, least: int) -> tuple:
     """(range(least, max_n + 1), chunk) as ints; GapError, before any work,
     for a max_n that is not an integer in [least, MAX_ORDER] or a chunk
     that is not an integer >= 1."""
-    max_n = _index(max_n, "max-n-out-of-range", "max_n")
-    if not least <= max_n <= MAX_ORDER:
-        raise GapError("max-n-out-of-range",
-                       f"max_n {max_n} is outside [{least}, {MAX_ORDER}]")
+    max_n = _order(max_n, least, "max_n")
     chunk = _index(chunk, "chunk-out-of-range", "chunk")
     if chunk < 1:
         raise GapError("chunk-out-of-range", f"chunk {chunk} is below 1")

@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         points=True, k="required", eps=True, guard=ENUM_GUARD, seed=True)
     add("stream", _cmd_stream, "one-pass streaming coreset sample",
         points=True, k="required", eps=True, guard=ENUM_GUARD)
-    add("oracle", _cmd_oracle, "exhaustive optimal gap ratio",
+    add("oracle", _cmd_oracle, "exact optimal gap ratio",
         points=True, graph=True, k="required", guard=DEFAULT_GUARD, exact=True)
     add("square", _cmd_square, "gap report against the continuous unit square",
         points=True)

@@ -167,7 +167,7 @@ def best_k_subset(coreset_metric: FiniteMetric, k: int,
     if not np.isfinite(dist.max()):  # distances are >= 0; a NaN max is NaN
         raise GapError("distance-overflow", "two coreset sites are too far apart: "
                        "a squared distance overflows float64")
-    best, _, _, _ = _min_gap_ratio(dist, k, floor=_radius_floor(coreset_metric, k))
+    best, _ = _min_gap_ratio(dist, k, _radius_floor(coreset_metric, k))
     sample = make_sample(best, coreset_metric.n)
     return sample, gap_ratio(coreset_metric, sample)
 

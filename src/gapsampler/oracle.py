@@ -1,9 +1,14 @@
-"""Exhaustive gap-ratio oracle and executable reduction certificates.
+"""Exact gap-ratio oracle and executable reduction certificates.
 
-The oracle enumerates every k-subset of a finite metric and reports three
-independent optima: the best gap ratio GR_OPT, the smallest covering radius
-R_OPT, and the largest packing radius r_OPT.  Note GR_OPT is generally NOT
-R_OPT / r_OPT; the three quantities are optimized by different subsets.
+The oracle reports three independent optima over the k-subsets of a finite
+metric: the best gap ratio GR_OPT, the smallest covering radius R_OPT
+(k-center) and the largest packing radius r_OPT (max-min dispersion).
+Note GR_OPT is generally NOT R_OPT / r_OPT; the three quantities are
+optimized by different subsets.  Each is found by its own exact search,
+bounded by the farthest-point sample: R_OPT by binary search over the
+distances with an exact cover decision, then two walks of the subset
+kernel, GR_OPT's pruned by the floor R_OPT and r_OPT's by the best packing
+so far.  Each returns what walking every k-subset would, bit for bit.
 
 The certifiers turn two combinatorial equivalences into runnable checks,
 each one pass of the subset kernel on the reduction's exact metric (its
@@ -28,6 +33,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .errors import GapError, GuardExceeded, CertificationError
+from .fpi import greedy_batch
 from .metric import (FiniteMetric, Graph, Sample, _index, build_graph_metric,
                      make_sample)
 
@@ -40,11 +46,11 @@ class OracleResult:
     gr_opt: float   # minimum gap ratio over all k-subsets
     R_opt: float    # minimum covering radius over all k-subsets
     r_opt: float    # maximum packing radius over all k-subsets
-    subsets_examined: int
+    subsets_examined: int  # C(n, k), the count the guard bounds, not the count visited
 
 
 # ---------------------------------------------------------------------------
-# prefix-shared subset kernel: exhaustive, or pruned for the coreset search
+# prefix-shared subset kernel: exhaustive, or pruned for the searches
 
 # Element budget of one (a rows, b columns, sites) block of the subset
 # kernel; a block holds at least one a row.
@@ -64,11 +70,14 @@ def _subset_blocks(dist: np.ndarray, k: int,
     so results are exact for float and integer matrices alike.
 
     ``prune``, if given, maps minimum pair distances (a scalar or an array)
-    to True where every subset with that q may be skipped.  Adding members
-    only lowers q, so a pruned prefix drops all its extensions; a pair's q
-    is tested before its cover is computed, and a block yields only its
-    surviving pairs, with the same cover and q bits, and is not yielded
-    when none survive.  The order stays lexicographic.
+    to True where every subset with that q may be skipped; the oracle's
+    two walks and the coreset search pass one, the certifiers do not.
+    Adding members only lowers q, so a pruned prefix drops all its
+    extensions; a pair's q is tested before its cover is computed, and a
+    block yields only its surviving pairs, with the same cover and q bits,
+    and is not yielded when none survive.  The order stays lexicographic.
+    The test reads the caller's state when it runs, so a bound that
+    tightens between blocks prunes the later ones harder.
     """
     n = dist.shape[0]
     top = np.inf if dist.dtype.kind == "f" else np.iinfo(dist.dtype).max
@@ -125,57 +134,123 @@ def _check_guard(n: int, k: int, guard: int) -> None:
                             f"raise --guard to proceed")
 
 
-def _min_gap_ratio(dist: np.ndarray, k: int,
-                   floor: Optional[float] = None) -> tuple:
-    """(first subset with the minimum gap ratio, that ratio, R_opt, r_opt)
-    over all k-subsets, with r and R both measured in ``dist``.
+def _coverable(dist: np.ndarray, k: int, t) -> bool:
+    """True iff some k sites cover every site within t: each site v has a
+    member s with dist[s, v] <= t (the kernel's orientation).
 
-    The caller checks the guard first (_check_guard).  ``floor``, if
-    given, must be at most the covering radius of every k-subset.  Then
-    GR >= floor / (q / 2) for every subset with minimum pair distance q,
-    so the walk prunes each prefix and pair whose floor / (q / 2) is
-    strictly above the best ratio found so far.  Float division rounds
-    monotonically, so a subset's bound never exceeds its ratio, and the
-    first optimal subset survives: the subset and its ratio have the same
-    bits as the exhaustive walk's.  R_opt and r_opt are separate optima
-    that a bound on GR cannot prune, so with a floor they are None.
+    Sites are relabelled by their number of coverers, fewest first, and
+    each site's cover set is a Python-int bitmask over the new labels.
+    The search branches on the coverers of the lowest uncovered site, at
+    most k levels deep; some member must cover that site, so no cover is
+    missed, and the answer is exact.  Once a coverer's branch fails, the
+    node's later branches skip it, since a cover holding it was in that
+    branch; so no set of members is reached twice, and a decision visits
+    at most sum(C(n, j) for j <= k) nodes.
+    """
+    n = dist.shape[0]
+    within = dist <= t  # within[s, v]: s covers v
+    within = within[:, np.argsort(within.sum(axis=0), kind="stable")]
+    covers = [int.from_bytes(row.tobytes(), "little")
+              for row in np.packbits(within, axis=1, bitorder="little")]
+    v, s = np.nonzero(within.T)  # the coverers s of each site v, v ascending
+    coverers = [c.tolist() for c in np.split(s, np.searchsorted(v, np.arange(1, n)))]
+
+    def search(uncovered: int, depth: int, banned: int) -> bool:
+        if not uncovered:
+            return True
+        if not depth:
+            return False
+        pivot = (uncovered & -uncovered).bit_length() - 1
+        for c in coverers[pivot]:
+            if not banned >> c & 1:
+                if search(uncovered & ~covers[c], depth - 1, banned):
+                    return True
+                banned |= 1 << c
+        return False
+
+    return search((1 << n) - 1, k, 0)
+
+
+def _min_cover(dist: np.ndarray, k: int, top: float) -> float:
+    """R_opt, the smallest covering radius of any k-subset, given ``top``,
+    the covering radius of one k-subset: a binary search over the distinct
+    entries of ``dist`` below ``top``, each tested by _coverable.  Every
+    covering radius is an entry of dist, and one at or below t exists iff
+    t is coverable, so the first coverable entry is R_opt, and top when
+    none is."""
+    cand = np.unique(dist[dist < top])
+    lo, hi = 0, cand.size
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _coverable(dist, k, cand[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(cand[lo]) if lo < cand.size else float(top)
+
+
+def _min_gap_ratio(dist: np.ndarray, k: int, floor: float,
+                   bound: float = np.inf) -> tuple:
+    """(first subset with the minimum gap ratio, that ratio) over all
+    k-subsets, with r and R both measured in ``dist``.
+
+    The caller checks the guard first (_check_guard).  ``floor`` must be
+    at most the covering radius of every k-subset, and ``bound`` at least
+    the minimum ratio.  Then GR >= floor / (q / 2) for every subset with
+    minimum pair distance q, so the walk prunes each prefix and pair whose
+    floor / (q / 2) is strictly above both ``bound`` and the best ratio
+    found so far.  Float division rounds monotonically, so a subset's
+    bound never exceeds its ratio, and the first optimal subset survives:
+    the subset and its ratio have the same bits as an exhaustive walk's.
     """
     best_gr = np.inf
     best = None
-    R_opt = np.inf
-    r_opt = -np.inf
 
     def prune(q):
         # q = 0 (an underflowed distance) gives inf or nan, never a warning
         with np.errstate(divide="ignore", invalid="ignore"):
-            return floor / (q / 2.0) > best_gr
+            return floor / (q / 2.0) > min(bound, best_gr)
 
-    for prefix, a, b, cover, q in _subset_blocks(dist, k,
-                                                 None if floor is None else prune):
-        r = q / 2.0
-        gr = cover / r
+    for prefix, a, b, cover, q in _subset_blocks(dist, k, prune):
+        gr = cover / (q / 2.0)
         pos = int(np.argmin(gr))  # first occurrence keeps lexicographic order
         if gr[pos] < best_gr:
             best_gr = float(gr[pos])
             best = prefix + (int(a[pos]), int(b[pos]))
-        if floor is None:
-            R_opt = min(R_opt, float(cover.min()))
-            r_opt = max(r_opt, float(r.max()))
     assert best is not None
-    if floor is not None:
-        R_opt = r_opt = None
-    return best, best_gr, R_opt, r_opt
+    return best, best_gr
+
+
+def _max_min_distance(dist: np.ndarray, k: int, seed: float) -> float:
+    """The largest minimum pair distance q of any k-subset, given ``seed``,
+    the q of one k-subset: a walk that prunes every prefix and pair whose
+    q is at most the largest found so far."""
+    best = seed
+    for _, _, _, _, q in _subset_blocks(dist, k, lambda q: q <= best):
+        best = max(best, float(q.max()))
+    return best
 
 
 def optimal_gap_ratio(m: FiniteMetric, k: int,
                       guard: int = DEFAULT_GUARD) -> OracleResult:
-    """Exhaustive minimum of GR over all k-subsets, lexicographic tie-break;
-    refuses instances with more than ``guard`` subsets."""
+    """Minimum of GR over all k-subsets, lexicographic tie-break, with the
+    separate optima R_opt and r_opt, by the module docstring's three
+    searches, each seeded by the farthest-point sample (a k-subset);
+    refuses instances with more than ``guard`` subsets.
+    ``subsets_examined`` is C(n, k), the count the guard bounds, not the
+    count of subsets the searches visit."""
     k = _index(k, "k-out-of-range", "k")
     if not 2 <= k <= m.n:
         raise GapError("k-out-of-range", f"k must satisfy 2 <= k <= {m.n}, got {k}")
     _check_guard(m.n, k, guard)
-    best, best_gr, R_opt, r_opt = _min_gap_ratio(m.dist, k)
+    dist = m.dist
+    _, q, R = greedy_batch(dist[None], k)
+    q_fpi, R_fpi = q[0, -1], R[0, -1]
+    R_opt = _min_cover(dist, k, R_fpi)
+    with np.errstate(divide="ignore", invalid="ignore"):  # q_fpi = 0 underflowed
+        gr_fpi = R_fpi / (q_fpi / 2.0)
+    best, best_gr = _min_gap_ratio(dist, k, R_opt, gr_fpi)
+    r_opt = _max_min_distance(dist, k, float(q_fpi)) / 2.0
     return OracleResult(best_sample=make_sample(best, m.n),
                         gr_opt=best_gr, R_opt=R_opt, r_opt=r_opt,
                         subsets_examined=comb(m.n, k))

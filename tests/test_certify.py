@@ -185,6 +185,36 @@ def test_sweep_sizes_are_refused_before_any_work(monkeypatch, sweep, least, _,
     assert err.value.code == code
 
 
+ORDER_ENTRIES = {
+    # masks=None: reading the masks would raise a TypeError, not a GapError
+    "adjacency_batch": lambda n: adjacency_batch(n, None),
+    "graph_batches": lambda n: next(certify._graph_batches(n, 4)),
+    "iter_connected_metrics": lambda n: next(iter_connected_metrics(n, 4)),
+}
+
+
+@pytest.mark.parametrize("entry", ORDER_ENTRIES)
+def test_orders_past_an_int64_mask_are_refused(monkeypatch, entry):
+    # K_12 has 66 pairs, and masks >> e is 0 for e >= 64: decoding n = 12
+    # would drop the edges of pairs 64 and 65, so each entry refuses it
+    # before any mask is decoded
+    if entry != "adjacency_batch":
+        def decode(n, masks):
+            raise AssertionError(f"order {n} decoded before the refusal")
+
+        monkeypatch.setattr(certify, "adjacency_batch", decode)
+    with pytest.raises(GapError) as err:
+        ORDER_ENTRIES[entry](12)
+    assert err.value.code == "max-n-out-of-range"
+    assert str(err.value) == "n 12 is outside [1, 11]"
+
+
+def test_the_largest_order_decodes_its_last_pair():
+    # pair 54 of K_11 is (9, 10), the last bit an int64 mask needs
+    adj = adjacency_batch(11, np.array([1 << 54]))[0]
+    assert list(zip(*np.nonzero(adj))) == [(9, 10), (10, 9)]
+
+
 @pytest.mark.parametrize("sweep, least, graphs", SWEEP_LEAST, ids=SWEEP_IDS)
 def test_sweep_sizes_at_the_edges_are_accepted(sweep, least, graphs):
     """Integral floats and numpy ints are sizes too, a one-mask chunk

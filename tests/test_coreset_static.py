@@ -12,6 +12,7 @@ from gapsampler import (GapError, GuardExceeded, approx_sample,
                         stream_init)
 from gapsampler import coreset, oracle
 from gapsampler.coreset import grid_cells
+from test_oracle import reference_search
 
 
 def line(*xs):
@@ -254,7 +255,7 @@ def test_pipeline_searches_match_the_exhaustive_walk(seed, monkeypatch):
     stream_finalize(stream_init(stream, 3, 0.1))
     assert len(searched) == 3
     for m, k, (sample, rep) in searched:
-        best, gr, _, _ = oracle._min_gap_ratio(m.dist, k)
+        best, gr, _, _ = reference_search(m.dist, k)
         assert (sample.indices, rep.gap_ratio) == (best, gr)
 
 

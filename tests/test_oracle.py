@@ -1,4 +1,4 @@
-"""Exhaustive oracle and the two domination-reduction certifiers."""
+"""Gap-ratio oracle and the two domination-reduction certifiers."""
 
 import itertools
 from math import comb
@@ -227,9 +227,126 @@ def test_pruned_search_is_the_exhaustive_walk(budget, instance):
     # fall on both sides of block boundaries
     cloud, k = instance
     m = build_euclidean(cloud)
-    best, gr, _, _ = oracle._min_gap_ratio(m.dist, k)
+    best, gr, _, _ = reference_search(m.dist, k)
     sample, rep = best_k_subset(m, k)
     assert (sample.indices, rep.gap_ratio) == (best, gr)
+
+
+def closed_weights(rng, n, high):
+    """Shortest paths over a complete graph with integer weights in
+    [1, high]: an explicit metric with many exact ties."""
+    w = rng.integers(1, high + 1, size=(n, n)).astype(float)
+    d = np.minimum(w, w.T)
+    np.fill_diagonal(d, 0.0)
+    for v in range(n):
+        d = np.minimum(d, d[:, v, None] + d[None, v])
+    return d
+
+
+def random_tree_graph(rng, n, extra, weighted):
+    """A connected graph: a random tree plus ``extra`` random edges, with
+    weights 1-3 if ``weighted``."""
+    edges = {(int(rng.integers(v)), v) for v in range(1, n)}
+    for _ in range(extra):
+        u, v = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+        edges.add((u, v))
+    if weighted:
+        return build_graph(n, [(u, v, float(rng.integers(1, 4))) for u, v in sorted(edges)])
+    return build_graph(n, sorted(edges))
+
+
+@st.composite
+def oracle_instances(draw):
+    """(metric, k) on 2 to 14 sites, k from 2 to n: search_instances' cloud
+    shapes at its three scales, grid, path and random graphs, {1,2}-metrics
+    and explicit shortest-path matrices.  n and k come from the drawn seed,
+    so they spread evenly rather than toward hypothesis's small values."""
+    kind = draw(st.sampled_from(["uniform", "lattice", "collinear", "grid", "path",
+                                 "graph", "genmet", "explicit"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = int(rng.integers(2, 15))
+    scale = draw(st.sampled_from([2.0 ** -400, 1.0, 2.0 ** 400]))
+    if kind == "uniform":
+        m = build_euclidean(build_cloud(rng.random((n, 2)) * scale))
+    elif kind == "lattice":
+        cells = rng.choice(16, size=n, replace=False)
+        pts = np.stack([cells // 4, cells % 4], axis=1).astype(float)
+        m = build_euclidean(build_cloud(pts * scale))
+    elif kind == "collinear":
+        pts = rng.choice(3 * n, size=n, replace=False)[:, None] * [1.0, 2.0]
+        m = build_euclidean(build_cloud(pts * scale))
+    elif kind == "grid":
+        rows = int(rng.integers(1, 4))
+        m = build_graph_metric(grid_graph(rows, max(2, n // rows)))
+    elif kind == "path":
+        m = build_graph_metric(build_graph(n, [(v, v + 1) for v in range(n - 1)]))
+    elif kind == "graph":
+        g = random_tree_graph(rng, n, int(rng.integers(n + 1)), draw(st.booleans()))
+        m = build_graph_metric(g)
+    elif kind == "genmet":
+        mask = int.from_bytes(rng.bytes(12), "little") % (1 << (n * (n - 1) // 2))
+        m = genmet_reduce(graph_from_mask(n, mask, require_connected=False))
+    else:
+        m = build_explicit(closed_weights(rng, n, draw(st.sampled_from([2, 4, 50]))))
+    return m, int(rng.integers(2, m.n + 1))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(instance=oracle_instances())
+def test_oracle_is_the_exhaustive_optimum(budget, instance):
+    # the sample and the bits of all three optima equal the per-subset
+    # reference's, under every block budget
+    m, k = instance
+    best, gr, R_opt, r_opt = reference_search(m.dist, k)
+    res = optimal_gap_ratio(m, k)
+    assert res.best_sample.indices == best
+    assert ([float(x).hex() for x in (res.gr_opt, res.R_opt, res.r_opt)]
+            == [float(x).hex() for x in (gr, R_opt, r_opt)])
+    assert res.subsets_examined == comb(m.n, k)
+
+
+def decision_metrics():
+    """Metrics on 8 or 9 sites with many distinct thresholds and many ties."""
+    rng = np.random.default_rng(31)
+    lattice = [[x, y] for x in range(3) for y in range(3)]
+    return {
+        "uniform": build_euclidean(build_cloud(rng.random((9, 2)))),
+        "lattice": build_euclidean(build_cloud(lattice)),
+        "path": build_graph_metric(build_graph(8, [(v, v + 1) for v in range(7)])),
+        "graph": build_graph_metric(random_tree_graph(rng, 9, 3, True)),
+        "genmet": genmet_reduce(graph_from_mask(9, int(rng.integers(1 << 36)),
+                                                require_connected=False)),
+        "explicit": build_explicit(closed_weights(rng, 9, 4)),
+    }
+
+
+DECISION_METRICS = decision_metrics()
+
+
+@pytest.mark.parametrize("name", DECISION_METRICS)
+def test_cover_decision_matches_brute_force(name):
+    # at every distinct entry t of dist and every k, some k sites cover
+    # every site within t (dist[s, v] <= t) iff _coverable says so
+    dist = DECISION_METRICS[name].dist
+    n = dist.shape[0]
+    for t in np.unique(dist):
+        within = dist <= t
+        for k in range(1, n + 1):
+            want = any(within[list(s)].any(axis=0).all()
+                       for s in itertools.combinations(range(n), k))
+            assert oracle._coverable(dist, k, t) == want, (t, k)
+
+
+def test_oracle_keeps_the_exhaustive_bits_at_n96():
+    # the exhaustive walk's answer on 96 uniform points at k = 4, recorded
+    # before the bounded searches replaced it
+    m = build_euclidean(build_cloud(np.random.default_rng(0).random((96, 2))))
+    res = optimal_gap_ratio(m, 4)
+    assert res.best_sample.indices == (1, 7, 49, 77)
+    assert [x.hex() for x in (res.gr_opt, res.R_opt, res.r_opt)] == [
+        "0x1.24f6de34adb47p+0", "0x1.4b569ec9d7c47p-2", "0x1.b26cb4bda49c5p-2"]
+    assert res.subsets_examined == comb(96, 4)
 
 
 def scalar_genmet(g, k):

@@ -64,7 +64,7 @@ def greedy_batch(D, k: int) -> tuple:
         i, j, _ = diameter(D)
         i, j, rows = np.array([i]), np.array([j]), D.block
     else:
-        i, j = _first_pair(D, largest=True)
+        i, j = _first_pair(D)
 
         def rows(c):
             return D[ar, c]

@@ -14,14 +14,15 @@ the degenerate layouts (1 or 2 points, all points collinear) where no
 triangulation exists.
 
 Not every candidate gets the O(n) exact nearest-site scan.  The corners
-and Voronoi vertices do, and their best score is a floor; each crossing
-first gets an upper bound, its distance to the site nearest a boundary
-probe beside it (8n probes, found by one O(n^2) scan), and only crossings
-whose bound reaches the floor are scanned.  A bound is one of the
-distances the exact scan minimises over, so pruning never changes R, the
-witness or its kind, and a wrong triangulation or a poor probe only
-weakens the pruning.  Typical inputs take O(n^2) time instead of O(n^3)
-(the worst case stays O(n^3)); memory stays O(n^2), set by the crossings.
+and Voronoi vertices do, and their best score is a floor; the crossings
+are made one block of pairs at a time, each crossing first gets an upper
+bound, its distance to the site nearest a boundary probe beside it (8n
+probes, found by one O(n^2) scan), and only crossings whose bound reaches
+the floor are scanned.  A bound is one of the distances the exact scan
+minimises over, so pruning never changes R, the witness or its kind, and
+a wrong triangulation or a poor probe only weakens the pruning.  Typical
+inputs take O(n^2) time instead of O(n^3) (the worst case stays O(n^3));
+memory is O(n) beside one block of pairs and one kernel block.
 
 Triangulation is incremental with a bounding super-triangle that is removed
 at the end.  Orientation and in-circumcircle predicates are determinant
@@ -52,20 +53,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import asin, pi
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .errors import GapError
-from .metric import PointCloud, _pairwise, build_euclidean, min_gap
+from .metric import _BLOCK, PointCloud, _pairwise, build_euclidean, min_gap
 
 PREDICATE_TOL = 1e-12
 
 _CORNERS = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
 
-# crossings bounded, then scanned, per stride of the covering radius's
-# pruned loop; the scans' distance blocks are _pairwise's own
-_NEAREST_ROWS = 1024
+# bisector pairs per block of the covering radius's crossing walk (whole
+# rows of pairs, at least one row): 2,048 at the default kernel budget.
+# A block's crossings and their bounds then stay below the exact scans'
+# two kernel blocks, whose distance blocks are _pairwise's own
+_PAIRS = max(1, _BLOCK // 32)
 
 # starting column capacity of delaunay's packed triangle array; it doubles
 _TRI_CAP = 64
@@ -295,29 +298,45 @@ def _validate_in_square(pts: np.ndarray) -> None:
                        f"point {i} lies outside the unit square")
 
 
-def _bisector_boundary_candidates(pts: np.ndarray) -> np.ndarray:
-    """(c, 2) intersections of all pairwise perpendicular bisectors with the
-    square boundary, for pairs i < j in lexicographic order and, per pair,
-    x = 0, x = 1, y = 0, y = 1.  Every Voronoi edge lies on one of these
-    lines, so the true boundary candidates are included; extras are harmless.
+def _crossing_blocks(pts: np.ndarray) -> Iterator[np.ndarray]:
+    """(c, 2) intersections of the pairwise perpendicular bisectors with
+    the square boundary, one block of pairs at a time.
+
+    Pairs i < j run in lexicographic order, whole rows of i at a time: a
+    block takes the next rows while it holds at most _PAIRS pairs, and at
+    least one row.  Per pair, the crossings run x = 0, x = 1, y = 0, y = 1.
+    Every Voronoi edge lies on one of these lines, so the true boundary
+    candidates are included; extras are harmless.  Every entry has the
+    bits of its own pair's expressions, so the blocks' concatenation does
+    not depend on where they end.
     """
-    i, j = np.triu_indices(pts.shape[0], 1)
-    mid = (pts[i] + pts[j]) / 2.0
-    nx = pts[j, 0] - pts[i, 0]
-    ny = pts[j, 1] - pts[i, 1]
-    out = np.empty((i.size, 4, 2))
-    keep = np.empty((i.size, 4), dtype=bool)
-    # bisector: (x - mid) . (nx, ny) = 0; masked slots may hold inf or nan
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for s, x in enumerate((0.0, 1.0)):
-            y = mid[:, 1] + (mid[:, 0] - x) * nx / ny
-            out[:, s, 0], out[:, s, 1] = x, y
-            keep[:, s] = (ny != 0.0) & (0.0 <= y) & (y <= 1.0)
-        for s, y in enumerate((0.0, 1.0), start=2):
-            x = mid[:, 0] + (mid[:, 1] - y) * ny / nx
-            out[:, s, 0], out[:, s, 1] = x, y
-            keep[:, s] = (nx != 0.0) & (0.0 <= x) & (x <= 1.0)
-    return out[keep]
+    n = pts.shape[0]
+    i0 = 0
+    while i0 < n - 1:
+        i1, size = i0 + 1, n - 1 - i0
+        while i1 < n - 1 and size + n - 1 - i1 <= _PAIRS:
+            size += n - 1 - i1
+            i1 += 1
+        # row-major order is lexicographic; the mask has at most 2 * size entries
+        i, j = np.nonzero(np.arange(i0, i1)[:, None] < np.arange(i0 + 1, n))
+        i, j = i + i0, j + i0 + 1
+        mid = (pts[i] + pts[j]) / 2.0
+        nx = pts[j, 0] - pts[i, 0]
+        ny = pts[j, 1] - pts[i, 1]
+        out = np.empty((size, 4, 2))
+        keep = np.empty((size, 4), dtype=bool)
+        # bisector: (x - mid) . (nx, ny) = 0; masked slots may hold inf or nan
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for s, x in enumerate((0.0, 1.0)):
+                y = mid[:, 1] + (mid[:, 0] - x) * nx / ny
+                out[:, s, 0], out[:, s, 1] = x, y
+                keep[:, s] = (ny != 0.0) & (0.0 <= y) & (y <= 1.0)
+            for s, y in enumerate((0.0, 1.0), start=2):
+                x = mid[:, 0] + (mid[:, 1] - y) * ny / nx
+                out[:, s, 0], out[:, s, 1] = x, y
+                keep[:, s] = (nx != 0.0) & (0.0 <= x) & (x <= 1.0)
+        yield out[keep]
+        i0 = i1
 
 
 def _probe_sites(pts: np.ndarray) -> np.ndarray:
@@ -341,29 +360,31 @@ def _covering_radius(pts: np.ndarray, tri: Optional[Triangulation]) -> tuple:
 
     Candidates keep their order: corners, in-square circumcenters, then
     the bisector/boundary crossings.  The first two groups are scored
-    exactly and their best score is the floor.  A crossing c gets the
+    exactly and their first maximum is the best so far.  Each block of
+    crossings is scored as soon as it is made.  A crossing c gets the
     bound u(c), the _pairwise entry from c to the site nearest the probe
     beside it: one of the entries the exact scan takes the minimum of, so
     nearest(c) <= u(c) bit for bit, and u(c) <= nearest(c) + 1/2n by the
-    triangle inequality.  Crossings with u(c) below the floor score -inf;
-    the rest are scored exactly, a stride at a time, raising the floor.
-    The floor is a real earlier candidate's score, so a pruned one is
-    never the first maximum.
+    triangle inequality.  Crossings with u(c) below the best score so far
+    are skipped; the rest are scored exactly, and the best changes only
+    on a strict improvement.  The best is a real earlier candidate's
+    score, so a skipped crossing is never the first maximum, and the
+    result is the first maximum over all candidates.  No array holds all
+    the crossings or all the pairs: memory is O(n + _PAIRS + _BLOCK).
     """
     vor = np.empty((0, 2))
     if tri is not None:
         c = tri.circumcenters
         vor = c[(0.0 <= c[:, 0]) & (c[:, 0] <= 1.0) & (0.0 <= c[:, 1]) & (c[:, 1] <= 1.0)]
-    cross = _bisector_boundary_candidates(pts)
     head = np.concatenate([np.array(_CORNERS), vor])
-    nearest = np.full(head.shape[0] + cross.shape[0], -np.inf)
-    nearest[:head.shape[0]] = _pairwise(head, pts, np.min)
-    floor = nearest[:head.shape[0]].max()
-    cross_nearest = nearest[head.shape[0]:]
+    nearest = _pairwise(head, pts, np.min)
+    top = int(np.argmax(nearest))  # first occurrence: fixed candidate order
+    best, witness = nearest[top], head[top].copy()
+    kind = "corner" if top < 4 else "voronoi-vertex"
     probe = _probe_sites(pts)
     per = probe.shape[1]
-    for lo in range(0, cross.shape[0], _NEAREST_ROWS):
-        x, y = cross[lo:lo + _NEAREST_ROWS].T
+    for cross in _crossing_blocks(pts):
+        x, y = cross.T
         # every crossing has x or y at exactly 0 or 1; t runs along its side
         upright = (x == 0.0) | (x == 1.0)
         t = np.where(upright, y, x)
@@ -371,17 +392,14 @@ def _covering_radius(pts: np.ndarray, tri: Optional[Triangulation]) -> tuple:
         near = pts[probe[side, np.minimum((t * per).astype(np.int64), per - 1)]]
         # _pairwise's entry for (c, site): the same subtract, square, add, sqrt
         dx, dy = x - near[:, 0], y - near[:, 1]
-        bound = np.sqrt(dx * dx + dy * dy)
-        live = np.flatnonzero(bound >= floor)
+        live = np.flatnonzero(np.sqrt(dx * dx + dy * dy) >= best)
         if live.size:
-            got = _pairwise(cross[lo + live], pts, np.min)
-            cross_nearest[lo + live] = got
-            floor = max(floor, got.max())
-    best = int(np.argmax(nearest))  # first occurrence: fixed candidate order
-    kind = ("corner" if best < 4 else "voronoi-vertex" if best < head.shape[0]
-            else "boundary-intersection")
-    witness = head[best] if best < head.shape[0] else cross[best - head.shape[0]]
-    return float(nearest[best]), witness.copy(), kind
+            got = _pairwise(cross[live], pts, np.min)
+            top = int(np.argmax(got))
+            if got[top] > best:
+                best, witness = got[top], cross[live[top]].copy()
+                kind = "boundary-intersection"
+    return float(best), witness, kind
 
 
 def covering_radius_unit_square(cloud: PointCloud) -> tuple:
@@ -395,7 +413,7 @@ def covering_radius_unit_square(cloud: PointCloud) -> tuple:
     Every bisector crossing stays a candidate, but only those whose
     probe-based upper bound reaches the best score so far get the exact
     nearest-site scan: O(n^2) time on typical inputs (O(n^3) at worst) and
-    O(n^2) memory.  A broken triangulation only weakens the pruning; the
+    O(n) memory beside fixed-size blocks.  A broken triangulation only weakens the pruning; the
     result is always the unpruned scan's first maximum.
     """
     pts = _require_2d(cloud)

@@ -392,21 +392,20 @@ def _min_plus(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _first_pair(mat: np.ndarray, largest: bool) -> tuple:
+def _first_pair(mat: np.ndarray) -> tuple:
     """Lexicographically smallest (i, j), i < j, at which the symmetric
-    matrix mat attains its maximum (largest) or minimum off the diagonal.
+    matrix mat attains its maximum off the diagonal.
 
     Leading axes of mat are a batch, and i, j are arrays of its shape.  i
-    is the first row holding the extreme and j the first column in that
-    row, which is above the diagonal: a column j < i would put the extreme
-    in the earlier row j too.  The diagonal (zero under a max over a
-    metric, +inf under a min) ties the extreme only when every entry does,
-    and then the answer is (0, 1).  Only row reductions and one row gather
-    are made, so a read-only mat is never copied.
+    is the first row holding the maximum and j the first column in that
+    row, which is above the diagonal: a column j < i would put the maximum
+    in the earlier row j too.  The diagonal (zero in a metric) ties the
+    maximum only when every entry does, and then the answer is (0, 1).
+    Only row reductions and one row gather are made, so a read-only mat
+    is never copied.  min_gap takes the same rule to a minimum.
     """
-    arg = np.argmax if largest else np.argmin
-    i = arg(mat.max(axis=-1) if largest else mat.min(axis=-1), axis=-1)
-    j = arg(np.take_along_axis(mat, i[..., None, None], axis=-2)[..., 0, :], axis=-1)
+    i = np.argmax(mat.max(axis=-1), axis=-1)
+    j = np.argmax(np.take_along_axis(mat, i[..., None, None], axis=-2)[..., 0, :], axis=-1)
     return i, j + (i == j)
 
 
@@ -575,13 +574,25 @@ def min_gap(m: FiniteMetric, p) -> tuple:
     """(r, closest_pair): half the minimum pairwise distance within p.
 
     The witness pair is the lexicographically smallest one realizing the
-    minimum.
+    minimum: _first_pair's rule on the (k, k) block with an inf diagonal,
+    read max(1, _BLOCK // k) rows at a time.  The first row holding the
+    minimum wins (a block's best replaces an earlier one only when it is
+    strictly smaller), then its first column; when every entry is inf the
+    answer is (0, 1).  Memory is O(k + _BLOCK), never the (k, k) block.
     """
     idx = _as_indices(m, p, 2)
-    sub = m.block(idx, idx)
-    np.fill_diagonal(sub, np.inf)
-    a, b = _first_pair(sub, largest=False)
-    return float(sub[a, b]) / 2.0, (int(idx[a]), int(idx[b]))
+    k = idx.size
+    step = max(1, _BLOCK // k)
+    best, a, b = np.inf, 0, 1
+    for lo in range(0, k, step):
+        sub = m.block(idx[lo:lo + step], idx)
+        own = np.arange(sub.shape[0])
+        sub[own, lo + own] = np.inf
+        low = sub.min(axis=1)
+        t = int(np.argmin(low))
+        if low[t] < best:
+            best, a, b = float(low[t]), lo + t, int(np.argmin(sub[t]))
+    return best / 2.0, (int(idx[a]), int(idx[b]))
 
 
 def max_gap(m: FiniteMetric, p) -> tuple:
@@ -632,5 +643,5 @@ def diameter(m: FiniteMetric) -> tuple:
         raise GapError("too-few-sites", "diameter needs at least 2 sites")
     if m.points is not None:
         return _farthest_pair(m.points)
-    i, j = map(int, _first_pair(m.dist, largest=True))
+    i, j = map(int, _first_pair(m.dist))
     return i, j, float(m.dist[i, j])

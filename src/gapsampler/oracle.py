@@ -207,16 +207,17 @@ def _min_gap_ratio(dist: np.ndarray, k: int, floor: float,
     best = None
 
     def prune(q):
-        # q = 0 (an underflowed distance) gives inf or nan, never a warning
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return floor / (q / 2.0) > min(bound, best_gr)
+        return floor / (q / 2.0) > min(bound, best_gr)
 
-    for prefix, a, b, cover, q in _subset_blocks(dist, k, prune):
-        gr = cover / (q / 2.0)
-        pos = int(np.argmin(gr))  # first occurrence keeps lexicographic order
-        if gr[pos] < best_gr:
-            best_gr = float(gr[pos])
-            best = prefix + (int(a[pos]), int(b[pos]))
+    # q = 0 (an underflowed distance) gives inf or nan, never a warning;
+    # entered once, since the walk calls prune once per prefix and block
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for prefix, a, b, cover, q in _subset_blocks(dist, k, prune):
+            gr = cover / (q / 2.0)
+            pos = int(np.argmin(gr))  # first occurrence keeps lexicographic order
+            if gr[pos] < best_gr:
+                best_gr = float(gr[pos])
+                best = prefix + (int(a[pos]), int(b[pos]))
     assert best is not None
     return best, best_gr
 
@@ -236,7 +237,9 @@ def optimal_gap_ratio(m: FiniteMetric, k: int,
     """Minimum of GR over all k-subsets, lexicographic tie-break, with the
     separate optima R_opt and r_opt, by the module docstring's three
     searches, each seeded by the farthest-point sample (a k-subset);
-    refuses instances with more than ``guard`` subsets.
+    refuses instances with more than ``guard`` subsets, and then metrics
+    whose farthest-point sample has an inf covering radius
+    (distance-overflow) or two sites at distance 0 (zero-distance).
     ``subsets_examined`` is C(n, k), the count the guard bounds, not the
     count of subsets the searches visit."""
     k = _index(k, "k-out-of-range", "k")
@@ -246,10 +249,15 @@ def optimal_gap_ratio(m: FiniteMetric, k: int,
     dist = m.dist
     _, q, R = greedy_batch(dist[None], k)
     q_fpi, R_fpi = q[0, -1], R[0, -1]
+    # the sample's own gap ratio would be inf / inf or 0 / 0, a nan bound
+    if R_fpi == np.inf:
+        raise GapError("distance-overflow", "the farthest-point sample's covering "
+                       "radius overflows float64: the sites are too far apart")
+    if q_fpi == 0.0:
+        raise GapError("zero-distance", f"the farthest-point sample of {k} sites "
+                       "has two at distance 0")
     R_opt = _min_cover(dist, k, R_fpi)
-    with np.errstate(divide="ignore", invalid="ignore"):  # q_fpi = 0 underflowed
-        gr_fpi = R_fpi / (q_fpi / 2.0)
-    best, best_gr = _min_gap_ratio(dist, k, R_opt, gr_fpi)
+    best, best_gr = _min_gap_ratio(dist, k, R_opt, R_fpi / (q_fpi / 2.0))
     r_opt = _max_min_distance(dist, k, float(q_fpi)) / 2.0
     return OracleResult(best_sample=make_sample(best, m.n),
                         gr_opt=best_gr, R_opt=R_opt, r_opt=r_opt,

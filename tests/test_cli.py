@@ -102,6 +102,17 @@ def test_overflow_is_one_error_line(tmp_path, flag, text, sample, code):
     assert re.fullmatch(rf"error: {code}: [^\n]+\n", proc.stderr), proc.stderr
 
 
+@pytest.mark.parametrize("scale, code", [(1e160, "distance-overflow"),
+                                         (1e-170, "zero-distance")])
+def test_oracle_refuses_over_and_underflow(tmp_path, scale, code):
+    data = tmp_path / "scaled.txt"
+    pts = [[(7 * i % 10 + 0.5) * scale, (3 * i % 10 + 0.25) * scale] for i in range(10)]
+    data.write_text("".join(f"{x!r} {y!r}\n" for x, y in pts))
+    proc = run_cli("oracle", "--points", str(data), "-k", "3")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert re.fullmatch(rf"error: {code}: [^\n]+\n", proc.stderr), proc.stderr
+
+
 def test_signed_zero_duplicates_are_dropped(tmp_path):
     # "-0 1" repeats "0 1": one site, not two at distance 0
     data = tmp_path / "zeros.txt"

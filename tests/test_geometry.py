@@ -15,6 +15,7 @@ from gapsampler import (GapError, build_cloud, circumcircle_margins,
                         metric)
 
 DEFAULT_BLOCK = metric._BLOCK
+DEFAULT_PAIRS = geometry._PAIRS
 
 CORNERS = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
 CORNERS_IN_ORDER = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]  # candidate order
@@ -403,13 +404,20 @@ def candidate_clouds():
     yield np.array([[0.5, 0.5]])
 
 
-def test_bisector_candidates_match_loop_bitwise():
+def crossings(pts):
+    """The blocks of bisector crossings, concatenated."""
+    return np.concatenate([np.empty((0, 2)), *geometry._crossing_blocks(pts)])
+
+
+def test_bisector_candidates_match_loop_bitwise(monkeypatch):
     for pts in candidate_clouds():
         pts = build_cloud(pts).points
-        got = geometry._bisector_boundary_candidates(pts)
         want = reference_bisector_candidates(pts)
-        assert got.shape == want.shape and got.dtype == np.float64
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for pairs in (1, 7, DEFAULT_PAIRS):
+            monkeypatch.setattr(geometry, "_PAIRS", pairs)
+            got = crossings(pts)
+            assert got.shape == want.shape and got.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_covering_radius_matches_reference():
@@ -425,8 +433,8 @@ def test_covering_radius_matches_reference():
 def test_covering_radius_blocks_match_one_scan(monkeypatch):
     clouds = [build_cloud(pts) for pts in candidate_clouds()]
     want = [covering_radius_unit_square(c) for c in clouds]
-    for rows in (1, 7):
-        monkeypatch.setattr(geometry, "_NEAREST_ROWS", rows)
+    for pairs in (1, 7):
+        monkeypatch.setattr(geometry, "_PAIRS", pairs)
         for cloud, (R, witness, kind) in zip(clouds, want):
             got = covering_radius_unit_square(cloud)
             assert (got[0].hex(), got[1].tobytes(), got[2]) == (
@@ -465,13 +473,13 @@ def test_pruned_scan_matches_reference(monkeypatch):
     kinds = set()
 
     @settings(max_examples=150, deadline=None)
-    @given(pts=square_clouds(), rows=st.sampled_from([1, 7, 1024]),
+    @given(pts=square_clouds(), pairs=st.sampled_from([1, 7, DEFAULT_PAIRS]),
            budget=st.sampled_from([1, DEFAULT_BLOCK]))
-    def check(pts, rows, budget):
-        # the floor rises between strides, so pruning decisions fall on
-        # both sides of stride boundaries; a budget of one entry gives
-        # every scanned candidate its own distance block
-        monkeypatch.setattr(geometry, "_NEAREST_ROWS", rows)
+    def check(pts, pairs, budget):
+        # the best score rises between blocks of pairs, so pruning and
+        # scoring decisions fall on both sides of block edges; a budget of
+        # one entry gives every scanned candidate its own distance block
+        monkeypatch.setattr(geometry, "_PAIRS", pairs)
         monkeypatch.setattr(metric, "_BLOCK", budget)
         cloud = build_cloud(pts)
         R, witness, kind = covering_radius_unit_square(cloud)
@@ -497,12 +505,12 @@ def test_pruned_scan_scores_few_crossings(monkeypatch):
     c = delaunay(cloud).circumcenters
     head = 4 + int(((0.0 <= c) & (c <= 1.0)).all(axis=1).sum())
     probes = 8 * cloud.n
-    crossings = geometry._bisector_boundary_candidates(cloud.points).shape[0]
+    total = crossings(cloud.points).shape[0]
     scored = sum(rows) - head - probes  # crossing rows given the exact scan
-    assert 0 <= scored < 0.05 * crossings
+    assert 0 <= scored < 0.05 * total
 
 
-@pytest.mark.parametrize("n, ceiling", [(150, 2.15e6), (400, 15.1e6)])
+@pytest.mark.parametrize("n, ceiling", [(150, 1.6e6), (400, 1.75e6)])
 def test_covering_radius_peak_memory(n, ceiling):
     cloud = build_cloud(np.random.default_rng(0).random((n, 2)))
     covering_radius_unit_square(cloud)  # first calls of some numpy routines allocate
@@ -512,10 +520,10 @@ def test_covering_radius_peak_memory(n, ceiling):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # candidate generation sets the peak (2.11 and 15.0 MB on its own); the
-    # probe table and the per-stride bounds add O(n + _NEAREST_ROWS), and
-    # the exact scans, which run after it, hold at most two 2^16-entry kernel
-    # blocks (1 MB)
+    # the exact scans' two 2^16-entry kernel blocks (1 MB) set the peak
+    # (1.25 and 1.37 MB); a block of pairs, its crossings and their bounds
+    # add O(_PAIRS), and the probe table and the triangulation O(n).  All
+    # the crossings at once took 2.11 and 15.0 MB
     assert peak < ceiling
 
 
@@ -529,6 +537,23 @@ def test_gap_report_peak_memory():
         tracemalloc.stop()
     # a (candidates, n) distance matrix alone is about 27 MB here
     assert peak < 8e6
+
+
+def test_gap_report_memory_is_linear_at_n4000():
+    # first calls of some numpy routines allocate
+    gap_report_unit_square(build_cloud(np.random.default_rng(1).random((50, 2))))
+    cloud = build_cloud(np.random.default_rng(0).random((4000, 2)))
+    tracemalloc.start()
+    try:
+        rep = gap_report_unit_square(cloud)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # about 4.7 MB, mostly the triangulation's and the probes' O(n); all
+    # 8 million pairs' crossings at once would take about 1.5 GB (94 bytes
+    # a pair), and the closest pair's (n, n) block 128 MB
+    assert peak < 16e6
+    assert 0.0 < rep.r < rep.R
 
 
 # ---------------------------------------------------------------------------

@@ -605,6 +605,39 @@ def test_min_gap_witness_matches_triu_scan():
             assert min_gap(m, idx) == (m.dist[idx[a], idx[b]] / 2.0, (idx[a], idx[b]))
 
 
+def full_block_min_gap(m, idx):
+    """min_gap as it was: the whole (k, k) block, read from a matrix of the
+    metric's own, with an inf diagonal; the first row holding the minimum,
+    then its first column, and (0, 1) when every entry is inf."""
+    if m.points is None:
+        sub = m.dist[np.ix_(idx, idx)]
+    else:
+        with np.errstate(over="ignore"):
+            sub = _pairwise(m.points[idx], m.points[idx])
+    np.fill_diagonal(sub, np.inf)
+    a = int(np.argmin(sub.min(axis=1)))
+    b = int(np.argmin(sub[a]))
+    b += a == b
+    return float(sub[a, b]) / 2.0, (int(idx[a]), int(idx[b]))
+
+
+def test_min_gap_row_blocks_match_the_full_block(budgets):
+    rng = np.random.default_rng(27)
+    clouds = list(lattice_clouds())
+    clouds += [rng.random((n, 2)) * 1e160 for n in (2, 3, 40)]  # every distance is inf
+    clouds += [np.c_[rng.random(30), np.zeros(30)], np.arange(12.0)[:, None] ** 2]
+    metrics = [build_euclidean(build_cloud(pts)) for pts in clouds]
+    metrics += [build_graph_metric(g) for g in tie_heavy_graphs()]
+    for _ in budgets():
+        for m in metrics:
+            for idx in [list(range(m.n)), *sampled_subsets(m, rng, 4)]:
+                assert repr(min_gap(m, idx)) == repr(full_block_min_gap(m, idx))
+    assert all(vars(m)["_dist"] is None for m in metrics[:len(clouds)])
+    for n in (2, 3, 40):  # a full tie of infs is (0, 1)
+        m = build_euclidean(build_cloud(rng.random((n, 3)) * 1e160))
+        assert min_gap(m, range(n)) == (np.inf, (0, 1))
+
+
 def test_gap_fraction_matches_doubled_integers():
     rng = np.random.default_rng(25)
     graphs = list(tie_heavy_graphs())

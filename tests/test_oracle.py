@@ -64,6 +64,16 @@ def test_guard_refuses_huge_enumerations():
     assert res.subsets_examined == 780
 
 
+@pytest.mark.parametrize("scale, code", [(1e160, "distance-overflow"),
+                                         (1e-170, "zero-distance")])
+def test_oracle_refuses_clouds_whose_distances_all_over_or_underflow(scale, code):
+    # every gap ratio would be inf / inf or 0 / 0, so no subset is best
+    m = build_euclidean(build_cloud(np.random.default_rng(0).random((10, 2)) * scale))
+    with pytest.raises(GapError) as e:
+        optimal_gap_ratio(m, 3)
+    assert e.value.code == code
+
+
 def test_oracle_matches_bruteforce_replay():
     rng = np.random.default_rng(19)
     pts = rng.random((9, 2))

@@ -32,7 +32,7 @@ def matrix_metric(cloud):
 
 def full_scan(cloud):
     m = matrix_metric(cloud)
-    i, j = map(int, _first_pair(m.dist, largest=True))
+    i, j = map(int, _first_pair(m.dist))
     return i, j, float(m.dist[i, j])
 
 

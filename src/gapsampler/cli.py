@@ -171,7 +171,7 @@ def _cmd_oracle(args) -> Outcome:
     }
     result.update(_exact_fields(metric, res.best_sample, args))
     return Outcome(result, digest, warnings,
-                   [f"examined {res.subsets_examined} subsets, "
+                   [f"C(n, k) = {res.subsets_examined} subsets under the guard, "
                     f"best gap_ratio={res.gr_opt:g}"])
 
 

@@ -15,7 +15,8 @@ enough that swapping any site for its representative moves distances by at
 most eps1 * R_P1 / 2, which is what makes the final sample's gap ratio over
 the full space land within (1 + eps) of optimal for eps < 1/2.
 
-The cell rule (grid_cells) and the representative search (search_coreset)
+The cell rule (grid_cells, whose one-point form _point_cell streaming
+ingest calls per point) and the representative search (search_coreset)
 serve streaming too.  The search measures r and R inside the coreset, its
 own metric space; the end-to-end report re-measures the winner over the
 full input, which is what the (1 + eps) guarantee speaks about.
@@ -97,27 +98,44 @@ def grid_cells(points, origin, side: float):
     inf or NaN quotient raises that error, not a numpy warning.
 
     Rows are subtracted and divided in numpy; one point, a sequence of
-    floats or a (d,) array, on Python floats with the same operations, so
-    a point's cell does not depend on the form it arrives in."""
+    floats or a (d,) array, goes through _point_cell, the one-point rule
+    that streaming ingest calls too: the same operations on Python floats,
+    so a point's cell does not depend on the form it arrives in."""
     if getattr(points, "ndim", 1) == 2:
         with np.errstate(over="ignore", invalid="ignore"):
             q = ((points - origin) / side).ravel().tolist()
         return list(zip(*[iter(_floors(q, side))] * points.shape[1]))
     o = origin.tolist() if isinstance(origin, np.ndarray) else origin
     p = points.tolist() if isinstance(points, np.ndarray) else points
-    return tuple(_floors([(u - v) / side for u, v in zip(p, o)], side))
+    return _point_cell(p, o, side)
+
+
+def _point_cell(p, o, side: float) -> tuple:
+    """grid_cells' cell of one point p, with p and o sequences of floats."""
+    try:  # floor() refuses nan and inf
+        cell = tuple([floor((u - v) / side) for u, v in zip(p, o)])
+    except (ValueError, OverflowError):
+        cell = (2 ** 53,)
+    if max(map(abs, cell)) < 2 ** 53:
+        return cell
+    raise _grid_overflow(side)
 
 
 def _floors(quotients: list, side: float) -> list:
-    """grid_cells' floor of each quotient, refusing what has no safe cell."""
+    """grid_cells' floor of each quotient of its rows, refusing what has no
+    safe cell."""
     try:  # floor() refuses nan and inf
         flat = list(map(floor, quotients))
     except (ValueError, OverflowError):
         flat = [2 ** 53]
     if not (-2 ** 53 < min(flat) and max(flat) < 2 ** 53):
-        raise GapError("grid-overflow", f"a cell index at cell side {side:g} is not "
-                       "finite or reaches 2**53; the points span too many cells")
+        raise _grid_overflow(side)
     return flat
+
+
+def _grid_overflow(side: float) -> GapError:
+    return GapError("grid-overflow", f"a cell index at cell side {side:g} is not "
+                    "finite or reaches 2**53; the points span too many cells")
 
 
 def build_grid_coreset(cloud: PointCloud, cell_side: float,

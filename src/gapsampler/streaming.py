@@ -21,15 +21,17 @@ The final coreset is searched exhaustively like the static one; for
 eps < 1/8 the winner's gap ratio over the full stream is within (1 + eps)
 of optimal.
 
-Ingestion is strictly sequential and runs per point on Python floats:
-distances are metric._dist, one entry of the pairwise kernel, and cells
-come from coreset's cell rule, whose finalization shares the
-representative search.  Every point the state holds (the origin, the
-centers and the cell representatives) is a tuple of Python floats made
-once per input point, so a caller may reuse one buffer for the whole
-stream.  Zero or overflowing first distances, a point whose distance to
-every center overflows, non-finite points and cell indices past 2**53 are
-coded errors raised before the state changes.
+Ingestion is strictly sequential and runs per point on Python floats, one
+short step: the cell comes from coreset's one-point cell rule (the rule
+of grid_cells; finalization shares coreset's representative search), the
+center test walks T in order and stops at the first center within
+2*R_thresh (distances are metric._dist, one entry of the pairwise
+kernel), and the point is filed under its cell in place.  Every point
+the state holds (the origin, the centers and the cell representatives) is
+a tuple of Python floats made once per input point, so a caller may reuse
+one buffer for the whole stream.  Zero or overflowing first distances, a
+point whose distance to every center overflows, non-finite points and
+cell indices past 2**53 are coded errors raised before the state changes.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .coreset import ENUM_GUARD, GridCoreset, grid_cells, search_coreset
+from .coreset import ENUM_GUARD, GridCoreset, _point_cell, search_coreset
 from .errors import GapError
 from .metric import _dist, _index
 
@@ -88,26 +90,6 @@ def _refuse_nonfinite(idx: int, x: tuple) -> None:
     if bad.size:
         raise GapError("nonfinite-coordinate",
                        f"stream point {idx} has a non-finite coordinate {bad[0]}")
-
-
-def _grid_cell(state: StreamState, x: tuple) -> tuple:
-    """The cell of the next stream point x.  Only a point the cell rule
-    refuses is checked for non-finite coordinates."""
-    try:
-        return grid_cells(x, state.origin, state.cell_side)
-    except GapError:
-        _refuse_nonfinite(state.points_seen, x)
-        raise
-
-
-def _grid_insert(state: StreamState, cell: tuple, x: tuple) -> int:
-    """File the next stream point under its cell; return its index."""
-    idx = state.points_seen
-    state.points_seen += 1
-    if cell not in state.cells:
-        state.cells[cell] = (idx, x)
-        state.peak_cells = max(state.peak_cells, len(state.cells))
-    return idx
 
 
 def _merge_cells(cells: dict) -> dict:
@@ -168,31 +150,45 @@ def stream_init(first_points: Iterable, k: int, eps: float) -> StreamState:
     if R == inf:  # the squares overflowed; every cell index would be 0
         raise GapError("distance-overflow", f"the first {k} distinct stream points "
                        "are too far apart: a squared distance overflows float64")
-    state = StreamState(params=params, k=k, origin=prefix[0],
-                        cell_side=cell_side, cells={}, T=T, R_thresh=R)
-    for x in prefix:
-        _grid_insert(state, _grid_cell(state, x), x)
+    cells: dict = {}
+    for idx, x in enumerate(prefix):  # finite: grid-overflow is the one refusal
+        cells.setdefault(_point_cell(x, prefix[0], cell_side), (idx, x))
+    state = StreamState(params=params, k=k, origin=prefix[0], cell_side=cell_side,
+                        cells=cells, T=T, R_thresh=R, points_seen=len(prefix),
+                        peak_cells=len(cells))
     for x in it:
         stream_ingest(state, x)
     return state
 
 
 def stream_ingest(state: StreamState, x) -> StreamState:
-    """Feed one point: grid insert, center test, doubling phases as needed.
+    """Feed one point: its cell, the center test (which stops at the first
+    center in reach), its filing, and doubling phases as needed.
 
     A refused point leaves the state as it was."""
     x = tuple(np.asarray(x, dtype=np.float64).ravel().tolist())
     if len(x) != state.params.d:
         raise GapError("dimension-mismatch",
                        f"point has dimension {len(x)}, stream is {state.params.d}-D")
-    cell = _grid_cell(state, x)
-    near = _dist_to(state.T, x)
-    if near == inf:
-        raise GapError("distance-overflow", f"stream point {state.points_seen} is too "
-                       "far from every center: a squared distance overflows float64")
-    idx = _grid_insert(state, cell, x)
-    if near > 2.0 * state.R_thresh:
+    idx = state.points_seen
+    try:
+        cell = _point_cell(x, state.origin, state.cell_side)
+    except GapError:
+        _refuse_nonfinite(idx, x)
+        raise
+    reach = 2.0 * state.R_thresh
+    for _, c in state.T:  # x is finite now, so no distance is nan
+        if _dist(c, x) <= reach:
+            break
+    else:  # no center in reach: x joins T, unless every distance overflowed
+        if all(_dist(c, x) == inf for _, c in state.T):
+            raise GapError("distance-overflow", f"stream point {idx} is too far "
+                           "from every center: a squared distance overflows float64")
         state.T.append((idx, x))
+    if cell not in state.cells:
+        state.cells[cell] = (idx, x)
+        state.peak_cells = max(state.peak_cells, len(state.cells))
+    state.points_seen = idx + 1
     while len(state.T) > state.k:
         state.phase += 1
         state.R_thresh *= 2.0

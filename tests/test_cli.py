@@ -227,6 +227,19 @@ def test_verbose_goes_to_stderr(files):
     json.loads(proc.stdout)  # stdout stays pure JSON
 
 
+def test_oracle_verbose_names_the_guarded_count(files):
+    # the bounded searches visit fewer subsets than C(n, k); stderr says
+    # which count it prints, and the report is the one without --verbose
+    proc = run_cli("oracle", "--graph", files["c6.edges"], "-k", "2", "--verbose")
+    assert proc.returncode == 0
+    assert "C(n, k) = 15 subsets under the guard, best gap_ratio=0.666667" in proc.stderr
+    assert "examined" not in proc.stderr
+    verbose = report_of(proc)
+    plain = report_of(run_cli("oracle", "--graph", files["c6.edges"], "-k", "2"))
+    verbose["argv"].remove("--verbose")
+    assert verbose == plain and verbose["result"]["subsets_examined"] == 15
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 

@@ -1,7 +1,7 @@
 """One-pass doubling coreset: traces, invariants, end-to-end guarantee."""
 
 import warnings
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from gapsampler import (GapError, StreamState, build_cloud, build_euclidean,
                         gap_ratio, optimal_gap_ratio, stream_finalize,
                         stream_ingest, stream_init, stream_params, stream_reps)
 from gapsampler.coreset import grid_cells
-from gapsampler.metric import _pairwise
+from gapsampler.metric import _dist, _pairwise
 
 
 def run_stream(points, k, eps):
@@ -341,6 +341,51 @@ def test_ingest_matches_the_row_reference(d):
             assert_same_state(state, ref)
             phases += ref.phase
     assert phases > 0
+
+
+def ingest_under_warnings_as_errors(points, k, eps=0.1):
+    """stream_init on the first k points, then stream_ingest, compared with
+    reference_stream, which takes every point's full center minimum."""
+    points = np.array(points, dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = stream_init(points[:k], k, eps)
+        for x in points[k:]:
+            stream_ingest(state, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the reference's squares may overflow
+        assert_same_state(state, reference_stream(points, k, eps))
+    return state
+
+
+def test_center_test_stops_at_distance_equal_to_the_reach():
+    # T = [0, 1] and R_thresh = 1: reach is 2, and distance 2 is in reach
+    state = ingest_under_warnings_as_errors([[0.0], [1.0], [-2.0]], 2)
+    assert (state.R_thresh, state.phase) == (1.0, 0)
+    assert [i for i, _ in state.T] == [0, 1]
+    beyond = np.nextafter(-2.0, -np.inf)
+    state = ingest_under_warnings_as_errors([[0.0], [1.0], [beyond]], 2)
+    assert (state.R_thresh, state.phase) == (2.0, 1)  # x joined T, which overflowed
+
+
+def test_center_test_takes_a_far_point_with_one_overflowing_distance():
+    # -1e152 is past 2 * R_thresh = 2e150 from every center; its squared
+    # distance to 1.34e154 overflows, to the other two it does not
+    prefix = [[0.0], [1e150], [1.34e154]]
+    x = -1e152
+    assert [_dist(c, [x]) for c in prefix] == [1e152, 1e150 - x, inf]
+    state = ingest_under_warnings_as_errors(prefix + [[x]], 3)
+    assert state.phase == 1 and state.points_seen == 4
+    assert [i for i, _ in state.T] == [0, 2, 3]  # x joined T and outlived 1e150
+
+
+def test_center_test_files_a_point_in_reach_of_a_later_center():
+    # 1.5e154's squared distance to the first center overflows, but the
+    # second center is 5e153 away, inside the reach of 2e154
+    state = ingest_under_warnings_as_errors([[0.0], [1e154], [1.5e154]], 2)
+    assert _dist((0.0,), (1.5e154,)) == inf
+    assert [i for i, _ in state.T] == [0, 1] and state.phase == 0
+    assert state.points_seen == 3 and len(state.cells) == 3
 
 
 # ---------------------------------------------------------------------------

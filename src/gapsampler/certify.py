@@ -142,7 +142,9 @@ def _subset_walk(batches: list, max_k: int) -> Iterator[tuple]:
     (2 shared cores) that made the fpi-vs-oracle, graph-floor and reduction
     sweeps 2-8x slower (63 -> 143, 41 -> 178 and 67 -> 548 ms, the last
     peaking at 36.9 MB, not 19.8).  Here every op runs over B contiguous
-    values.
+    values.  The sweeps prune nothing, and the kernel's candidate bitsets
+    and far-pair graph belong to one metric, so a batch could not share
+    them.
     """
     tables = [(np.ascontiguousarray(A.transpose(1, 2, 0)), op) for A, op in batches]
     n = len(tables[0][0])

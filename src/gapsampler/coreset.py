@@ -9,11 +9,12 @@ keep one representative site per nonempty cell, and search the coreset
 for the first k-subset with the smallest gap ratio.  The search walks the
 subsets in lexicographic order and skips those that a floor on every
 covering radius (Gonzalez 1985, from farthest-point insertion on the
-coreset) proves worse than the best so far, so it returns the exhaustive
-answer; its guard still counts all C(n, k) subsets.  Cells are small
-enough that swapping any site for its representative moves distances by at
-most eps1 * R_P1 / 2, which is what makes the final sample's gap ratio over
-the full space land within (1 + eps) of optimal for eps < 1/2.
+coreset) proves worse than the best so far, or than the farthest-point
+sample itself, so it returns the exhaustive answer; its guard still counts
+all C(n, k) subsets.  Cells are small enough that swapping any site for
+its representative moves distances by at most eps1 * R_P1 / 2, which is
+what makes the final sample's gap ratio over the full space land within
+(1 + eps) of optimal for eps < 1/2.
 
 The cell rule (grid_cells, whose one-point form _point_cell streaming
 ingest calls per point) and the representative search (search_coreset)
@@ -170,9 +171,13 @@ def best_k_subset(coreset_metric: FiniteMetric, k: int,
     within the given metric.  The walk is branch and bound: it skips the
     prefixes and pairs whose minimum pair distance proves, with the floor
     of _radius_floor, that no subset through them can reach the best ratio
-    so far.  Its answer is the exhaustive one, bit for bit.  The guard
-    still counts all C(n, k) subsets and is checked before any distance is
-    read; then a distance past float64's range is refused before the search.
+    so far.  The bound starts at the gap ratio of the farthest-point sample
+    (the seed of _radius_floor), so the far-pair graph of the subset kernel
+    prunes from the first block on.  Its answer is the exhaustive one, bit
+    for bit, since the first optimal subset never exceeds the seed.  The
+    guard still counts all C(n, k) subsets and is checked before any
+    distance is read; then a distance past float64's range is refused
+    before the search.
     """
     k = _index(k, "k-out-of-range", "k")
     if k < 2:
@@ -185,14 +190,18 @@ def best_k_subset(coreset_metric: FiniteMetric, k: int,
     if not np.isfinite(dist.max()):  # distances are >= 0; a NaN max is NaN
         raise GapError("distance-overflow", "two coreset sites are too far apart: "
                        "a squared distance overflows float64")
-    best, _ = _min_gap_ratio(dist, k, _radius_floor(coreset_metric, k))
+    best, _ = _min_gap_ratio(dist, k, *_radius_floor(coreset_metric, k))
     sample = make_sample(best, coreset_metric.n)
     return sample, gap_ratio(coreset_metric, sample)
 
 
-def _radius_floor(m: FiniteMetric, k: int) -> float:
-    """A floor on the covering radius, read from m.dist, of every k-subset
-    of m, from one farthest-point insertion run (Gonzalez 1985).
+def _radius_floor(m: FiniteMetric, k: int) -> tuple:
+    """(floor, seed) from one farthest-point insertion run: a floor on the
+    covering radius, read from m.dist, of every k-subset of m (Gonzalez
+    1985), and the seed R / (q / 2) of the run's k-sample, its gap ratio in
+    m.dist with the walk's own operands, so at least the minimum ratio.  A
+    q of 0 (an underflowed distance) gives an inf or nan seed, with which
+    the walk prunes less, never wrongly.
 
     FPI's k sites and the site farthest from them are k + 1 sites pairwise
     at least R_FPI apart: the start pair realizes the diameter, and each
@@ -222,11 +231,13 @@ def _radius_floor(m: FiniteMetric, k: int) -> float:
     is at most R(S) for every S, its own roundings included.  A floor at
     or below 0 prunes nothing.
     """
-    _, _, R = greedy_batch(m.dist[None], k)
+    _, q, R = greedy_batch(m.dist[None], k)
     d = 0 if m.points is None else m.points.shape[1]
     margin = (m.n + d + 8) * 2.0 ** -52
     tol = TRIANGLE_TOL if m.source == "explicit" else 1e-149
-    return (float(R[0, -1]) - tol * (1.0 + margin)) / 2.0 * (1.0 - margin)
+    floor = (float(R[0, -1]) - tol * (1.0 + margin)) / 2.0 * (1.0 - margin)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return floor, R[0, -1] / (q[0, -1] / 2.0)
 
 
 def search_coreset(reps: list, pts: np.ndarray, k: int, n: int, guard: int) -> tuple:

@@ -8,7 +8,11 @@ optimized by different subsets.  Each is found by its own exact search,
 bounded by the farthest-point sample: R_OPT by binary search over the
 distances with an exact cover decision, then two walks of the subset
 kernel, GR_OPT's pruned by the floor R_OPT and r_OPT's by the best packing
-so far.  Each returns what walking every k-subset would, bit for bit.
+so far.  A pruned walk keeps a far-pair graph, one Python-int bitset per
+site of the later sites its prune lets pair with it, and extends a prefix
+only by sites in every member's row; rows only go stale toward supersets,
+which costs speed, never a subset.  Each search returns what walking every
+k-subset would, bit for bit.
 
 The certifiers turn two combinatorial equivalences into runnable checks,
 each one pass of the subset kernel on the reduction's exact metric (its
@@ -27,7 +31,8 @@ equalities) that reads domination from its blocks as hit counts |N[v] & D|:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from functools import lru_cache
+from math import comb, inf
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -64,64 +69,161 @@ def _subset_blocks(dist: np.ndarray, k: int,
     radius cover[i] and minimum pair distance q[i], both read from ``dist``.
 
     A depth-first walk over the (k-2)-prefixes keeps pm, each site's
-    distance to the prefix (one np.minimum per level), and pq, the prefix's
-    minimum pair distance; the last two members a < b are evaluated as a
-    block of a rows against all later b.  Only min and max touch distances,
-    so results are exact for float and integer matrices alike.
+    distance to the prefix (one np.minimum per level), pq, the prefix's
+    minimum pair distance, and the prefix's candidates, a Python-int bitset
+    of the later sites that may extend it; the last two members a < b are
+    evaluated as a block of candidate a rows against all later candidates
+    b.  Only min and max touch distances, so results are exact for float
+    and integer matrices alike.
 
     ``prune``, if given, maps minimum pair distances (a scalar or an array)
     to True where every subset with that q may be skipped; the oracle's
-    two walks and the coreset search pass one, the certifiers do not.
-    Adding members only lowers q, so a pruned prefix drops all its
-    extensions; a pair's q is tested before its cover is computed, and a
-    block yields only its surviving pairs, with the same cover and q bits,
-    and is not yielded when none survive.  The order stays lexicographic.
-    The test reads the caller's state when it runs, so a bound that
+    two walks and the coreset search pass one, the certifiers do not.  It
+    must flag every q at or below one it flags.  It reads the caller's
+    state when it runs, and that state may only tighten it, so a bound that
     tightens between blocks prunes the later ones harder.
+
+    Without a prune every later site is a candidate.  With one, the walk
+    keeps a far-pair graph (_far_rows): row i is the bitset of the sites
+    j > i with not prune(dist[i, j]), and a prefix's candidates are the
+    AND of its members' rows.  A subset holding a pair outside the graph
+    has q at most that pair's distance, so it is pruned, and a 1-site
+    prefix prunes too.  A prefix is extended only while it has enough
+    candidates to complete a subset, and a leaf whose candidates hold no
+    pair of the graph builds no block.  Rows are rebuilt after a yielded
+    block once prune flags the smallest distance left in the graph; a
+    stale row is a superset of the fresh one, which costs speed, never a
+    subset.  Each block's q is still tested before its cover is computed:
+    a block yields only its surviving pairs, with the same cover and q
+    bits, and is not yielded when none survive.  The order stays
+    lexicographic.
     """
     n = dist.shape[0]
     top = np.inf if dist.dtype.kind == "f" else np.iinfo(dist.dtype).max
+    full = (1 << n) - 1
+    if prune is None:
+        rows = [full >> (p + 1) << (p + 1) for p in range(n)]
+    else:
+        rows, dmin = _far_rows(dist, prune)
 
-    def level(prefix, start, pm, pq):
-        if len(prefix) < k - 2:
-            for p in range(start, n - k + len(prefix) + 1):
-                pq_p = min(pq, pm[p])
-                if prune is None or not prune(pq_p):
-                    yield from level(prefix + (p,), p + 1,
-                                     np.minimum(pm, dist[p]), pq_p)
+    def level(prefix, cand, pm, pq):
+        nonlocal rows, dmin
+        need = k - len(prefix)  # members still to add
+        if need > 2:
+            left = cand
+            while left:  # the candidates p, ascending
+                low = left & -left
+                left ^= low
+                p = low.bit_length() - 1
+                sub = cand & rows[p]
+                if sub.bit_count() >= need - 1:
+                    yield from level(prefix + (p,), sub, np.minimum(pm, dist[p]),
+                                     min(pq, pm[p]))
             return
+        low = cand & -cand
+        start = low.bit_length() - 1
+        if cand | (low - 1) == full:  # every site from start on: slices
+            sites, m = None, n - start
+        else:
+            sites, left, hit = [], cand, False
+            while left:
+                low = left & -left
+                left ^= low
+                a = low.bit_length() - 1
+                sites.append(a)
+                hit = hit or rows[a] & cand
+            if not hit:
+                return
+            sites = np.array(sites)
+            m = sites.size
         # a block's covers take rows * cols * n entries; with a prune, its
         # q take rows * cols and its survivors' covers _BLOCK // n pairs at
         # a time
         per_pair = n if prune is None else 1
-        a0 = start
-        while a0 < n - 1:
-            lo = a0 + 1
-            cols = n - lo
-            a1 = min(n - 1, a0 + max(1, _BLOCK // (cols * per_pair)))
-            rows = a1 - a0
-            q = np.minimum(np.minimum(np.minimum(pm[a0:a1], pq)[:, None],
-                                      pm[None, lo:]), dist[a0:a1, lo:])
-            # b = lo + j > a = a0 + i iff j >= i; row-major order is lexicographic
-            i, j = np.nonzero(np.arange(cols) >= np.arange(rows)[:, None])
+        i0 = 0
+        while i0 < m - 1:
+            cols = m - 1 - i0
+            i1 = min(m - 1, i0 + max(1, _BLOCK // (cols * per_pair)))
+            if sites is None:
+                ra, rb = slice(start + i0, start + i1), slice(start + i0 + 1, None)
+                block = dist[ra, rb]
+            else:
+                ra, rb = sites[i0:i1], sites[i0 + 1:]
+                block = dist[ra[:, None], rb]
+            q = np.minimum(np.minimum(np.minimum(pm[ra], pq)[:, None],
+                                      pm[None, rb]), block)
+            i, j = _later_pairs(i1 - i0, cols)
             if prune is None:
-                near = np.minimum(pm, dist[a0:a1])
-                cover = np.minimum(near[:, None, :], dist[None, lo:, :]).max(axis=-1)
-                yield prefix, i + a0, j + lo, cover[i, j], q[i, j]
+                near = np.minimum(pm, dist[ra])
+                cover = np.minimum(near[:, None, :], dist[None, rb, :]).max(axis=-1)
+                yield prefix, i + ra.start, j + rb.start, cover[i, j], q[i, j]
             else:
                 q = q[i, j]
                 keep = np.flatnonzero(~prune(q))
                 step = max(1, _BLOCK // n)
                 for c in range(0, keep.size, step):
                     s = keep[c:c + step]
-                    a, b = i[s] + a0, j[s] + lo
+                    if sites is None:
+                        a, b = i[s] + ra.start, j[s] + rb.start
+                    else:
+                        a, b = ra[i[s]], rb[j[s]]
                     near = dist[a]
                     np.minimum(near, pm, out=near)
                     np.minimum(near, dist[b], out=near)
                     yield prefix, a, b, near.max(axis=1), q[s]
-            a0 = a1
+                    if prune(dmin):
+                        rows, dmin = _far_rows(dist, prune)
+            i0 = i1
 
-    yield from level((), 0, np.full(n, top, dtype=dist.dtype), top)
+    yield from level((), full, np.full(n, top, dtype=dist.dtype), top)
+
+
+@lru_cache(maxsize=None)
+def _triangle(cols: int) -> tuple:
+    """(i, j), row-major and read-only, of the entries j >= i of a
+    (cols, cols) block; _later_pairs caches those up to 64 columns, 0.73 MB
+    in all."""
+    i, j = np.nonzero(np.arange(cols) >= np.arange(cols)[:, None])
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
+def _later_pairs(rows: int, cols: int) -> tuple:
+    """(i, j), row-major, of the entries j >= i of a (rows, cols) leaf
+    block, whose row i is site ra[i] and column j site rb[j] = ra[j + 1]:
+    its pairs a < b in lexicographic order.  Up to 64 columns they are the
+    first rows of a cached triangle."""
+    if cols > 64:
+        return np.nonzero(np.arange(cols) >= np.arange(rows)[:, None])
+    i, j = _triangle(cols)
+    size = rows * cols - rows * (rows - 1) // 2
+    return i[:size], j[:size]
+
+
+def _far_rows(dist: np.ndarray, prune: Callable) -> tuple:
+    """(rows, dmin): rows[i] is the Python-int bitset of the sites j > i with
+    not prune(dist[i, j]), the strict test the walk applies, so ties stay;
+    dmin is the smallest such distance, inf when there is none.  Built
+    _BLOCK // n rows at a time, so beside dist it takes the n^2 / 8 bytes
+    of the bitsets and one block."""
+    n = dist.shape[0]
+    rows, dmin = [], inf
+    step = max(1, _BLOCK // n)
+    for r0 in range(0, n, step):
+        d = dist[r0:r0 + step]
+        far = ~prune(d) & (np.arange(n) > np.arange(r0, r0 + d.shape[0])[:, None])
+        rows += _bitsets(far)
+        if far.any():
+            dmin = min(dmin, float(d[far].min()))
+    return rows, dmin
+
+
+def _bitsets(mask: np.ndarray) -> list:
+    """Each row of a boolean (rows, n) mask as a Python int, bit j for
+    column j."""
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in np.packbits(mask, axis=1, bitorder="little")]
 
 
 def _check_guard(n: int, k: int, guard: int) -> None:
@@ -139,9 +241,10 @@ def _coverable(dist: np.ndarray, k: int, t) -> bool:
     member s with dist[s, v] <= t (the kernel's orientation).
 
     Sites are relabelled by their number of coverers, fewest first, and
-    each site's cover set is a Python-int bitmask over the new labels.
-    The search branches on the coverers of the lowest uncovered site, at
-    most k levels deep; some member must cover that site, so no cover is
+    each site's cover set and its set of coverers are Python-int bitmasks
+    over the new labels, n^2 / 8 bytes each in all.  The search branches
+    on the coverers of the lowest uncovered site, ascending, at most k
+    levels deep; some member must cover that site, so no cover is
     missed, and the answer is exact.  Once a coverer's branch fails, the
     node's later branches skip it, since a cover holding it was in that
     branch; so no set of members is reached twice, and a decision visits
@@ -150,10 +253,8 @@ def _coverable(dist: np.ndarray, k: int, t) -> bool:
     n = dist.shape[0]
     within = dist <= t  # within[s, v]: s covers v
     within = within[:, np.argsort(within.sum(axis=0), kind="stable")]
-    covers = [int.from_bytes(row.tobytes(), "little")
-              for row in np.packbits(within, axis=1, bitorder="little")]
-    v, s = np.nonzero(within.T)  # the coverers s of each site v, v ascending
-    coverers = [c.tolist() for c in np.split(s, np.searchsorted(v, np.arange(1, n)))]
+    covers = _bitsets(within)      # covers[s]: the sites s covers
+    coverers = _bitsets(within.T)  # coverers[v]: the sites that cover v
 
     def search(uncovered: int, depth: int, banned: int) -> bool:
         if not uncovered:
@@ -161,11 +262,14 @@ def _coverable(dist: np.ndarray, k: int, t) -> bool:
         if not depth:
             return False
         pivot = (uncovered & -uncovered).bit_length() - 1
-        for c in coverers[pivot]:
-            if not banned >> c & 1:
-                if search(uncovered & ~covers[c], depth - 1, banned):
-                    return True
-                banned |= 1 << c
+        left = coverers[pivot] & ~banned
+        while left:  # the pivot's coverers c, ascending
+            low = left & -left
+            left ^= low
+            c = low.bit_length() - 1
+            if search(uncovered & ~covers[c], depth - 1, banned):
+                return True
+            banned |= low
         return False
 
     return search((1 << n) - 1, k, 0)

@@ -92,6 +92,17 @@ def _refuse_nonfinite(idx: int, x: tuple) -> None:
                        f"stream point {idx} has a non-finite coordinate {bad[0]}")
 
 
+_F64 = np.dtype(np.float64)
+
+
+def _as_point(x) -> tuple:
+    """x as a tuple of Python floats; a 1-D float64 array, the form the CLI
+    and bulk callers pass, skips the general conversion's copies."""
+    if type(x) is np.ndarray and x.dtype is _F64 and x.ndim == 1:
+        return tuple(x.tolist())
+    return tuple(np.asarray(x, dtype=np.float64).ravel().tolist())
+
+
 def _merge_cells(cells: dict) -> dict:
     """Halve every cell index; the lexicographically smallest nonempty child
     donates the representative of each merged cell."""
@@ -127,7 +138,7 @@ def stream_init(first_points: Iterable, k: int, eps: float) -> StreamState:
     prefix = []   # every consumed point, duplicates included
     T = []        # (stream index, point) of each first occurrence
     for x in it:
-        x = tuple(np.asarray(x, dtype=np.float64).ravel().tolist())
+        x = _as_point(x)
         prefix.append(x)
         if not any(x == t for _, t in T):  # -0.0 == 0.0; nan != nan
             T.append((len(prefix) - 1, x))
@@ -166,7 +177,7 @@ def stream_ingest(state: StreamState, x) -> StreamState:
     center in reach), its filing, and doubling phases as needed.
 
     A refused point leaves the state as it was."""
-    x = tuple(np.asarray(x, dtype=np.float64).ravel().tolist())
+    x = _as_point(x)
     if len(x) != state.params.d:
         raise GapError("dimension-mismatch",
                        f"point has dimension {len(x)}, stream is {state.params.d}-D")

@@ -219,8 +219,9 @@ def test_pruned_search_keeps_the_optimum_under_tolerated_violations(monkeypatch)
     res = optimal_gap_ratio(m, 2)
     assert sample.indices == res.best_sample.indices == (1, 4)
     assert rep.gap_ratio == res.gr_opt
-    # the unmargined floor R_FPI / 2 prunes the optimum
-    monkeypatch.setattr(coreset, "_radius_floor", lambda m, k: 1.0)
+    # the unmargined floor R_FPI / 2 prunes the optimum, with the same seed
+    _, seed = coreset._radius_floor(m, 2)
+    monkeypatch.setattr(coreset, "_radius_floor", lambda m, k: (1.0, seed))
     assert best_k_subset(m, 2)[0].indices == (0, 3)
 
 
@@ -372,3 +373,18 @@ def test_subset_search_memory_is_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 3e6
+
+
+def test_far_pair_rows_are_built_in_blocks():
+    # dist is built first, so the peak is the walk's: one block and the
+    # n^2 / 8 bytes of far-pair bits; a prune over all of dist at once
+    # would add two n x n float temporaries, 16 MB here
+    m = build_euclidean(build_cloud(np.random.default_rng(0).random((1000, 2))))
+    m.dist
+    tracemalloc.start()
+    try:
+        best_k_subset(m, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6

@@ -192,6 +192,32 @@ def test_kernel_prune_yields_the_surviving_subsets(name, budget):
 
 
 @pytest.mark.parametrize("name", KERNEL_METRICS)
+def test_kernel_prune_follows_a_bound_that_tightens_mid_walk(name, budget):
+    # the consumer raises the prune's threshold to the next distinct
+    # distance after every block, so the far-pair rows go stale and are
+    # rebuilt mid-walk; what is yielded lies between the subsets that
+    # survive the final bound and those that survive the initial one, in
+    # the reference's order and with its cover and q
+    m = KERNEL_METRICS[name]
+    for dist in filter(lambda d: d is not None, (m.dist, m.exact2x)):
+        levels = np.unique(dist)
+        for k in (2, 3, 5, m.n - 1):
+            step = [len(levels) // 4]
+            got = []
+            walk = oracle._subset_blocks(dist, k, lambda q: q < levels[step[0]])
+            for prefix, a, b, c, qq in walk:
+                got += [(prefix + (int(x), int(y)), v, w)
+                        for x, y, v, w in zip(a, b, c, qq)]
+                step[0] = min(step[0] + 1, len(levels) - 1)
+            first, last = levels[len(levels) // 4], levels[step[0]]
+            ref = list(zip(*reference_scan(dist, k)))
+            yielded = {row[0] for row in got}
+            assert got == [row for row in ref if row[0] in yielded]
+            assert all(not q < first for _, _, q in got)
+            assert yielded >= {s for s, _, q in ref if not q < last}
+
+
+@pytest.mark.parametrize("name", KERNEL_METRICS)
 def test_oracle_and_coreset_search_match_reference(name, budget):
     m = KERNEL_METRICS[name]
     for k in (2, 3, 4, 5, 6, m.n - 1, m.n):

@@ -158,8 +158,11 @@ def _subset_walk(batches: list, max_k: int) -> Iterator[tuple]:
             if len(t) < max_k:
                 yield from level(t, nxt)
 
-    for v in range(n):
-        yield from level((v,), [(T[v], None) for T, _ in tables])
+    try:
+        for v in range(n):
+            yield from level((v,), [(T[v], None) for T, _ in tables])
+    finally:
+        del level  # level's cell holds level: a cycle keeping the tables alive until gc
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ after every iteration.
 
 Both facts hold bit-exactly in floats: every quantity involved is either a
 distance-matrix entry or such an entry halved, and halving is exact.  On a
-point-backed Euclidean metric the run reads the diameter pair and k rows,
-never the n x n matrix.
+point-backed Euclidean metric or a graph-backed unweighted graph metric the
+run reads the diameter pair and k rows, never the n x n matrix.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ def greedy_batch(D, k: int) -> tuple:
     minimum pair distance and the covering radius of the first s sites.
     Each step reads one distance row per metric from one accessor: a
     gather from the array, which is never copied, or the metric's block,
-    which a point-backed metric computes from its points.
+    which a point-backed metric computes from its points and a
+    graph-backed one by a breadth-first search.
     """
     if isinstance(D, FiniteMetric):
         i, j, _ = diameter(D)

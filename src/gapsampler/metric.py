@@ -8,12 +8,17 @@ largest distance from any site of M to its nearest sampled site.  Their
 quotient GR = R / r is the gap ratio; the lower it is, the more evenly the
 sample spreads over the space.
 
-Distances are float64.  Graph and explicit metrics store their matrix; a
-Euclidean metric is point-backed and builds its matrix only when something
-reads ``dist`` (the oracle and the coreset search do).  The gap reports,
-the diameter and farthest-point insertion read only the rows and blocks
-they need, with the matrix entries' bits; R and the diameter reduce rows
-as the distance kernel makes them, a block of _BLOCK entries at a time.
+Distances are float64.  Explicit and weighted graph metrics store their
+matrix.  A Euclidean metric is point-backed and an unweighted graph
+metric graph-backed: each builds its matrix only when something reads
+``dist`` (the oracle, the certifiers and the coreset search do).  The gap
+reports, the diameter and farthest-point insertion read only the rows and
+blocks they need, with the matrix entries' bits: a point-backed metric
+computes them from its points, and R and the diameter reduce rows as the
+distance kernel makes them, a block of _BLOCK entries at a time; a
+graph-backed metric reads each row by one breadth-first search, R by one
+search from every sampled site at once, and the diameter by eccentricity
+bounds.
 Metrics whose distances are all half-integers (shortest paths of
 unweighted graphs, the {1,2} clique reductions) are flagged ``exact``:
 halves are exactly representable in binary floats, so equalities on dist
@@ -25,7 +30,8 @@ the sentinel top = (n - 1) * max doubled length + 1 has top <= 2**53; its
 shortest paths are then closed in the narrowest unsigned dtype that holds
 2 * top (uint8, uint16, ...) and halved into dist, and every distance is
 an exact float.  Past that bound the closure runs in float64 and the
-metric is not exact.
+metric is not exact.  A breadth-first row holds hop counts, integers that
+float64 holds exactly, so it has the bits of the closure's row.
 
 All functions here are pure; every returned object is immutable.
 """
@@ -84,11 +90,14 @@ class Graph:
 class FiniteMetric:
     """Symmetric distances over n sites; immutable.
 
-    Graph and explicit metrics store the (n, n) float64 matrix ``dist``.
-    A Euclidean metric is point-backed: it keeps the cloud's read-only
-    ``points`` and builds ``dist`` = _pairwise(points, points) only on
-    first access, then caches it read-only.  ``block`` reads any part of
-    the matrix, with its bits, without building it.
+    Explicit and weighted graph metrics store the (n, n) float64 matrix
+    ``dist``.  The others build ``dist`` only on first access, then cache
+    it read-only.  A Euclidean metric is point-backed: it keeps the cloud's
+    read-only ``points``, and dist is _pairwise(points, points).  An
+    unweighted graph metric is graph-backed: it keeps the graph's
+    adjacency lists, and dist is build_graph_metric's hop-count closure.
+    ``block`` reads any part of the matrix, with its bits, without
+    building it.
 
     ``exact`` is True when every distance is an exact half-integer and,
     for graph metrics, within build_graph_metric's 2**53 bound; it is
@@ -97,9 +106,10 @@ class FiniteMetric:
     """
 
     def __init__(self, n: int, dist: Optional[np.ndarray], source: str,
-                 exact: bool = False, points: Optional[np.ndarray] = None):
+                 exact: bool = False, points: Optional[np.ndarray] = None,
+                 adjacency: Optional[list] = None):
         vars(self).update(n=n, _dist=dist, source=source, exact=exact,
-                          points=points)
+                          points=points, _adj=adjacency)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"FiniteMetric is immutable: cannot set {name}")
@@ -108,8 +118,15 @@ class FiniteMetric:
     def dist(self) -> np.ndarray:
         """(n, n) float64 distance matrix, read-only."""
         if self._dist is None:
-            d = self.block()
-            d.setflags(write=False)
+            if self.points is None:
+                n = self.n
+                arcs = [u * n + v for u, nbrs in enumerate(self._adj) for v in nbrs]
+                # every doubled length is 2; 2n - 1 <= 2**53 for any n a
+                # list can hold, so the metric is exact
+                d = _closure(n, arcs, 2, 2 * n - 1)
+            else:
+                d = self.block()
+                d.setflags(write=False)
             vars(self)["_dist"] = d
         return self._dist
 
@@ -131,9 +148,13 @@ class FiniteMetric:
         A point-backed metric that has not built dist computes the block
         from its points, with dist's bits, and reduces it one kernel block
         at a time (see _pairwise); a distance past float64's range is inf,
-        without a warning, as in dist.
+        without a warning, as in dist.  A graph-backed one reads each row
+        by a breadth-first search, and block(None, cols, np.min) by one
+        search from every column at once; memory is O(n) per row.
         """
         if self._dist is None:
+            if self.points is None:
+                return _hop_block(self._adj, rows, cols, reduce)
             p = self.points
             with np.errstate(over="ignore"):
                 return _pairwise(p if rows is None else p[rows],
@@ -277,29 +298,113 @@ def build_graph(n: int, edges: Iterable, weighted: Optional[bool] = None,
         weighted = saw_weight
     g = Graph(n=n, edges=tuple(sorted(norm)), weighted=bool(weighted))
     if require_connected:
-        pair = _unreachable_pair(g)
-        if pair is not None:
-            raise GapError("disconnected-graph",
-                           f"vertices {pair[0]} and {pair[1]} are not connected")
+        _connected_adjacency(g)
     return g
 
 
-def _unreachable_pair(g: Graph) -> Optional[tuple]:
+def _connected_adjacency(g: Graph) -> list:
+    """g's adjacency lists, each vertex's neighbours in edge order;
+    disconnected-graph naming vertex 0 and the first vertex it cannot
+    reach.  Lists, not arrays: graphs here are often tiny, and the
+    breadth-first searches run on Python ints."""
     adj: list = [[] for _ in range(g.n)]
     for u, v, _ in g.edges:
         adj[u].append(v)
         adj[v].append(u)
-    seen = [False] * g.n  # a list, not an array: graphs here are often tiny
-    stack = [0]
-    seen[0] = True
-    while stack:
-        for v in adj[stack.pop()]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    if all(seen):
-        return None
-    return (0, seen.index(False))
+    hops = _hops(adj, (0,))
+    if -1 in hops:
+        raise GapError("disconnected-graph",
+                       f"vertices 0 and {hops.index(-1)} are not connected")
+    return adj
+
+
+def _hops(adj: list, sources) -> list:
+    """Each vertex's hop count to the nearest of ``sources``, -1 where none
+    is reachable: a breadth-first search one level at a time."""
+    hops = [-1] * len(adj)
+    frontier = list(sources)
+    for s in frontier:
+        hops[s] = 0
+    h = 0
+    while frontier:
+        h += 1
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if hops[v] < 0:
+                    hops[v] = h
+                    nxt.append(v)
+        frontier = nxt
+    return hops
+
+
+def _hop_block(adj: list, rows, cols, reduce) -> np.ndarray:
+    """FiniteMetric.block of a connected graph's hop-count metric: one
+    breadth-first search per row, each converted to float64 (exact for hop
+    counts) and cut to ``cols`` before the next runs; with rows None and
+    np.min, one search from every column, each vertex's hops to its
+    nearest column.  A pure-Python search beats a numpy frontier here: one
+    numpy call per level costs more than a level's Python work on the
+    sparse graphs this serves."""
+    every = range(len(adj))
+    if rows is None and reduce is np.min:
+        return np.array(_hops(adj, every if cols is None else np.asarray(cols).tolist()),
+                        dtype=np.float64)
+    rows = every if rows is None else np.asarray(rows).tolist()
+    out = np.empty((len(rows), len(adj) if cols is None else len(cols)))
+    for i, r in enumerate(rows):
+        row = np.array(_hops(adj, (r,)), dtype=np.float64)
+        out[i] = row if cols is None else row[cols]
+    return out if reduce is None else reduce(out, axis=-1)
+
+
+def _graph_diameter(adj: list) -> tuple:
+    """(i, j, dist) that _first_pair gives on the hop-count closure of a
+    connected graph with at least 2 vertices, by breadth-first searches
+    pruned with eccentricity bounds (Takes & Kosters 2011, "Determining
+    the diameter of small world networks").
+
+    A search from v gives its eccentricity e and, for every w at d hops,
+    max(d, e - d) <= ecc(w) <= e + d (_bound).  The searches alternate
+    between the vertex with the largest upper bound and the one with the
+    smallest lower bound, ties to the highest degree, among those whose
+    upper bound exceeds the largest eccentricity found, and stop when
+    there are none: that eccentricity is then the diameter D.  i is the
+    first vertex of eccentricity D and j the first vertex D hops from it,
+    so the rest searches, in index order, from the vertices whose upper
+    bound still reaches D, each search tightening the bounds of the rest.
+    The worst case is about 2n searches: O(n m) time in O(n + m) memory.
+    """
+    n = len(adj)
+    deg = np.array([len(nbrs) for nbrs in adj])
+    lower = np.zeros(n, dtype=np.int64)
+    upper = np.full(n, n, dtype=np.int64)  # above every eccentricity
+    best, high = 0, True
+    while True:
+        live = upper > best
+        if not live.any():
+            break
+        key = upper * (n + 1) + deg if high else deg - lower * (n + 1)
+        _, e = _bound(adj, int(np.where(live, key, key.min() - 1).argmax()), lower, upper)
+        best, high = max(best, e), not high
+    v = 0
+    while True:
+        v += int((upper[v:] == best).argmax())  # the true i is one of them
+        row, e = _bound(adj, v, lower, upper)
+        if e == best:
+            return v, int(row.argmax()), float(best)
+        v += 1
+
+
+def _bound(adj: list, v: int, lower: np.ndarray, upper: np.ndarray) -> tuple:
+    """(hops from v as an int64 array, v's eccentricity e), by one
+    breadth-first search; lower and upper, bounds on every vertex's
+    eccentricity, are tightened in place by max(d, e - d) and e + d."""
+    row = np.array(_hops(adj, (v,)))
+    e = int(row.max())
+    np.maximum(lower, np.maximum(row, e - row), out=lower)
+    np.minimum(upper, row + e, out=upper)
+    return row, e
 
 
 def _pairwise(a: np.ndarray, b: np.ndarray, reduce=None) -> np.ndarray:
@@ -451,7 +556,12 @@ def build_euclidean(cloud: PointCloud) -> FiniteMetric:
 
 
 def build_graph_metric(g: Graph) -> FiniteMetric:
-    """All-pairs shortest-path metric of a connected graph.
+    """Shortest-path metric of a connected graph.
+
+    An unweighted graph's metric is graph-backed: it keeps the adjacency
+    lists, reads rows and blocks by breadth-first search (see
+    FiniteMetric.block) and closes all pairs, as below, only when ``dist``
+    is read.  It is always exact.
 
     An edge's length is its weight w, or 1 in an unweighted graph.  When
     every doubled length L = 2w is an integer and the sentinel
@@ -461,27 +571,28 @@ def build_graph_metric(g: Graph) -> FiniteMetric:
     holds every sum the closure forms (uint8 for an unweighted graph up to
     n = 64, at most uint64), halved into dist, and the metric is exact.
     Every doubled distance is below 2**53, so every distance is an exact
-    float and dist equals a float64 closure bit for bit.  Any other graph,
-    non-half-integer lengths or paths too long for the bound, is closed
-    once in float64 and is not exact; if 2 * (n - 1) * max(w) overflows
-    float64 it raises distance-overflow before the closure.
+    float and dist equals a float64 closure bit for bit.  Any other
+    weighted graph, non-half-integer lengths or paths too long for the
+    bound, is closed once in float64 and is not exact; if
+    2 * (n - 1) * max(w) overflows float64 it raises distance-overflow
+    before the closure.  A weighted graph is closed here, not on first
+    read: a Dijkstra row would add its lengths in another order.
     """
-    pair = _unreachable_pair(g)
-    if pair is not None:
-        raise GapError("disconnected-graph",
-                       f"vertices {pair[0]} and {pair[1]} are not connected")
+    adj = _connected_adjacency(g)
     n = g.n
+    if not g.weighted:
+        return FiniteMetric(n=n, dist=None, source="graph", exact=True, adjacency=adj)
     # Python floats: exact doubling, and inf, not a warning, on overflow
-    doubled = [2.0 * w for _, _, w in g.edges] if g.weighted else [2.0] * len(g.edges)
+    doubled = [2.0 * w for _, _, w in g.edges]
     exact = all(map(float.is_integer, doubled))
     if exact:
         # a Python int, where a float product near 2**53 could round
         top = (n - 1) * int(max(doubled, default=0.0)) + 1
         exact = top <= 2 ** 53
     if exact:
-        d = np.full((n, n), top, dtype=np.min_scalar_type(2 * top))
         lengths = doubled
     else:
+        top = None
         lengths = [w for _, _, w in g.edges]
         # a shortest path has at most n - 1 edges: every finite sum the
         # closure forms is at most twice that long
@@ -489,17 +600,30 @@ def build_graph_metric(g: Graph) -> FiniteMetric:
             raise GapError("distance-overflow",
                            f"paths of {n - 1} edges of weight {max(lengths)!r} "
                            "overflow float64")
-        d = np.full((n, n), np.inf)
     # flat indices of every (u, v), then of every (v, u): put repeats a
     # list of lengths over the second half
-    d.put([u * n + v for u, v, _ in g.edges] + [v * n + u for u, v, _ in g.edges],
-          lengths)
+    arcs = [u * n + v for u, v, _ in g.edges] + [v * n + u for u, v, _ in g.edges]
+    return FiniteMetric(n=n, dist=_closure(n, arcs, lengths, top), source="graph",
+                        exact=exact)
+
+
+def _closure(n: int, arcs: list, lengths, top: Optional[int]) -> np.ndarray:
+    """Read-only (n, n) shortest-path dist of a graph whose arcs, flat
+    indices u * n + v, have ``lengths`` (a list or one value), by
+    _min_plus.  With an int ``top``, the lengths are doubled integers
+    closed in np.min_scalar_type(2 * top) and halved (see
+    build_graph_metric); with None, they are closed in float64."""
+    if top is None:
+        d = np.full((n, n), np.inf)
+    else:
+        d = np.full((n, n), top, dtype=np.min_scalar_type(2 * top))
+    d.put(arcs, lengths)
     d.flat[::n + 1] = 0
     _min_plus(d, d)
-    if exact:
+    if top is not None:
         d = d / 2.0
     d.setflags(write=False)
-    return FiniteMetric(n=n, dist=d, source="graph", exact=exact)
+    return d
 
 
 def build_explicit(dist) -> FiniteMetric:
@@ -637,11 +761,14 @@ def diameter(m: FiniteMetric) -> tuple:
     """(i, j, dist): lexicographically smallest pair at maximum distance.
 
     A point-backed metric scans only the rows that can hold it
-    (_farthest_pair), with the same result.
+    (_farthest_pair), and a graph-backed one searches only from the
+    vertices that can (_graph_diameter), with the same result.
     """
     if m.n < 2:
         raise GapError("too-few-sites", "diameter needs at least 2 sites")
     if m.points is not None:
         return _farthest_pair(m.points)
+    if m._adj is not None:
+        return _graph_diameter(m._adj)
     i, j = map(int, _first_pair(m.dist))
     return i, j, float(m.dist[i, j])

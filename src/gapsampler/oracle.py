@@ -175,7 +175,10 @@ def _subset_blocks(dist: np.ndarray, k: int,
                         rows, dmin = _far_rows(dist, prune)
             i0 = i1
 
-    yield from level((), full, np.full(n, top, dtype=dist.dtype), top)
+    try:
+        yield from level((), full, np.full(n, top, dtype=dist.dtype), top)
+    finally:
+        del level  # level's cell holds level: a cycle keeping dist alive until gc
 
 
 @lru_cache(maxsize=None)
@@ -272,7 +275,10 @@ def _coverable(dist: np.ndarray, k: int, t) -> bool:
             banned |= low
         return False
 
-    return search((1 << n) - 1, k, 0)
+    try:
+        return search((1 << n) - 1, k, 0)
+    finally:
+        del search  # search's cell holds search: a cycle keeping the bitsets alive until gc
 
 
 def _min_cover(dist: np.ndarray, k: int, top: float) -> float:
@@ -281,8 +287,12 @@ def _min_cover(dist: np.ndarray, k: int, top: float) -> float:
     entries of ``dist`` below ``top``, each tested by _coverable.  Every
     covering radius is an entry of dist, and one at or below t exists iff
     t is coverable, so the first coverable entry is R_opt, and top when
-    none is."""
-    cand = np.unique(dist[dist < top])
+    none is.  The candidates come from the strict upper triangle, a row
+    at a time: dist is symmetric, and the diagonal's 0 is never R_opt,
+    since k = n gives top = 0 and k < n leaves a site outside the subset,
+    whose distance to it is an off-diagonal entry."""
+    cand = np.unique(np.concatenate(
+        [row[row < top] for row in (dist[i, i + 1:] for i in range(dist.shape[0]))]))
     lo, hi = 0, cand.size
     while lo < hi:
         mid = (lo + hi) // 2

@@ -878,7 +878,7 @@ def test_graph_metric_matches_float_closure_bitwise():
 def test_integer_closure_sentinel_and_dtype(monkeypatch):
     """The closure starts from top = (n - 1) * max(L) + 1 off the edges and
     runs in np.min_scalar_type(2 * top); graphs past top <= 2**53 run in
-    float64."""
+    float64.  An unweighted graph's closure runs when dist is first read."""
     seen, kernel = [], metric._min_plus
 
     def spy(a, out):
@@ -891,7 +891,7 @@ def test_integer_closure_sentinel_and_dtype(monkeypatch):
         if g.weighted and not all(float(2 * w).is_integer() for *_, w in g.edges):
             continue
         try:
-            build_graph_metric(g)
+            build_graph_metric(g).dist
         except GapError:
             continue
         doubled = [2 * w if g.weighted else 2 for *_, w in g.edges]

@@ -1,6 +1,8 @@
 """Gap-ratio oracle and the two domination-reduction certifiers."""
 
+import gc
 import itertools
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -9,12 +11,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gapsampler import (CertificationError, GapError, GuardExceeded,
-                        best_k_subset, build_cloud, build_euclidean,
+                        approx_sample, best_k_subset, build_cloud, build_euclidean,
                         build_explicit, build_graph, build_graph_metric,
                         check_eds_equivalence, check_genmet_equivalence,
                         gap_ratio, genmet_reduce, is_efficient_dominating,
-                        is_independent_dominating, optimal_gap_ratio)
+                        is_independent_dominating, optimal_gap_ratio,
+                        stream_finalize, stream_init, sweep_fpi_guarantees,
+                        sweep_fpi_vs_oracle, sweep_graph_lower_bound,
+                        sweep_reduction_certificates)
 from gapsampler import oracle
+from gapsampler.fpi import greedy_batch
 from gapsampler.oracle import DEFAULT_GUARD
 from gapsampler.certify import graph_from_mask
 
@@ -372,6 +378,70 @@ def test_cover_decision_matches_brute_force(name):
             want = any(within[list(s)].any(axis=0).all()
                        for s in itertools.combinations(range(n), k))
             assert oracle._coverable(dist, k, t) == want, (t, k)
+
+
+@pytest.mark.parametrize("name", DECISION_METRICS)
+def test_min_cover_is_the_smallest_covering_radius(name):
+    # for every k, from the cover of the first k-subset, the search over
+    # the upper triangle's entries finds the exhaustive optimum's bits
+    dist = DECISION_METRICS[name].dist
+    n = dist.shape[0]
+    for k in range(1, n + 1):
+        covers = [dist[list(s)].min(axis=0).max()
+                  for s in itertools.combinations(range(n), k)]
+        assert oracle._min_cover(dist, k, covers[0]).hex() == float(min(covers)).hex()
+
+
+def test_min_cover_candidates_skip_the_lower_triangle():
+    # 600 uniform points at k = 2: every entry below the farthest-point
+    # cover, both triangles and the diagonal, peaked at 2.9x dist's bytes
+    # beside dist; the upper triangle's, a row at a time, at 1.9x
+    dist = build_euclidean(build_cloud(np.random.default_rng(5).random((600, 2)))).dist
+    _, _, R = greedy_batch(dist[None], 2)
+    tracemalloc.start()
+    try:
+        oracle._min_cover(dist, 2, R[0, -1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.4 * dist.nbytes
+
+
+def gc_entries():
+    """Every public entry that runs a recursive walk, on small inputs."""
+    pts = np.random.default_rng(6).random((30, 2))
+    cloud = build_cloud(pts)
+    g = grid_graph(4, 5)
+    return {
+        "optimal_gap_ratio": lambda: optimal_gap_ratio(build_euclidean(cloud), 3),
+        "best_k_subset": lambda: best_k_subset(build_euclidean(cloud), 3),
+        "approx_sample": lambda: approx_sample(cloud, 3, 0.3),
+        "stream_finalize": lambda: stream_finalize(stream_init(pts, 3, 0.1)),
+        "check_genmet_equivalence": lambda: check_genmet_equivalence(g, 3),
+        "check_eds_equivalence": lambda: check_eds_equivalence(g, 4),
+        "sweep_fpi_guarantees": lambda: sweep_fpi_guarantees(5),
+        "sweep_fpi_vs_oracle": lambda: sweep_fpi_vs_oracle(5),
+        "sweep_graph_lower_bound": lambda: sweep_graph_lower_bound(5),
+        "sweep_reduction_certificates": lambda: sweep_reduction_certificates(5),
+    }
+
+
+GC_ENTRIES = gc_entries()
+
+
+@pytest.mark.parametrize("name", GC_ENTRIES)
+def test_walks_leave_no_cyclic_garbage(name):
+    # a recursive nested walk that keeps its own cell would form a cycle
+    # holding its batches until the next gc pass
+    call = GC_ENTRIES[name]
+    call()  # first calls fill caches
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_oracle_keeps_the_exhaustive_bits_at_n96():

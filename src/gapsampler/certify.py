@@ -18,8 +18,8 @@ elementwise op over B contiguous values.  The functions hand out
 (B, n, n) views of that storage (X[b] is graph b's matrix), so no layer
 copies a batch to change its layout.  A sweep refuses, before any work,
 a max_n that is not an integer, is below its claim's smallest order or
-is above MAX_ORDER, and a chunk below 1; the decoding and the connected
-enumeration refuse an order above MAX_ORDER too.
+is above MAX_ORDER; the decoding and the connected enumeration refuse an
+order above MAX_ORDER too.
 
 Claims covered:
 
@@ -54,6 +54,7 @@ from .oracle import _closed_neighborhoods, _genmet
 
 BIG = 64  # unreachable marker; n <= MAX_ORDER keeps real distances <= 10
 MAX_ORDER = 11  # K_11's 55 edges fit an int64 mask; K_12 has 66
+_CHUNK = 65536  # bitmasks decoded per batch
 
 
 def graph_from_mask(n: int, mask: int, require_connected: bool = True) -> Graph:
@@ -98,22 +99,22 @@ def apsp_batch(adj: np.ndarray) -> np.ndarray:
     return _min_plus(D, D).transpose(2, 0, 1)
 
 
-def _graph_batches(n: int, chunk: int) -> Iterator[tuple]:
+def _graph_batches(n: int) -> Iterator[tuple]:
     """Yield (masks, adjacency, shortest paths) for every labeled graph on
-    n vertices, ``chunk`` bitmasks at a time; BIG = unreachable.  Refuses
+    n vertices, _CHUNK bitmasks at a time; BIG = unreachable.  Refuses
     an n outside [1, MAX_ORDER] (_order) before the first batch."""
     n = _order(n, 1, "n")
     total = 1 << (n * (n - 1) // 2)
-    for start in range(0, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
+    for start in range(0, total, _CHUNK):
+        masks = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         adj = adjacency_batch(n, masks)
         yield masks, adj, apsp_batch(adj)
 
 
-def iter_connected_metrics(n: int, chunk: int = 65536) -> Iterator[tuple]:
+def iter_connected_metrics(n: int) -> Iterator[tuple]:
     """Yield (masks, D) for every connected labeled graph on n vertices;
     an n outside [1, MAX_ORDER] is refused before the first batch."""
-    for masks, _, D in _graph_batches(n, chunk):
+    for masks, _, D in _graph_batches(n):
         S = D.transpose(1, 2, 0)
         connected = S.max(axis=(0, 1)) < BIG
         if connected.any():
@@ -169,28 +170,16 @@ def _subset_walk(batches: list, max_k: int) -> Iterator[tuple]:
 # sweeps
 
 
-def _sweep_orders(max_n, chunk, least: int) -> tuple:
-    """(range(least, max_n + 1), chunk) as ints; GapError, before any work,
-    for a max_n that is not an integer in [least, MAX_ORDER] or a chunk
-    that is not an integer >= 1."""
-    max_n = _order(max_n, least, "max_n")
-    chunk = _index(chunk, "chunk-out-of-range", "chunk")
-    if chunk < 1:
-        raise GapError("chunk-out-of-range", f"chunk {chunk} is below 1")
-    return range(least, max_n + 1), chunk
-
-
-def sweep_fpi_guarantees(max_n: int = 7, chunk: int = 65536) -> dict:
+def sweep_fpi_guarantees(max_n: int = 7) -> dict:
     """Greedy per-step guarantees on every connected graph with n <= max_n.
 
     Checks, in integers, for every step growing the sample from s to s+1:
     R[s+1] <= R[s], q[s+1] == R[s] (the half-radius identity, since
     r = q/2), and R[s] <= q[s] (gap ratio <= 2) for every s >= 2.
     """
-    orders, chunk = _sweep_orders(max_n, chunk, 2)
     out = {"graphs": 0, "steps_checked": 0, "violations": []}
-    for n in orders:
-        for masks, D in iter_connected_metrics(n, chunk):
+    for n in range(2, _order(max_n, 2, "max_n") + 1):
+        for masks, D in iter_connected_metrics(n):
             _, q, R = greedy_batch(D, n)
             out["graphs"] += masks.shape[0]
             for s in range(2, n + 1):
@@ -204,18 +193,16 @@ def sweep_fpi_guarantees(max_n: int = 7, chunk: int = 65536) -> dict:
     return out
 
 
-def _fpi_vs_oracle_chunk(masks: np.ndarray, D: np.ndarray, ks: tuple,
-                         out: dict) -> None:
-    """Add one (masks, D) batch's greedy-vs-optimum checks to ``out``."""
+def _fpi_vs_oracle_chunk(masks: np.ndarray, D: np.ndarray, out: dict) -> None:
+    """Add one (masks, D) batch's greedy-vs-optimum checks at k = 2, 3
+    (k <= n) to ``out``."""
     B, n, _ = D.shape
     out["graphs"] += B
     _, q_fpi, R_fpi = greedy_batch(D, n)
-    gr_opt = {k: np.full(B, np.inf) for k in ks if 2 <= k <= n}
-    for s, ((pm, q),) in _subset_walk([(D, np.minimum)], max(gr_opt, default=2)):
-        if len(s) in gr_opt:
-            np.minimum(gr_opt[len(s)], 2.0 * pm.max(axis=0) / q,
-                       out=gr_opt[len(s)])
-    for k, opt in ((k, gr_opt[k]) for k in ks if k in gr_opt):
+    gr_opt = {k: np.full(B, np.inf) for k in (2, 3) if k <= n}
+    for s, ((pm, q),) in _subset_walk([(D, np.minimum)], max(gr_opt)):
+        np.minimum(gr_opt[len(s)], 2.0 * pm.max(axis=0) / q, out=gr_opt[len(s)])
+    for k, opt in gr_opt.items():
         gr_fpi = 2 * R_fpi[:, k - 2] / q_fpi[:, k - 2]
         with np.errstate(divide="ignore", invalid="ignore"):
             bound = np.where(opt >= 2.0 / 3.0, 2.0 / opt, 4.0 / (2.0 - opt))
@@ -231,19 +218,17 @@ def _fpi_vs_oracle_chunk(masks: np.ndarray, D: np.ndarray, ks: tuple,
                               for b in np.flatnonzero(~ok)[:5]]
 
 
-def sweep_fpi_vs_oracle(max_n: int = 7, ks: tuple = (2, 3),
-                        chunk: int = 65536) -> dict:
+def sweep_fpi_vs_oracle(max_n: int = 7) -> dict:
     """Greedy vs exhaustive optimum on every connected graph with n <= max_n.
 
-    For each k, asserts GR_FPI <= bound(GR_OPT) * GR_OPT + 1e-9 with
-    bound(a) = 2/a when a >= 2/3 else 4/(2-a), and GR_FPI <= 3 * GR_OPT.
+    For k = 2 and 3 (k <= n), asserts GR_FPI <= bound(GR_OPT) * GR_OPT + 1e-9
+    with bound(a) = 2/a when a >= 2/3 else 4/(2-a), and GR_FPI <= 3 * GR_OPT.
     """
-    orders, chunk = _sweep_orders(max_n, chunk, 2)
     out = {"graphs": 0, "pairs_checked": 0, "worst_ratio": 0.0,
            "violations": []}
-    for n in orders:
-        for masks, D in iter_connected_metrics(n, chunk):
-            _fpi_vs_oracle_chunk(masks, D, ks, out)
+    for n in range(2, _order(max_n, 2, "max_n") + 1):
+        for masks, D in iter_connected_metrics(n):
+            _fpi_vs_oracle_chunk(masks, D, out)
     return out
 
 
@@ -265,17 +250,16 @@ def _lower_bound_chunk(masks: np.ndarray, D: np.ndarray, out: dict) -> None:
                           for s, b in sorted(hits, key=lambda h: (len(h[0]), h[0]))]
 
 
-def sweep_graph_lower_bound(max_n: int = 7, chunk: int = 65536) -> dict:
+def sweep_graph_lower_bound(max_n: int = 7) -> dict:
     """GR >= 2/3 for every sample 2 <= k < n on every connected graph.
 
     Integer form: 3R >= q (since GR = 2R/q), and 3R == q holds only at R == 1
     (hence q == 3, i.e. r = 3/2).  Exhaustive and exact.
     """
-    orders, chunk = _sweep_orders(max_n, chunk, 3)
     out = {"graphs": 0, "samples_checked": 0, "equality_cases": 0,
            "violations": []}
-    for n in orders:
-        for masks, D in iter_connected_metrics(n, chunk):
+    for n in range(3, _order(max_n, 3, "max_n") + 1):
+        for masks, D in iter_connected_metrics(n):
             _lower_bound_chunk(masks, D, out)
     return out
 
@@ -315,7 +299,7 @@ def _reduction_chunk(masks: np.ndarray, adj: np.ndarray, G: np.ndarray,
                                   for b in np.flatnonzero(bad)[:5]]
 
 
-def sweep_reduction_certificates(max_n: int = 6, chunk: int = 65536) -> dict:
+def sweep_reduction_certificates(max_n: int = 6) -> dict:
     """Both reduction equivalences over every graph with n <= max_n.
 
     The {1,2}-metric equivalence runs over ALL simple graphs (it needs no
@@ -323,11 +307,10 @@ def sweep_reduction_certificates(max_n: int = 6, chunk: int = 65536) -> dict:
     graphs (its metric side is the shortest-path metric).  k ranges over
     2 <= k < n.
     """
-    orders, chunk = _sweep_orders(max_n, chunk, 3)
     out = dict.fromkeys(("genmet_graphs", "genmet_checked", "genmet_true",
                          "eds_graphs", "eds_checked", "eds_true"), 0)
     out["violations"] = []
-    for n in orders:
-        for masks, adj, D in _graph_batches(n, chunk):
+    for n in range(3, _order(max_n, 3, "max_n") + 1):
+        for masks, adj, D in _graph_batches(n):
             _reduction_chunk(masks, adj, _genmet(adj, np.int8), D, out)
     return out

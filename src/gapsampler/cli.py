@@ -23,8 +23,8 @@ from .fileio import dumps_report, read_graph, read_points, read_sample
 from .fpi import farthest_point_insertion
 from .geometry import delaunay_angle_audit, gap_report_unit_square
 from .measures import analytic_bounds, gap_based_discrepancy_bound, star_discrepancy
-from .metric import (build_cloud, build_euclidean, build_graph,
-                     build_graph_metric, gap_fraction, gap_ratio, make_sample)
+from .metric import (_exact_fraction, build_cloud, build_euclidean, build_graph,
+                     build_graph_metric, gap_ratio, make_sample)
 from .oracle import (DEFAULT_GUARD, check_eds_equivalence,
                      check_genmet_equivalence, optimal_gap_ratio)
 from .streaming import stream_finalize, stream_init
@@ -68,13 +68,14 @@ def _load_metric(args):
     return build_graph_metric(build_graph(n, edges)), digest, []
 
 
-def _exact_fields(metric, sample, args) -> dict:
-    """exact flag plus the rational gap ratio where available/requested."""
+def _exact_fields(metric, report, args) -> dict:
+    """exact flag plus the rational gap ratio where available/requested;
+    ``report()`` makes the sample's GapReport, called only for that ratio."""
     out = {"exact": metric.exact}
-    if getattr(args, "float_only", False):
+    if args.float_only:
         return out
-    if getattr(args, "exact", False) or metric.exact:
-        frac = gap_fraction(metric, sample)  # raises exact-unavailable
+    if args.exact or metric.exact:
+        frac = _exact_fraction(metric, report)  # raises exact-unavailable
         out["exact_ratio"] = [int(frac.numerator), int(frac.denominator)]
         out["exact"] = True
     return out
@@ -94,7 +95,7 @@ def _cmd_evaluate(args) -> Outcome:
         "closest_pair": list(rep.closest_pair),
         "farthest_site": rep.farthest_site,
     }
-    result.update(_exact_fields(metric, sample, args))
+    result.update(_exact_fields(metric, lambda: rep, args))
     return Outcome(result, digest, warnings,
                    [f"r={rep.r:g} R={rep.R:g} gap_ratio={rep.gap_ratio:g}"])
 
@@ -116,7 +117,7 @@ def _cmd_fpi(args) -> Outcome:
                        "R_after": s.R_after} for s in trace.steps],
         },
     }
-    result.update(_exact_fields(metric, sample, args))
+    result.update(_exact_fields(metric, lambda: rep, args))
     return Outcome(result, digest, warnings,
                    [f"k={args.k} gap_ratio={rep.gap_ratio:g}"])
 
@@ -169,7 +170,7 @@ def _cmd_oracle(args) -> Outcome:
         "R_opt": res.R_opt, "r_opt": res.r_opt,
         "subsets_examined": res.subsets_examined,
     }
-    result.update(_exact_fields(metric, res.best_sample, args))
+    result.update(_exact_fields(metric, lambda: gap_ratio(metric, res.best_sample), args))
     return Outcome(result, digest, warnings,
                    [f"C(n, k) = {res.subsets_examined} subsets under the guard, "
                     f"best gap_ratio={res.gr_opt:g}"])

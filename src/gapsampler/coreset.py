@@ -16,11 +16,12 @@ its representative moves distances by at most eps1 * R_P1 / 2, which is
 what makes the final sample's gap ratio over the full space land within
 (1 + eps) of optimal for eps < 1/2.
 
-The cell rule (grid_cells, whose one-point form _point_cell streaming
-ingest calls per point) and the representative search (search_coreset)
-serve streaming too.  The search measures r and R inside the coreset, its
-own metric space; the end-to-end report re-measures the winner over the
-full input, which is what the (1 + eps) guarantee speaks about.
+The cell rule (grid_cells on rows, _point_cell on the one point that
+streaming ingest files at a time) and the representative search
+(search_coreset) serve streaming too.  The search measures r and R
+inside the coreset, its own metric space; the end-to-end report
+re-measures the winner over the full input, which is what the (1 + eps)
+guarantee speaks about.
 """
 
 from __future__ import annotations
@@ -91,28 +92,23 @@ def static_params(eps: float, R_P1: float, d: int) -> EpsParams:
     return EpsParams(eps=eps, eps1=eps1, eps2=eps2, d=d, R_P1=float(R_P1))
 
 
-def grid_cells(points, origin, side: float):
-    """Cell floor((p - origin) / side) of a point (d,) as a d-tuple of Python
-    ints, or the list of the cells of the rows of ``points`` (n, d).  Raises
-    grid-overflow when a quotient is not finite or reaches 2**53 in
-    magnitude: past that, float rounding moves points between cells.  An
-    inf or NaN quotient raises that error, not a numpy warning.
-
-    Rows are subtracted and divided in numpy; one point, a sequence of
-    floats or a (d,) array, goes through _point_cell, the one-point rule
-    that streaming ingest calls too: the same operations on Python floats,
-    so a point's cell does not depend on the form it arrives in."""
-    if getattr(points, "ndim", 1) == 2:
-        with np.errstate(over="ignore", invalid="ignore"):
-            q = ((points - origin) / side).ravel().tolist()
-        return list(zip(*[iter(_floors(q, side))] * points.shape[1]))
-    o = origin.tolist() if isinstance(origin, np.ndarray) else origin
-    p = points.tolist() if isinstance(points, np.ndarray) else points
-    return _point_cell(p, o, side)
+def grid_cells(points: np.ndarray, origin, side: float) -> list:
+    """Cells floor((p - origin) / side) of the rows p of ``points`` (n, d),
+    as d-tuples of Python ints.  Raises grid-overflow when a quotient is
+    not finite or reaches 2**53 in magnitude: past that, float rounding
+    moves points between cells.  An inf or NaN quotient raises that error,
+    not a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        cells = np.floor((points - origin) / side)
+        ok = (np.abs(cells) < 2 ** 53).all()  # False on nan and inf
+    if not ok:
+        raise _grid_overflow(side)
+    return list(map(tuple, cells.astype(np.int64).tolist()))
 
 
 def _point_cell(p, o, side: float) -> tuple:
-    """grid_cells' cell of one point p, with p and o sequences of floats."""
+    """grid_cells' cell of one point p, with p and o sequences of floats:
+    the same quotient and floor, on Python floats."""
     try:  # floor() refuses nan and inf
         cell = tuple([floor((u - v) / side) for u, v in zip(p, o)])
     except (ValueError, OverflowError):
@@ -120,18 +116,6 @@ def _point_cell(p, o, side: float) -> tuple:
     if max(map(abs, cell)) < 2 ** 53:
         return cell
     raise _grid_overflow(side)
-
-
-def _floors(quotients: list, side: float) -> list:
-    """grid_cells' floor of each quotient of its rows, refusing what has no
-    safe cell."""
-    try:  # floor() refuses nan and inf
-        flat = list(map(floor, quotients))
-    except (ValueError, OverflowError):
-        flat = [2 ** 53]
-    if not (-2 ** 53 < min(flat) and max(flat) < 2 ** 53):
-        raise _grid_overflow(side)
-    return flat
 
 
 def _grid_overflow(side: float) -> GapError:
@@ -144,11 +128,14 @@ def build_grid_coreset(cloud: PointCloud, cell_side: float,
     """Grid anchored at the bounding-box minimum; half-open cells.
 
     Without a seed the representative of a cell is its lowest-index member;
-    with a seed it is a uniform choice per cell (fixed seed, fixed result).
+    with a seed, an integer >= 0, it is a uniform choice per cell (fixed
+    seed, fixed result).
     """
     cell_side = float(cell_side)
     if not cell_side > 0:
         raise GapError("invalid-cell-side", f"cell side must be positive, got {cell_side}")
+    if seed is not None and _index(seed, "invalid-seed", "seed") < 0:
+        raise GapError("invalid-seed", f"seed {seed} is negative")
     origin = cloud.points.min(axis=0)
     members: dict = {}
     for i, c in enumerate(grid_cells(cloud.points, origin, cell_side)):

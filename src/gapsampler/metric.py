@@ -247,21 +247,20 @@ def _index(v, code: str, what: str) -> int:
     raise GapError(code, f"{what} {v!r} is not an integer")
 
 
-def build_graph(n: int, edges: Iterable, weighted: Optional[bool] = None,
-                require_connected: bool = True) -> Graph:
+def build_graph(n: int, edges: Iterable, require_connected: bool = True) -> Graph:
     """Validate a simple undirected graph.
 
-    ``edges`` yields (u, v) or (u, v, w) tuples, 0-based.  When ``weighted``
-    is None it is inferred: True iff any edge came with an explicit weight.
-    Connectivity is required by default; the {1,2} clique reduction is the
-    one consumer that accepts disconnected inputs.
+    ``edges`` yields (u, v) or (u, v, w) tuples, 0-based; the graph is
+    weighted iff some edge came with an explicit weight.  Connectivity is
+    required by default; the {1,2} clique reduction is the one consumer
+    that accepts disconnected inputs.
     """
     n = _index(n, "malformed-graph", "vertex count")
     if n < 1:
         raise GapError("empty-graph", "graph needs at least one vertex")
     norm = []
     seen = set()
-    saw_weight = False
+    weighted = False
     for e in edges:
         try:
             size = len(e)
@@ -272,7 +271,7 @@ def build_graph(n: int, edges: Iterable, weighted: Optional[bool] = None,
             w = 1.0
         elif size == 3:
             u, v, w = e
-            saw_weight = True
+            weighted = True
         else:
             raise GapError("malformed-graph", f"edge {e!r} is not (u, v) or (u, v, w)")
         u, v = _index(u, "malformed-graph", "vertex"), _index(v, "malformed-graph", "vertex")
@@ -294,9 +293,7 @@ def build_graph(n: int, edges: Iterable, weighted: Optional[bool] = None,
         if not (w > 0 and np.isfinite(w)):
             raise GapError("malformed-graph", f"edge ({u}, {v}) weight {w} not positive")
         norm.append((key[0], key[1], w))
-    if weighted is None:
-        weighted = saw_weight
-    g = Graph(n=n, edges=tuple(sorted(norm)), weighted=bool(weighted))
+    g = Graph(n=n, edges=tuple(sorted(norm)), weighted=weighted)
     if require_connected:
         _connected_adjacency(g)
     return g
@@ -750,10 +747,16 @@ def gap_fraction(m: FiniteMetric, p) -> Fraction:
 
     r and R are binary fractions read from dist, so R / r is exact.
     """
+    return _exact_fraction(m, lambda: gap_ratio(m, p))
+
+
+def _exact_fraction(m: FiniteMetric, report) -> Fraction:
+    """R / r of ``report()``, a GapReport on m, as an exact rational;
+    exact-unavailable, before ``report`` is called, unless m is exact."""
     if not m.exact:
         raise GapError("exact-unavailable",
                        "metric has no exact doubled-integer representation")
-    rep = gap_ratio(m, p)
+    rep = report()
     return Fraction(rep.R) / Fraction(rep.r)
 
 

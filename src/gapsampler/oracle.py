@@ -303,8 +303,7 @@ def _min_cover(dist: np.ndarray, k: int, top: float) -> float:
     return float(cand[lo]) if lo < cand.size else float(top)
 
 
-def _min_gap_ratio(dist: np.ndarray, k: int, floor: float,
-                   bound: float = np.inf) -> tuple:
+def _min_gap_ratio(dist: np.ndarray, k: int, floor: float, bound: float) -> tuple:
     """(first subset with the minimum gap ratio, that ratio) over all
     k-subsets, with r and R both measured in ``dist``.
 
@@ -383,7 +382,7 @@ def optimal_gap_ratio(m: FiniteMetric, k: int,
 
 
 def _check_vertices(g: Graph, D) -> list:
-    verts = [int(v) for v in D]
+    verts = [_index(v, "malformed-sample", "vertex") for v in D]
     for v in verts:
         if not 0 <= v < g.n:
             raise GapError("index-out-of-range", f"vertex {v} outside [0, {g.n})")

@@ -100,7 +100,7 @@ def test_criterion_02_fpi_vs_oracle(capfd):
             bad += 1
         if gr_fpi > 3.0 * gr_opt + 1e-9:
             bad += 1
-    sweep = sweep_fpi_vs_oracle(max_n=7, ks=(2, 3))
+    sweep = sweep_fpi_vs_oracle(max_n=7)
     worst = max(worst, sweep["worst_ratio"])
     ok = bad == 0 and sweep["violations"] == [] and worst <= 3.0 + 1e-9
     announce(capfd, 2, ok,

@@ -167,9 +167,6 @@ SWEEP_IDS = [f.__name__ for f, *_ in SWEEP_LEAST]
     (12, 64, "max-n-out-of-range"),  # K_12's 66 edges overflow an int64 mask
     (4.5, 64, "max-n-out-of-range"),
     ("4", 64, "max-n-out-of-range"),
-    (4, 0, "chunk-out-of-range"),
-    (4, -1, "chunk-out-of-range"),
-    (4, 2.5, "chunk-out-of-range"),
 ])
 def test_sweep_sizes_are_refused_before_any_work(monkeypatch, sweep, least, _,
                                                  max_n, chunk, code):
@@ -179,17 +176,18 @@ def test_sweep_sizes_are_refused_before_any_work(monkeypatch, sweep, least, _,
     def decode(n, masks):
         raise AssertionError(f"order {n} decoded before the refusal")
 
+    monkeypatch.setattr(certify, "_CHUNK", chunk)
     monkeypatch.setattr(certify, "adjacency_batch", decode)
     with pytest.raises(GapError) as err:
-        sweep(max_n=max_n, chunk=chunk)
+        sweep(max_n=max_n)
     assert err.value.code == code
 
 
 ORDER_ENTRIES = {
     # masks=None: reading the masks would raise a TypeError, not a GapError
     "adjacency_batch": lambda n: adjacency_batch(n, None),
-    "graph_batches": lambda n: next(certify._graph_batches(n, 4)),
-    "iter_connected_metrics": lambda n: next(iter_connected_metrics(n, 4)),
+    "graph_batches": lambda n: next(certify._graph_batches(n)),
+    "iter_connected_metrics": lambda n: next(iter_connected_metrics(n)),
 }
 
 
@@ -197,7 +195,8 @@ ORDER_ENTRIES = {
 def test_orders_past_an_int64_mask_are_refused(monkeypatch, entry):
     # K_12 has 66 pairs, and masks >> e is 0 for e >= 64: decoding n = 12
     # would drop the edges of pairs 64 and 65, so each entry refuses it
-    # before any mask is decoded
+    # before any mask is decoded, at any batch size
+    monkeypatch.setattr(certify, "_CHUNK", 4)
     if entry != "adjacency_batch":
         def decode(n, masks):
             raise AssertionError(f"order {n} decoded before the refusal")
@@ -216,12 +215,16 @@ def test_the_largest_order_decodes_its_last_pair():
 
 
 @pytest.mark.parametrize("sweep, least, graphs", SWEEP_LEAST, ids=SWEEP_IDS)
-def test_sweep_sizes_at_the_edges_are_accepted(sweep, least, graphs):
-    """Integral floats and numpy ints are sizes too, a one-mask chunk
-    sweeps what the default does, and the smallest order sweeps graphs."""
+def test_sweep_sizes_at_the_edges_are_accepted(monkeypatch, sweep, least, graphs):
+    """Integral floats and numpy ints are sizes too, one-mask and seven-mask
+    batches sweep what the default batches do, and the smallest order
+    sweeps graphs."""
     want = sweep(max_n=4)
-    assert sweep(max_n=4.0, chunk=np.int64(7)) == want
-    assert sweep(max_n=np.int64(4), chunk=1.0) == want
+    monkeypatch.setattr(certify, "_CHUNK", 7)
+    assert sweep(max_n=4.0) == want
+    monkeypatch.setattr(certify, "_CHUNK", 1)
+    assert sweep(max_n=np.int64(4)) == want
+    monkeypatch.undo()
     smallest = sweep(max_n=least)
     assert smallest["violations"] == []
     assert {key: smallest[key] for key in graphs} == graphs
@@ -356,19 +359,20 @@ def all_graph_batches(n, chunk):
         yield masks, adj, D2x, apsp_batch(adj)
 
 
-def reference_sweep(sweep, max_n, chunk):
+def reference_sweep(sweep, max_n):
+    """The sweep on per-subset gathers, in batches of certify._CHUNK masks."""
     out = empty(sweep)
     if sweep == "fpi":
         for n in range(2, max_n + 1):
-            for masks, D in iter_connected_metrics(n, chunk):
+            for masks, D in iter_connected_metrics(n):
                 reference_fpi_vs_oracle_chunk(masks, D, (2, 3), out)
     elif sweep == "floor":
         for n in range(3, max_n + 1):
-            for masks, D in iter_connected_metrics(n, chunk):
+            for masks, D in iter_connected_metrics(n):
                 reference_lower_bound_chunk(masks, D, out)
     else:
         for n in range(3, max_n + 1):
-            for batch in all_graph_batches(n, chunk):
+            for batch in all_graph_batches(n, certify._CHUNK):
                 reference_reduction_chunk(*batch, out)
     return out
 
@@ -395,13 +399,15 @@ def test_subset_walk_matches_combinations():
 
 
 @pytest.mark.parametrize("chunk", [64, 1000])
-def test_sweeps_match_per_subset_reference(chunk):
-    got = {"fpi": sweep_fpi_vs_oracle(max_n=5, chunk=chunk),
-           "floor": sweep_graph_lower_bound(max_n=5, chunk=chunk),
-           "reduction": sweep_reduction_certificates(max_n=5, chunk=chunk)}
+def test_sweeps_match_per_subset_reference(monkeypatch, chunk):
+    monkeypatch.setattr(certify, "_CHUNK", chunk)
+    got = {"fpi": sweep_fpi_vs_oracle(max_n=5),
+           "floor": sweep_graph_lower_bound(max_n=5),
+           "reduction": sweep_reduction_certificates(max_n=5)}
     for sweep, out in got.items():
-        want = reference_sweep(sweep, 5, chunk)
+        want = reference_sweep(sweep, 5)
         assert list(out) == list(want) and repr(out) == repr(want)
+    monkeypatch.undo()
     assert got == {sweep: sweep_fn(max_n=5) for sweep, sweep_fn in
                    (("fpi", sweep_fpi_vs_oracle), ("floor", sweep_graph_lower_bound),
                     ("reduction", sweep_reduction_certificates))}
@@ -420,13 +426,12 @@ def corrupted(D, seed, lo, hi, frac=0.5):
 def test_corrupted_fpi_vs_oracle_chunk_matches_reference():
     masks, D = next(iter_connected_metrics(6))
     D = corrupted(D, 11, 1, 7)
-    for ks in ((2, 3), (3, 2, 5), (4, 9)):
-        got, want = empty("fpi"), empty("fpi")
-        certify._fpi_vs_oracle_chunk(masks, D, ks, got)
-        reference_fpi_vs_oracle_chunk(masks, D, ks, want)
-        assert repr(got) == repr(want)
-        per_k = [sum(v["k"] == k for v in got["violations"]) for k in ks]
-        assert max(per_k) == 5  # the cap is reached
+    got, want = empty("fpi"), empty("fpi")
+    certify._fpi_vs_oracle_chunk(masks, D, got)
+    reference_fpi_vs_oracle_chunk(masks, D, (2, 3), want)
+    assert repr(got) == repr(want)
+    per_k = [sum(v["k"] == k for v in got["violations"]) for k in (2, 3)]
+    assert max(per_k) == 5  # the cap is reached
 
 
 def test_corrupted_lower_bound_chunk_matches_reference():

@@ -311,6 +311,42 @@ def test_grid_refusals_are_one_error_line(tmp_path, command, text, code):
     assert re.fullmatch(rf"error: {code}[^\n]+\n", proc.stderr), proc.stderr
 
 
+def test_negative_seed_is_one_error_line(files):
+    proc = run_cli("coreset", "--points", files["line10.txt"], "-k", "2",
+                   "--epsilon", "0.3", "--seed", "-1")
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert proc.stderr == "error: invalid-seed: seed -1 is negative\n"
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (("evaluate", "--graph", "c6.edges", "--sample", "sample.txt"), 1),
+    (("evaluate", "--points", "line10.txt", "--sample", "sample.txt"), 1),
+    (("fpi", "--graph", "c6.edges", "-k", "3"), 1),
+    (("fpi", "--points", "line10.txt", "-k", "3", "--exact"), 1),  # exact-unavailable
+    (("oracle", "--graph", "c6.edges", "-k", "2"), 1),
+    (("oracle", "--graph", "c6.edges", "-k", "2", "--float"), 0),
+], ids=["evaluate-graph", "evaluate-points", "fpi-graph", "fpi-points-exact",
+        "oracle-graph", "oracle-float"])
+def test_each_command_makes_one_gap_report(files, monkeypatch, capsys, argv, calls):
+    """evaluate and fpi read their exact ratio off the report they print;
+    oracle makes its best sample's report only for the exact ratio.  Run
+    in process, to count the calls."""
+    from gapsampler import cli, metric
+
+    made, gap_ratio = [], metric.gap_ratio
+
+    def counted(m, p):
+        made.append(p)
+        return gap_ratio(m, p)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("gapsampler") and getattr(mod, "gap_ratio", None) is gap_ratio:
+            monkeypatch.setattr(mod, "gap_ratio", counted)
+    cli.main([files.get(a, a) for a in argv])
+    capsys.readouterr()
+    assert len(made) == calls
+
+
 def test_reduce_genmet_refuses_weighted_graph(tmp_path):
     graph = tmp_path / "weighted.edges"
     graph.write_text("4 3\n0 1 5\n1 2 0.5\n2 3 7\n")

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapsampler import (GapError, GuardExceeded, approx_sample,
                         best_k_subset, build_cloud, build_euclidean,
@@ -11,7 +13,7 @@ from gapsampler import (GapError, GuardExceeded, approx_sample,
                         optimal_gap_ratio, static_params, stream_finalize,
                         stream_init)
 from gapsampler import coreset, oracle
-from gapsampler.coreset import grid_cells
+from gapsampler.coreset import _point_cell, grid_cells
 from test_oracle import reference_search
 
 
@@ -92,9 +94,31 @@ def test_grid_seeded_choice_is_deterministic():
     assert default.cells[(0, 0)] == 0  # lowest index wins without a seed
 
 
+@pytest.mark.parametrize("seed", [-1, 1.7, np.nan, "1"])
+def test_seeds_that_are_not_natural_numbers_are_refused(seed):
+    # int() read 1.7 as seed 1, and default_rng raised a raw ValueError on -1
+    cloud = build_cloud(np.random.default_rng(9).random((30, 2)))
+    for make in (lambda: build_grid_coreset(cloud, 0.2, seed=seed),
+                 lambda: approx_sample(cloud, 3, 0.25, seed=seed)):
+        with pytest.raises(GapError) as e:
+            make()
+        assert e.value.code == "invalid-seed"
+    want = build_grid_coreset(cloud, 0.2, seed=1).cells
+    assert build_grid_coreset(cloud, 0.2, seed=1.0).cells == want
+    assert build_grid_coreset(cloud, 0.2, seed=np.int64(1)).cells == want
+
+
 def test_grid_rejects_bad_cell_side():
     with pytest.raises(GapError):
         build_grid_coreset(line(0.0, 1.0), 0.0)
+
+
+def cells_or_code(cells):
+    """cells() or the code of the GapError it raises."""
+    try:
+        return cells()
+    except GapError as e:
+        return e.code
 
 
 def test_grid_cells_stop_at_2_to_the_53():
@@ -103,12 +127,10 @@ def test_grid_cells_stop_at_2_to_the_53():
     cells = grid_cells(below, origin, 1.0)
     assert cells == [(-(2 ** 53 - 1),), (-1,), (2 ** 53 - 1,)]
     assert all(type(c[0]) is int for c in cells)
-    assert grid_cells(np.array([2.5]), origin, 1.0) == (2,)  # one point: one cell
+    assert _point_cell([2.5], [0.0], 1.0) == (2,)  # one point: one cell
     for bad in (2.0 ** 53, -(2.0 ** 53), np.inf, np.nan):
-        for points in (np.array([[0.0], [bad]]), np.array([bad])):
-            with pytest.raises(GapError) as e:
-                grid_cells(points, origin, 1.0)
-            assert e.value.code == "grid-overflow"
+        assert cells_or_code(lambda: grid_cells(np.array([[0.0], [bad]]), origin, 1.0)) \
+            == cells_or_code(lambda: _point_cell([bad], [0.0], 1.0)) == "grid-overflow"
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 9])
@@ -122,14 +144,13 @@ def test_grid_cells_of_one_point_match_its_row(d):
             np.nextafter(origin, -np.inf)[None],
             origin[None]])
         rows = grid_cells(points, origin, side)
-        assert [grid_cells(p, origin, side) for p in points] == rows
-        assert [grid_cells(p.tolist(), origin, side) for p in points] == rows
+        assert [_point_cell(p, origin.tolist(), side) for p in points.tolist()] == rows
         assert all(type(c) is int for cell in rows for c in cell)
     # -0.0 - 0.0 is -0.0: both forms put it in cell 0, below it is cell -1
     zero = np.zeros(d)
     points = np.array([[-0.0] * d, [-2.0 ** -1074] * d])
     assert grid_cells(points, zero, 1.0) == [(0,) * d, (-1,) * d]
-    assert [grid_cells(p, zero, 1.0) for p in points] == [(0,) * d, (-1,) * d]
+    assert [_point_cell(p, [0.0] * d, 1.0) for p in points.tolist()] == [(0,) * d, (-1,) * d]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0 ** 53, -(2.0 ** 53)])
@@ -138,12 +159,44 @@ def test_grid_cells_refuse_the_same_inputs_in_both_forms(bad, d):
     origin = np.zeros(d)
     point = np.full(d, 0.5)
     point[d // 2] = bad
-    for form in (point[None], point, point.tolist()):
-        with pytest.raises(GapError) as e:
-            grid_cells(form, origin, 1.0)
-        assert e.value.code == "grid-overflow"
+    assert cells_or_code(lambda: grid_cells(point[None], origin, 1.0)) \
+        == cells_or_code(lambda: _point_cell(point.tolist(), [0.0] * d, 1.0)) == "grid-overflow"
     point[d // 2] = -(2.0 ** 53 - 1)  # the last cell index accepted
-    assert grid_cells(point[None], origin, 1.0) == [grid_cells(point.tolist(), origin, 1.0)]
+    assert grid_cells(point[None], origin, 1.0) == [_point_cell(point.tolist(), [0.0] * d, 1.0)]
+
+
+BOUNDARY = [2.0 ** 53, 2.0 ** 53 - 1, 2.0 ** 53 - 2, 2.0 ** 52 + 0.5, 0.5, -0.0]
+
+
+@st.composite
+def grid_inputs(draw):
+    """(rows (n, d), origin (d,), side): ordinary, non-finite and subnormal
+    coordinates, quotients at and one ulp off integers, and quotients at
+    the 2**53 boundary, in cells of ordinary, subnormal and huge sides."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    side = draw(st.sampled_from([1.0, 0.1, 0.37, 1e-3, 2.0 ** -1074, 1e300]))
+    origin = [draw(st.one_of(st.just(0.0), st.floats(-1e3, 1e3))) for _ in range(d)]
+
+    def coord(o):
+        near = st.integers(-60, 60).map(lambda i: o + i * side)
+        return draw(st.one_of(
+            st.floats(),  # nan and inf included
+            st.floats(-1e-300, 1e-300),  # subnormals
+            near, near.map(lambda x: float(np.nextafter(x, np.inf))),
+            near.map(lambda x: float(np.nextafter(x, -np.inf))),
+            st.sampled_from(BOUNDARY + [-q for q in BOUNDARY]).map(lambda q: o + q * side)))
+
+    rows = np.array([[coord(o) for o in origin] for _ in range(n)], dtype=float)
+    return rows, np.array(origin), side
+
+
+@settings(max_examples=400, deadline=None)
+@given(grid_inputs())
+def test_grid_cells_of_rows_match_the_one_point_rule(case):
+    rows, origin, side = case
+    o = origin.tolist()
+    assert cells_or_code(lambda: grid_cells(rows, origin, side)) \
+        == cells_or_code(lambda: [_point_cell(p, o, side) for p in rows.tolist()])
 
 
 def test_grid_refuses_cells_past_2_to_the_53():

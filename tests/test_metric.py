@@ -762,8 +762,9 @@ def test_weighted_metric_matches_dijkstra():
         assert_matches_reference(build_graph(n, edges))
 
 
-def test_unweighted_graph_ignores_given_weights():
-    g = build_graph(3, [(0, 1, 2.5), (1, 2, 0.3)], weighted=False)
+def test_unweighted_graph_is_the_hop_metric():
+    g = build_graph(3, [(0, 1), (1, 2)])
+    assert not g.weighted and g.edges == ((0, 1, 1.0), (1, 2, 1.0))
     m = build_graph_metric(g)
     assert m.dist.tolist() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
     assert m.exact2x.tolist() == [[0, 2, 4], [2, 0, 2], [4, 2, 0]]
@@ -833,8 +834,9 @@ def closure_families():
         else:
             weights = rng.choice([0.5, 1.0, 1.5, 2.5], len(edges))
         yield build_graph(n, [(u, v, float(w)) for (u, v), w in zip(edges, weights)])
-        yield build_graph(n, [(u, v, float(rng.choice([0.3, 2.5]))) for u, v in edges],
-                          weighted=t % 2 == 0)  # weighted=False: lengths 1
+        lengths = [float(rng.choice([0.3, 2.5])) for _ in edges]
+        yield build_graph(n, [(u, v, w) for (u, v), w in zip(edges, lengths)]
+                          if t % 2 == 0 else edges)  # unit lengths at odd t
         yield build_graph(n, [e for e in edges if rng.random() < 0.7],
                           require_connected=False)
     for n in (2, 3, 7, 12, 30):

@@ -576,6 +576,17 @@ def test_domination_input_validation():
         is_efficient_dominating(c4(), [0, 0])
 
 
+def test_domination_vertices_are_not_truncated():
+    # int() read 1.5 and 1.9 as vertex 1, which dominates the path 0-1-2
+    p3 = build_graph(3, [(0, 1), (1, 2)])
+    for predicate, vertex in ((is_independent_dominating, 1.5),
+                              (is_efficient_dominating, 1.9)):
+        with pytest.raises(GapError) as e:
+            predicate(p3, [vertex])
+        assert e.value.code == "malformed-sample"
+        assert predicate(p3, [1.0]) and predicate(p3, [np.int64(1)])
+
+
 # ---------------------------------------------------------------------------
 # reductions
 

@@ -81,6 +81,14 @@ def _exact_fields(metric, report, args) -> dict:
     return out
 
 
+def _report_fields(sample, rep) -> dict:
+    """The sample and its gap report, in the report's field order."""
+    return {"sample": list(sample.indices),
+            "r": rep.r, "R": rep.R, "gap_ratio": rep.gap_ratio,
+            "closest_pair": list(rep.closest_pair),
+            "farthest_site": rep.farthest_site}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -89,12 +97,7 @@ def _cmd_evaluate(args) -> Outcome:
     metric, digest, warnings = _load_metric(args)
     sample = make_sample(read_sample(_read_text(args.sample)), metric.n)
     rep = gap_ratio(metric, sample)
-    result = {
-        "sample": list(sample.indices),
-        "r": rep.r, "R": rep.R, "gap_ratio": rep.gap_ratio,
-        "closest_pair": list(rep.closest_pair),
-        "farthest_site": rep.farthest_site,
-    }
+    result = _report_fields(sample, rep)
     result.update(_exact_fields(metric, lambda: rep, args))
     return Outcome(result, digest, warnings,
                    [f"r={rep.r:g} R={rep.R:g} gap_ratio={rep.gap_ratio:g}"])
@@ -104,18 +107,13 @@ def _cmd_fpi(args) -> Outcome:
     metric, digest, warnings = _load_metric(args)
     sample, trace = farthest_point_insertion(metric, args.k)
     rep = trace.final
-    result = {
-        "sample": list(sample.indices),
-        "r": rep.r, "R": rep.R, "gap_ratio": rep.gap_ratio,
-        "closest_pair": list(rep.closest_pair),
-        "farthest_site": rep.farthest_site,
-        "trace": {
-            "init_pair": list(trace.init_pair),
-            "r_init": trace.r_init, "R_init": trace.R_init,
-            "steps": [{"size_before": s.size_before, "chosen": s.chosen,
-                       "R_before": s.R_before, "r_after": s.r_after,
-                       "R_after": s.R_after} for s in trace.steps],
-        },
+    result = _report_fields(sample, rep)
+    result["trace"] = {
+        "init_pair": list(trace.init_pair),
+        "r_init": trace.r_init, "R_init": trace.R_init,
+        "steps": [{"size_before": s.size_before, "chosen": s.chosen,
+                   "R_before": s.R_before, "r_after": s.r_after,
+                   "R_after": s.R_after} for s in trace.steps],
     }
     result.update(_exact_fields(metric, lambda: rep, args))
     return Outcome(result, digest, warnings,

@@ -151,7 +151,13 @@ class FiniteMetric:
         without a warning, as in dist.  A graph-backed one reads each row
         by a breadth-first search, and block(None, cols, np.min) by one
         search from every column at once; memory is O(n) per row.
+
+        On every backing no rows or no columns give the empty block, and no
+        rows the empty reduction; a reduction over no columns is refused
+        with empty-selection.
         """
+        if reduce is not None and cols is not None and not len(cols):
+            raise GapError("empty-selection", "a row reduction needs at least one column")
         if self._dist is None:
             if self.points is None:
                 return _hop_block(self._adj, rows, cols, reduce)
@@ -436,10 +442,10 @@ def _pairwise(a: np.ndarray, b: np.ndarray, reduce=None) -> np.ndarray:
     cols = np.ascontiguousarray(b.T)  # (d, m): one contiguous row per coordinate
     n, d = a.shape
     m = cols.shape[1]
-    step = max(1, _BLOCK // m)
+    step = max(1, _BLOCK // max(m, 1))
     out = np.empty((n, m)) if reduce is None else []
     scratch = np.empty((1 if reduce is None else 2, min(step, n), m))
-    for lo in range(0, n, step):
+    for lo in range(0, max(n, 1), step):  # one block when a is empty: the empty reduction
         hi = min(lo + step, n)
         sq = scratch[0, :hi - lo]
         acc = out[lo:hi] if reduce is None else scratch[1, :hi - lo]

@@ -15,9 +15,10 @@ which costs speed, never a subset.  Each search returns what walking every
 k-subset would, bit for bit.
 
 The certifiers turn two combinatorial equivalences into runnable checks,
-each one pass of the subset kernel on the reduction's exact metric (its
-distances are half-integers, exact in binary floats, so equalities are
-equalities) that reads domination from its blocks as hit counts |N[v] & D|:
+each one unpruned pass of the subset kernel, with the pruned walks' leaf,
+on the reduction's exact metric (its distances are half-integers, exact
+in binary floats, so equalities are equalities) that reads domination
+from its blocks as hit counts |N[v] & D|:
 
 - a graph has an independent dominating set of size k iff the complete
   metric that gives its edges weight 1 and its non-edges weight 2 admits a
@@ -57,8 +58,9 @@ class OracleResult:
 # ---------------------------------------------------------------------------
 # prefix-shared subset kernel: exhaustive, or pruned for the searches
 
-# Element budget of one (a rows, b columns, sites) block of the subset
-# kernel; a block holds at least one a row.
+# Element budget of the subset kernel's blocks: a leaf's (a rows,
+# b columns) minimum pair distances, a row at least, and a yielded block's
+# (pairs, sites) covers, a pair at least.
 _BLOCK = 1 << 17
 
 
@@ -71,32 +73,34 @@ def _subset_blocks(dist: np.ndarray, k: int,
     A depth-first walk over the (k-2)-prefixes keeps pm, each site's
     distance to the prefix (one np.minimum per level), pq, the prefix's
     minimum pair distance, and the prefix's candidates, a Python-int bitset
-    of the later sites that may extend it; the last two members a < b are
-    evaluated as a block of candidate a rows against all later candidates
-    b.  Only min and max touch distances, so results are exact for float
-    and integer matrices alike.
+    of the later sites that may extend it.  A leaf gathers its candidates
+    and scores the last two members a < b: the q of candidate a rows
+    against all later candidates b, _BLOCK entries at a time, then the
+    covers of the pairs whose q the prune does not flag, max(1, _BLOCK // n)
+    pairs to a yielded block.  No block is yielded empty.  Only min and max
+    touch distances, so results are exact for float and integer matrices
+    alike.
 
     ``prune``, if given, maps minimum pair distances (a scalar or an array)
     to True where every subset with that q may be skipped; the oracle's
-    two walks and the coreset search pass one, the certifiers do not.  It
-    must flag every q at or below one it flags.  It reads the caller's
-    state when it runs, and that state may only tighten it, so a bound that
-    tightens between blocks prunes the later ones harder.
+    two walks and the coreset search pass one.  It must flag every q at or
+    below one it flags.  It reads the caller's state when it runs, and that
+    state may only tighten it, so a bound that tightens between blocks
+    prunes the later ones harder.
 
-    Without a prune every later site is a candidate.  With one, the walk
-    keeps a far-pair graph (_far_rows): row i is the bitset of the sites
-    j > i with not prune(dist[i, j]), and a prefix's candidates are the
-    AND of its members' rows.  A subset holding a pair outside the graph
-    has q at most that pair's distance, so it is pruned, and a 1-site
-    prefix prunes too.  A prefix is extended only while it has enough
-    candidates to complete a subset, and a leaf whose candidates hold no
-    pair of the graph builds no block.  Rows are rebuilt after a yielded
-    block once prune flags the smallest distance left in the graph; a
-    stale row is a superset of the fresh one, which costs speed, never a
-    subset.  Each block's q is still tested before its cover is computed:
-    a block yields only its surviving pairs, with the same cover and q
-    bits, and is not yielded when none survive.  The order stays
-    lexicographic.
+    Without a prune, as in the certifiers' walks, every later site is a
+    candidate and every pair is scored.  With one, the walk keeps a
+    far-pair graph (_far_rows): row i is the bitset of the sites j > i with
+    not prune(dist[i, j]), and a prefix's candidates are the AND of its
+    members' rows.  A subset holding a pair outside the graph has q at most
+    that pair's distance, so it is pruned, and a 1-site prefix prunes too.
+    A prefix is extended only while it has enough candidates to complete a
+    subset, and a leaf whose candidates hold no pair of the graph builds no
+    block.  Rows are rebuilt after a yielded block once prune flags the
+    smallest distance left in the graph; a stale row is a superset of the
+    fresh one, which costs speed, never a subset.  The order stays
+    lexicographic, and each subset's cover and q have the same bits with or
+    without a prune.
     """
     n = dist.shape[0]
     top = np.inf if dist.dtype.kind == "f" else np.iinfo(dist.dtype).max
@@ -120,59 +124,36 @@ def _subset_blocks(dist: np.ndarray, k: int,
                     yield from level(prefix + (p,), sub, np.minimum(pm, dist[p]),
                                      min(pq, pm[p]))
             return
-        low = cand & -cand
-        start = low.bit_length() - 1
-        if cand | (low - 1) == full:  # every site from start on: slices
-            sites, m = None, n - start
-        else:
-            sites, left, hit = [], cand, False
-            while left:
-                low = left & -left
-                left ^= low
-                a = low.bit_length() - 1
-                sites.append(a)
-                hit = hit or rows[a] & cand
-            if not hit:
-                return
-            sites = np.array(sites)
-            m = sites.size
-        # a block's covers take rows * cols * n entries; with a prune, its
-        # q take rows * cols and its survivors' covers _BLOCK // n pairs at
-        # a time
-        per_pair = n if prune is None else 1
+        sites, left, hit = [], cand, False
+        while left:
+            low = left & -left
+            left ^= low
+            a = low.bit_length() - 1
+            sites.append(a)
+            hit = hit or rows[a] & cand
+        if not hit:
+            return
+        sites = np.array(sites)
+        m = sites.size
+        step = max(1, _BLOCK // n)
         i0 = 0
         while i0 < m - 1:
             cols = m - 1 - i0
-            i1 = min(m - 1, i0 + max(1, _BLOCK // (cols * per_pair)))
-            if sites is None:
-                ra, rb = slice(start + i0, start + i1), slice(start + i0 + 1, None)
-                block = dist[ra, rb]
-            else:
-                ra, rb = sites[i0:i1], sites[i0 + 1:]
-                block = dist[ra[:, None], rb]
-            q = np.minimum(np.minimum(np.minimum(pm[ra], pq)[:, None],
-                                      pm[None, rb]), block)
+            i1 = min(m - 1, i0 + max(1, _BLOCK // cols))
+            ra, rb = sites[i0:i1], sites[i0 + 1:]
             i, j = _later_pairs(i1 - i0, cols)
-            if prune is None:
-                near = np.minimum(pm, dist[ra])
-                cover = np.minimum(near[:, None, :], dist[None, rb, :]).max(axis=-1)
-                yield prefix, i + ra.start, j + rb.start, cover[i, j], q[i, j]
-            else:
-                q = q[i, j]
-                keep = np.flatnonzero(~prune(q))
-                step = max(1, _BLOCK // n)
-                for c in range(0, keep.size, step):
-                    s = keep[c:c + step]
-                    if sites is None:
-                        a, b = i[s] + ra.start, j[s] + rb.start
-                    else:
-                        a, b = ra[i[s]], rb[j[s]]
-                    near = dist[a]
-                    np.minimum(near, pm, out=near)
-                    np.minimum(near, dist[b], out=near)
-                    yield prefix, a, b, near.max(axis=1), q[s]
-                    if prune(dmin):
-                        rows, dmin = _far_rows(dist, prune)
+            q = np.minimum(np.minimum(np.minimum(pm[ra], pq)[:, None], pm[None, rb]),
+                           dist[ra[:, None], rb])[i, j]
+            keep = np.arange(q.size) if prune is None else np.flatnonzero(~prune(q))
+            for c in range(0, keep.size, step):
+                s = keep[c:c + step]
+                a, b = ra[i[s]], rb[j[s]]
+                near = dist.take(a, axis=0)
+                np.minimum(near, pm, out=near)
+                np.minimum(near, dist.take(b, axis=0), out=near)
+                yield prefix, a, b, near.max(axis=1), q[s]
+                if prune is not None and prune(dmin):
+                    rows, dmin = _far_rows(dist, prune)
             i0 = i1
 
     try:

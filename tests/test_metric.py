@@ -475,6 +475,34 @@ def test_scalar_dist_adds_squares_uncompensated():
     assert _pairwise(np.array([a]), np.array([origin]))[0, 0] == 1e8
 
 
+def test_block_of_an_empty_selection_is_empty_on_every_backing():
+    # no rows or no columns give the empty block, no rows the empty
+    # reduction, and a reduction over no columns a coded error, whether
+    # the metric reads its points, its graph or its matrix
+    pts = np.random.default_rng(5).random((3, 2))
+    path = build_graph(3, [(0, 1), (1, 2)])
+    backings = {
+        "points": lambda: build_euclidean(build_cloud(pts)),
+        "graph": lambda: build_graph_metric(path),
+        "explicit": lambda: build_explicit(build_euclidean(build_cloud(pts)).dist),
+    }
+    for name, make in backings.items():
+        m = make()
+        for rows, cols, shape in (([0], [], (1, 0)), ([], None, (0, 3)),
+                                  (None, [], (3, 0)), ([], [], (0, 0))):
+            assert m.block(rows, cols).shape == shape, (name, rows, cols)
+        for reduce in (np.min, np.max, np.argmin):
+            for cols in (None, [1]):
+                got = m.block([], cols, reduce)
+                assert got.shape == (0,) and got.dtype == (
+                    np.intp if reduce is np.argmin else np.float64)
+            for rows in (None, [0], []):
+                with pytest.raises(GapError) as e:
+                    m.block(rows, [], reduce)
+                assert e.value.code == "empty-selection", (name, rows)
+        assert (m._dist is None) == (name != "explicit")  # each read its own backing
+
+
 # ---------------------------------------------------------------------------
 # lexicographic tie-breaks
 

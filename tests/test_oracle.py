@@ -170,11 +170,15 @@ def budget(request, monkeypatch):
 
 @pytest.mark.parametrize("name", KERNEL_METRICS)
 def test_kernel_blocks_match_combinations(name, budget):
+    # every block holds at most max(1, _BLOCK // n) pairs, as a pruned
+    # walk's do
     m = KERNEL_METRICS[name]
+    cap = max(1, oracle._BLOCK // m.n)
     for dist in filter(lambda d: d is not None, (m.dist, m.exact2x)):
         for k in (2, 3, 5, m.n - 1, m.n):
             subsets, cover, q = [], [], []
             for prefix, a, b, c, qq in oracle._subset_blocks(dist, k):
+                assert 1 <= a.size <= cap
                 subsets += [prefix + (int(x), int(y)) for x, y in zip(a, b)]
                 cover += list(c)
                 q += list(qq)
@@ -186,11 +190,13 @@ def test_kernel_prune_yields_the_surviving_subsets(name, budget):
     # a prune on q drops every subset whose q it flags, prefixes included,
     # and keeps the others in order with their cover and q
     m = KERNEL_METRICS[name]
+    cap = max(1, oracle._BLOCK // m.n)
     for dist in filter(lambda d: d is not None, (m.dist, m.exact2x)):
         t = np.median(dist)
         for k in (2, 3, 5, m.n - 1, m.n):
             got = []
             for prefix, a, b, c, qq in oracle._subset_blocks(dist, k, lambda q: q < t):
+                assert 1 <= a.size <= cap
                 got += [(prefix + (int(x), int(y)), v, w)
                         for x, y, v, w in zip(a, b, c, qq)]
             assert got == [row for row in zip(*reference_scan(dist, k))
@@ -212,6 +218,7 @@ def test_kernel_prune_follows_a_bound_that_tightens_mid_walk(name, budget):
             got = []
             walk = oracle._subset_blocks(dist, k, lambda q: q < levels[step[0]])
             for prefix, a, b, c, qq in walk:
+                assert 1 <= a.size <= max(1, oracle._BLOCK // m.n)
                 got += [(prefix + (int(x), int(y)), v, w)
                         for x, y, v, w in zip(a, b, c, qq)]
                 step[0] = min(step[0] + 1, len(levels) - 1)

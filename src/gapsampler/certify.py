@@ -42,27 +42,18 @@ subset walk against per-subset gathers.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterator
 
 import numpy as np
 
 from .errors import GapError
 from .fpi import greedy_batch
-from .metric import Graph, _index, _min_plus, build_graph
+from .metric import _index, _min_plus
 from .oracle import _closed_neighborhoods, _genmet
 
 BIG = 64  # unreachable marker; n <= MAX_ORDER keeps real distances <= 10
 MAX_ORDER = 11  # K_11's 55 edges fit an int64 mask; K_12 has 66
 _CHUNK = 65536  # bitmasks decoded per batch
-
-
-def graph_from_mask(n: int, mask: int, require_connected: bool = True) -> Graph:
-    """Decode an edge-subset bitmask (bit e = e-th pair of K_n, pairs in
-    lexicographic order) into a Graph."""
-    pairs = list(combinations(range(n), 2))
-    edges = [(u, v) for e, (u, v) in enumerate(pairs) if (mask >> e) & 1]
-    return build_graph(n, edges, require_connected=require_connected)
 
 
 def _order(n, least: int, what: str) -> int:
@@ -180,7 +171,7 @@ def sweep_fpi_guarantees(max_n: int = 7) -> dict:
     out = {"graphs": 0, "steps_checked": 0, "violations": []}
     for n in range(2, _order(max_n, 2, "max_n") + 1):
         for masks, D in iter_connected_metrics(n):
-            _, q, R = greedy_batch(D, n)
+            _, q, R, _ = greedy_batch(D, n)
             out["graphs"] += masks.shape[0]
             for s in range(2, n + 1):
                 bad = R[:, s - 2] > q[:, s - 2]  # GR(S_s) <= 2
@@ -198,7 +189,7 @@ def _fpi_vs_oracle_chunk(masks: np.ndarray, D: np.ndarray, out: dict) -> None:
     (k <= n) to ``out``."""
     B, n, _ = D.shape
     out["graphs"] += B
-    _, q_fpi, R_fpi = greedy_batch(D, n)
+    _, q_fpi, R_fpi, _ = greedy_batch(D, n)
     gr_opt = {k: np.full(B, np.inf) for k in (2, 3) if k <= n}
     for s, ((pm, q),) in _subset_walk([(D, np.minimum)], max(gr_opt)):
         np.minimum(gr_opt[len(s)], 2.0 * pm.max(axis=0) / q, out=gr_opt[len(s)])

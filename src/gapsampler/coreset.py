@@ -218,7 +218,7 @@ def _radius_floor(m: FiniteMetric, k: int) -> tuple:
     is at most R(S) for every S, its own roundings included.  A floor at
     or below 0 prunes nothing.
     """
-    _, q, R = greedy_batch(m.dist[None], k)
+    _, q, R, _ = greedy_batch(m.dist[None], k)
     d = 0 if m.points is None else m.points.shape[1]
     margin = (m.n + d + 8) * 2.0 ** -52
     tol = TRIANGLE_TOL if m.source == "explicit" else 1e-149

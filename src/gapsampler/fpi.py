@@ -11,7 +11,11 @@ after every iteration.
 Both facts hold bit-exactly in floats: every quantity involved is either a
 distance-matrix entry or such an entry halved, and halving is exact.  On a
 point-backed Euclidean metric or a graph-backed unweighted graph metric the
-run reads the diameter pair and k rows, never the n x n matrix.
+run reads the diameter pair and k rows, never the n x n matrix.  The final
+gap report comes from the run's own state, with gap_ratio's bits: R and its
+witness from the last step's argmax, r from the last minimum, and the
+closest pair from the rows of the insertions made at that minimum, not
+another pass over the n x k block.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from math import sqrt
 import numpy as np
 
 from .errors import GapError
-from .metric import (FiniteMetric, GapReport, _first_pair, _index, diameter,
-                     gap_ratio, make_sample)
+from .metric import (_BLOCK, FiniteMetric, GapReport, _first_pair, _gap_report,
+                     _index, diameter, make_sample)
 
 
 @dataclass(frozen=True)
@@ -53,9 +57,11 @@ def greedy_batch(D, k: int) -> tuple:
     (B = 1).  Each run starts from the lexicographically smallest diameter
     pair (_first_pair over D, or metric.diameter) and then inserts, k - 2
     times, the site farthest from the sample, ties going to the smallest
-    index.  Returns (order, q, R): order (B, k) holds the insertion order;
-    column s - 2 of q and of R, both (B, k - 1) in D's dtype, is the
-    minimum pair distance and the covering radius of the first s sites.
+    index.  Returns (order, q, R, far): order (B, k) holds the insertion
+    order; column s - 2 of q and of R, both (B, k - 1) in D's dtype, is the
+    minimum pair distance and the covering radius of the first s sites;
+    far (B,) is the first site R[:, -1] away from the k-sample.  One argmax
+    per step gives both the covering radius and the next site.
     Each step reads one distance row per metric from one accessor: a
     gather from the array, which is never copied, or the metric's block,
     which a point-backed metric computes from its points and a
@@ -78,35 +84,64 @@ def greedy_batch(D, k: int) -> tuple:
     order[:, 0], order[:, 1] = i, j
     q[:, 0] = row_i[ar, j]
     dmin = np.minimum(row_i, rows(j))  # each site's distance to the sample
-    R[:, 0] = dmin.max(axis=1)
+    c = dmin.argmax(axis=1)  # first occurrence = smallest index
+    R[:, 0] = dmin[ar, c]
     for s in range(2, k):
-        c = dmin.argmax(axis=1)  # first occurrence = smallest index
         order[:, s] = c
-        # the new closest pair, if any, involves the inserted site
-        q[:, s - 1] = np.minimum(q[:, s - 2], dmin[ar, c])
+        # the new closest pair, if any, involves c, R[:, s - 2] from the sample
+        q[:, s - 1] = np.minimum(q[:, s - 2], R[:, s - 2])
         np.minimum(dmin, rows(c), out=dmin)
-        R[:, s - 1] = dmin.max(axis=1)
-    return order, q, R
+        c = dmin.argmax(axis=1)
+        R[:, s - 1] = dmin[ar, c]
+    return order, q, R, c
 
 
 def farthest_point_insertion(m: FiniteMetric, k: int) -> tuple:
     """Greedy k-sample of m: (Sample, FpiTrace), by greedy_batch.
 
     Ties in the per-step argmax (and in the diameter scan) break toward the
-    smallest site index, so runs are replayable.
+    smallest site index, so runs are replayable.  The trace's final report
+    equals gap_ratio(m, sample), bit for bit and with its zero-distance
+    refusal, but reads only the rows _closest_pair needs.
     """
     k = _index(k, "k-out-of-range", "k")
     if not 2 <= k <= m.n:
         raise GapError("k-out-of-range", f"k must satisfy 2 <= k <= {m.n}, got {k}")
-    order, q, R = (a[0].tolist() for a in greedy_batch(m, k))
+    order, q, R, far = (a[0].tolist() for a in greedy_batch(m, k))
     # the site inserted at size s is R[s - 2] away from the sample
     steps = tuple(FpiStep(size_before=s, chosen=order[s], R_before=R[s - 2],
                           r_after=q[s - 1] / 2.0, R_after=R[s - 1])
                   for s in range(2, k))
     sample = make_sample(order, m.n)
+    final = _gap_report(m, q[-1] / 2.0, _closest_pair(m, order, q), R[-1], far)
     trace = FpiTrace(init_pair=(order[0], order[1]), r_init=q[0] / 2.0,
-                     R_init=R[0], steps=steps, final=gap_ratio(m, sample))
+                     R_init=R[0], steps=steps, final=final)
     return sample, trace
+
+
+def _closest_pair(m: FiniteMetric, order: list, q: list) -> tuple:
+    """min_gap's witness for the sample inserted in ``order``, whose
+    minimum pair distances after each insertion are ``q``: the
+    lexicographically smallest (u, v), u < v, at distance q[-1].
+
+    q never increases, so the insertions made at q[-1] are a suffix of the
+    run, and the later-inserted site of every closest pair is in it (or is
+    the start pair's second site, when q[0] is already q[-1]): the pair's
+    distance is at least that site's distance to the sample when it was
+    inserted.  Only those rows are read, against the sites inserted before
+    each, max(1, _BLOCK // k) rows at a time.
+    """
+    k, n = len(order), m.n
+    cols = np.array(order, dtype=np.int64)
+    best = n * n  # pair (u, v) is u * n + v
+    step = max(1, _BLOCK // k)
+    for lo in range(q.index(q[-1]) + 1, k, step):
+        rows = cols[lo:lo + step]
+        earlier = np.arange(k) < np.arange(lo, lo + rows.size)[:, None]
+        a, b = np.nonzero((m.block(rows, cols) == q[-1]) & earlier)
+        u, v = np.minimum(rows[a], cols[b]), np.maximum(rows[a], cols[b])
+        best = int((u * n + v).min(initial=best))
+    return divmod(best, n)
 
 
 def fpi_ratio_bound(alpha: float) -> float:

@@ -739,11 +739,15 @@ def max_gap(m: FiniteMetric, p) -> tuple:
 def gap_ratio(m: FiniteMetric, p) -> GapReport:
     """Full gap report for a sample: r, R, GR = R/r and both witnesses."""
     idx = _as_indices(m, p, 2)
-    r, pair = min_gap(m, idx)
-    if r == 0.0:  # distinct points whose distance underflowed
+    return _gap_report(m, *min_gap(m, idx), *max_gap(m, idx))
+
+
+def _gap_report(m: FiniteMetric, r: float, pair: tuple, R: float, site: int) -> GapReport:
+    """The GapReport of min_gap's and max_gap's answers on m; zero-distance
+    when r is 0, for distinct points whose distance underflowed."""
+    if r == 0.0:
         raise GapError("zero-distance",
                        f"sites {pair[0]} and {pair[1]} are at distance 0")
-    R, site = max_gap(m, idx)
     return GapReport(r=r, R=R, gap_ratio=R / r, closest_pair=pair,
                      farthest_site=site, exact=m.exact)
 

@@ -341,7 +341,7 @@ def optimal_gap_ratio(m: FiniteMetric, k: int,
         raise GapError("k-out-of-range", f"k must satisfy 2 <= k <= {m.n}, got {k}")
     _check_guard(m.n, k, guard)
     dist = m.dist
-    _, q, R = greedy_batch(dist[None], k)
+    _, q, R, _ = greedy_batch(dist[None], k)
     q_fpi, R_fpi = q[0, -1], R[0, -1]
     # the sample's own gap ratio would be inf / inf or 0 / 0, a nan bound
     if R_fpi == np.inf:

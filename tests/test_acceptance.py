@@ -24,8 +24,9 @@ from gapsampler import (analytic_bounds, approx_sample, build_cloud,
                         stream_finalize, stream_ingest, stream_init,
                         sweep_fpi_guarantees, sweep_fpi_vs_oracle,
                         sweep_graph_lower_bound, sweep_reduction_certificates)
-from gapsampler.certify import graph_from_mask
 from gapsampler.errors import GapError
+
+from graph_masks import graph_from_mask
 
 SIZE_C = 1.0  # frozen constant for the coreset-size regression bounds
 

@@ -8,10 +8,11 @@ import pytest
 from gapsampler import (GapError, sweep_fpi_guarantees, sweep_fpi_vs_oracle,
                         sweep_graph_lower_bound, sweep_reduction_certificates)
 from gapsampler import certify
-from gapsampler.certify import (BIG, adjacency_batch, apsp_batch,
-                                graph_from_mask, iter_connected_metrics)
+from gapsampler.certify import BIG, adjacency_batch, apsp_batch, iter_connected_metrics
 from gapsampler.fpi import greedy_batch
 from gapsampler.oracle import _closed_neighborhoods, _genmet
+
+from graph_masks import graph_from_mask
 
 # connected labeled graphs on n = 2..5 vertices
 CONNECTED_COUNTS = {2: 1, 3: 4, 4: 38, 5: 728}
@@ -249,7 +250,7 @@ def reference_fpi_vs_oracle_chunk(masks, D, ks, out):
     subsets = {k: list(combinations(range(n), k)) for k in ks if k <= n}
     pair_arrays = subset_pair_lists(n)
     out["graphs"] += B
-    _, q, R = greedy_batch(D, n)
+    _, q, R, _ = greedy_batch(D, n)
     q, R = q.astype(np.int64), R.astype(np.int64)  # 2.0 * R is float64 on numpy 1.x too
     Df = D.astype(np.float64)
     for k in ks:

@@ -321,16 +321,18 @@ def test_negative_seed_is_one_error_line(files):
 @pytest.mark.parametrize("argv, calls", [
     (("evaluate", "--graph", "c6.edges", "--sample", "sample.txt"), 1),
     (("evaluate", "--points", "line10.txt", "--sample", "sample.txt"), 1),
-    (("fpi", "--graph", "c6.edges", "-k", "3"), 1),
-    (("fpi", "--points", "line10.txt", "-k", "3", "--exact"), 1),  # exact-unavailable
+    # fpi's report comes from the run's own state, with no gap_ratio call
+    (("fpi", "--graph", "c6.edges", "-k", "3"), 0),
+    (("fpi", "--points", "line10.txt", "-k", "3", "--exact"), 0),  # exact-unavailable
     (("oracle", "--graph", "c6.edges", "-k", "2"), 1),
     (("oracle", "--graph", "c6.edges", "-k", "2", "--float"), 0),
 ], ids=["evaluate-graph", "evaluate-points", "fpi-graph", "fpi-points-exact",
         "oracle-graph", "oracle-float"])
 def test_each_command_makes_one_gap_report(files, monkeypatch, capsys, argv, calls):
-    """evaluate and fpi read their exact ratio off the report they print;
-    oracle makes its best sample's report only for the exact ratio.  Run
-    in process, to count the calls."""
+    """evaluate and fpi read their exact ratio off the report they print,
+    and fpi builds that report from its run, without gap_ratio; oracle
+    makes its best sample's report only for the exact ratio.  Run in
+    process, to count the calls."""
     from gapsampler import cli, metric
 
     made, gap_ratio = [], metric.gap_ratio

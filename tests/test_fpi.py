@@ -4,10 +4,13 @@ from math import sqrt
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from gapsampler import (GapError, build_cloud, build_euclidean, build_graph,
-                        build_graph_metric, farthest_point_insertion,
-                        fpi_ratio_bound, rho)
+from gapsampler import (GapError, build_cloud, build_euclidean, build_explicit,
+                        build_graph, build_graph_metric, diameter,
+                        farthest_point_insertion, fpi_ratio_bound, gap_ratio, rho)
+from gapsampler import fpi, metric
 
 
 def line_metric(n=10):
@@ -46,6 +49,102 @@ def test_c6_run_is_exact():
     assert trace.steps[0].chosen == 1
     assert sample.indices == (0, 1, 3)
     assert trace.final.r == 0.5 and trace.final.R == 1.0
+
+
+def grid_graph(r, c):
+    return build_graph(r * c, [(a * c + b, a * c + b + 1) for a in range(r) for b in range(c - 1)]
+                       + [(a * c + b, (a + 1) * c + b) for a in range(r - 1) for b in range(c)])
+
+
+@st.composite
+def metrics(draw):
+    """Point-backed clouds in d = 1, 2, 3 and 9 (rounded lattices tie
+    everywhere), explicit {1, 2}-metrics, unweighted grids and trees with
+    chords, and one weighted graph with tied path lengths."""
+    kind = draw(st.sampled_from(["cloud", "lattice", "explicit", "grid", "tree",
+                                 "weighted"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 40))
+    if kind in ("cloud", "lattice"):
+        pts = rng.normal(size=(n, draw(st.sampled_from([1, 2, 3, 9]))))
+        if kind == "lattice":
+            pts = np.unique(np.round(pts * 2), axis=0)
+            assume(len(pts) >= 2)
+        return build_euclidean(build_cloud(pts))
+    if kind == "explicit":
+        d = np.triu(rng.integers(1, 3, size=(n, n)), 1).astype(float)
+        return build_explicit(d + d.T)
+    if kind == "grid":
+        return build_graph_metric(grid_graph(draw(st.integers(1, 6)), draw(st.integers(2, 7))))
+    edges = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+    if kind == "tree":
+        edges |= {tuple(sorted(map(int, rng.choice(n, 2, replace=False))))
+                  for _ in range(draw(st.integers(0, 3)))}
+        return build_graph_metric(build_graph(n, sorted(edges)))
+    return build_graph_metric(build_graph(n, [(u, v, float(rng.integers(1, 4)) / 2)
+                                              for u, v in sorted(edges)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=metrics(), pick=st.sampled_from(["two", "middle", "all"]))
+def test_final_report_is_gap_ratio_of_the_sample(m, pick):
+    k = {"two": 2, "middle": max(2, m.n // 2), "all": m.n}[pick]
+    sample, trace = farthest_point_insertion(m, k)
+    assert repr(trace.final) == repr(gap_ratio(m, sample))  # bit for bit
+    if k == m.n:
+        assert (trace.final.R, trace.final.farthest_site) == (0.0, 0)
+
+
+@pytest.mark.parametrize("budget", [1, 50])
+def test_closest_pair_under_row_budgets(monkeypatch, budget):
+    # a budget of one entry reads each suffix row as its own block; 50
+    # reads a few rows at a time
+    monkeypatch.setattr(fpi, "_BLOCK", budget)
+    lattice = np.array([[a, b] for a in range(9) for b in range(7)], dtype=float)
+    for m in (build_euclidean(build_cloud(lattice)), build_graph_metric(grid_graph(6, 8))):
+        for k in (2, 5, 17, 30, m.n):
+            sample, trace = farthest_point_insertion(m, k)
+            assert repr(trace.final) == repr(gap_ratio(m, sample))
+
+
+@pytest.mark.parametrize("pts", [
+    [[0.0, 0.0], [1e-200, 0.0]],
+    # sites 1 and 2 are the diameter pair, and site 0, 1e-162 from site 1,
+    # is inserted last at distance 0
+    [[1e-162], [0.0], [1e-155]],
+], ids=["pair", "last-insertion"])
+def test_zero_distance_refusal_matches_gap_ratio(pts):
+    m = build_euclidean(build_cloud(pts))
+    with pytest.raises(GapError) as got:
+        farthest_point_insertion(m, m.n)
+    with pytest.raises(GapError) as want:
+        gap_ratio(m, range(m.n))
+    assert (got.value.code, str(got.value)) == (want.value.code, str(want.value))
+    assert got.value.code == "zero-distance"
+
+
+def test_graph_run_searches_diameter_then_k_rows_then_the_tie_suffix(monkeypatch):
+    # an 8x9 grid: many pairs tie the final minimum, and the insertions
+    # made at it are 14 of the 39
+    m = build_graph_metric(grid_graph(8, 9))
+    searches = []
+    hops = metric._hops
+
+    def counted(adj, sources):
+        searches.append(sources)
+        return hops(adj, sources)
+
+    monkeypatch.setattr(metric, "_hops", counted)
+    diameter(m)
+    in_diameter = len(searches)
+    searches.clear()
+    k = 40
+    _, trace = farthest_point_insertion(m, k)
+    q = [2 * trace.r_init] + [2 * s.r_after for s in trace.steps]
+    suffix = k - 1 - q.index(q[-1])
+    assert (in_diameter, suffix) == (7, 14)
+    assert len(searches) == in_diameter + k + suffix
+    assert vars(m)["_dist"] is None
 
 
 def step_invariants(trace):

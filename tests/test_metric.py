@@ -612,10 +612,12 @@ def test_fpi_traces_match_reference_greedy():
 def test_greedy_batch_matches_reference_greedy():
     (masks, D), = iter_connected_metrics(6)  # one chunk holds every graph
     pick = np.random.default_rng(1).choice(masks.shape[0], size=60, replace=False)
-    order, q, R = greedy_batch(D[pick], 6)
-    for b, row in enumerate(D[pick]):
-        assert (order[b].tolist(), q[b].tolist(), R[b].tolist()) \
-            == reference_greedy(row.tolist(), 6)
+    for k in (3, 6):
+        order, q, R, far = greedy_batch(D[pick], k)
+        for b, row in enumerate(D[pick]):
+            assert (order[b].tolist(), q[b].tolist(), R[b].tolist()) \
+                == reference_greedy(row.tolist(), k)
+            assert far[b] == row[:, order[b]].min(axis=1).argmax()
 
 
 def sampled_subsets(m, rng, count=8):

@@ -22,7 +22,8 @@ from gapsampler import (CertificationError, GapError, GuardExceeded,
 from gapsampler import oracle
 from gapsampler.fpi import greedy_batch
 from gapsampler.oracle import DEFAULT_GUARD
-from gapsampler.certify import graph_from_mask
+
+from graph_masks import graph_from_mask
 
 
 def c6():
@@ -404,7 +405,7 @@ def test_min_cover_candidates_skip_the_lower_triangle():
     # cover, both triangles and the diagonal, peaked at 2.9x dist's bytes
     # beside dist; the upper triangle's, a row at a time, at 1.9x
     dist = build_euclidean(build_cloud(np.random.default_rng(5).random((600, 2)))).dist
-    _, _, R = greedy_batch(dist[None], 2)
+    _, _, R, _ = greedy_batch(dist[None], 2)
     tracemalloc.start()
     try:
         oracle._min_cover(dist, 2, R[0, -1])

@@ -64,9 +64,8 @@ def test_fpi_traces_and_reports_match_the_matrix(name):
     for k in sorted({2, min(cloud.n, 7), min(cloud.n, 32)}):
         got, want = farthest_point_insertion(m, k), farthest_point_insertion(ref, k)
         assert repr(got) == repr(want)  # Python ints and floats, bit for bit
-        order, q, R = greedy_batch(ref.dist[None], k)  # the array path
-        rows = greedy_batch(m, k)
-        for a, b in zip(rows, (order, q, R)):
+        # the row path against the array path: order, q, R and far
+        for a, b in zip(greedy_batch(m, k), greedy_batch(ref.dist[None], k)):
             assert a.dtype == b.dtype and np.array_equal(a, b)
     rng = np.random.default_rng(len(name))
     for _ in range(6):

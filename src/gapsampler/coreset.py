@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import GapError
 from .fpi import farthest_point_insertion, greedy_batch
-from .metric import (TRIANGLE_TOL, FiniteMetric, PointCloud, _index, build_cloud,
-                     build_euclidean, gap_ratio, make_sample)
+from .metric import (TRIANGLE_TOL, FiniteMetric, PointCloud, _index, _k, _size,
+                     build_cloud, build_euclidean, gap_ratio, make_sample)
 from .oracle import _check_guard, _min_gap_ratio
 
 ENUM_GUARD = 50_000_000
@@ -84,9 +84,7 @@ def static_params(eps: float, R_P1: float, d: int) -> EpsParams:
     if R_P1 == inf:  # the squares overflowed; no grid has finite cells
         raise GapError("distance-overflow", "the covering radius overflows float64: "
                        "the points are too far apart")
-    d = _index(d, "invalid-dimension", "dimension")
-    if d < 1:
-        raise GapError("invalid-dimension", f"dimension must be >= 1, got {d}")
+    d = _size(d, "invalid-dimension", "dimension", 1)
     eps1 = eps / (3.0 + 2.0 * eps)
     eps2 = eps1 * float(R_P1) / (2.0 * sqrt(d))
     return EpsParams(eps=eps, eps1=eps1, eps2=eps2, d=d, R_P1=float(R_P1))
@@ -166,9 +164,7 @@ def best_k_subset(coreset_metric: FiniteMetric, k: int,
     distance is read; then a distance past float64's range is refused
     before the search.
     """
-    k = _index(k, "k-out-of-range", "k")
-    if k < 2:
-        raise GapError("k-out-of-range", f"k must be >= 2, got {k}")
+    k = _k(k)
     if coreset_metric.n < k:
         raise GapError("coreset-too-small", f"coreset has {coreset_metric.n} cells "
                        f"but k={k}; use a smaller eps")
@@ -244,9 +240,7 @@ def approx_sample(cloud: PointCloud, k: int, eps: float,
     farthest-point sample is 0, so no grid parameters exist) short-circuits
     to the exact answer, the whole site set, with params and coreset None.
     """
-    k = _index(k, "k-out-of-range", "k")
-    if not 2 <= k <= cloud.n:
-        raise GapError("k-out-of-range", f"k must satisfy 2 <= k <= {cloud.n}, got {k}")
+    k = _k(k, cloud.n)
     metric_full = build_euclidean(cloud)
     if k == cloud.n:
         sample = make_sample(range(cloud.n), cloud.n)

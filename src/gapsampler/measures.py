@@ -31,8 +31,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import GapError
-from .geometry import _validate_in_square
-from .metric import PointCloud, _index
+from .geometry import _require_2d, _validate_in_square
+from .metric import PointCloud, _k
 
 SQUARE_FLOOR_C = 2.0 ** 1.5 / 3.0 ** 0.75
 _BLOCK = 1 << 15  # cells per row block of the count sweep
@@ -45,19 +45,12 @@ class DiscrepancyReport:
     n: int
 
 
-def _square_points(cloud: PointCloud) -> np.ndarray:
-    if cloud.dim != 2:
-        raise GapError("invalid-dimension", f"star discrepancy needs d=2, got {cloud.dim}")
-    _validate_in_square(cloud.points)
-    return cloud.points
-
-
 def _sorted_unique(v: np.ndarray) -> np.ndarray:
     """np.unique(v) for a finite 1-D float array, by np.unique's own sort
     and neighbour rule, without the np.ma check whose first call imports
     numpy.ma.  That import is a one-time cost per process which the bench
     memory pass would charge to a request, since it does not warm numpy
-    up; once it does, np.unique can come back (ROADMAP item 11)."""
+    up; once it does, np.unique can come back (ROADMAP item 12)."""
     v = np.sort(v)
     return v[np.r_[True, v[1:] != v[:-1]]]
 
@@ -115,7 +108,8 @@ def star_discrepancy(cloud: PointCloud) -> DiscrepancyReport:
     O(n) memory.  The witness is the first maximizing rectangle in
     row-major order (x, then y), the closed kind winning a tie.
     """
-    pts = _square_points(cloud)
+    pts = _require_2d(cloud)
+    _validate_in_square(pts)
     n = pts.shape[0]
     over = under = (-np.inf, None, None)
     for xb, ys, closed, open_ in _count_blocks(pts):
@@ -138,7 +132,8 @@ def gap_based_discrepancy_bound(cloud: PointCloud, r: float, R: float) -> float:
     the closed and the open-limit counts.  One sweep over the grid in
     blocks of rows: O(n^2) time and O(n) memory.
     """
-    pts = _square_points(cloud)
+    pts = _require_2d(cloud)
+    _validate_in_square(pts)
     if not r > 0:
         raise GapError("invalid-radius", f"minimum gap must be positive, got {r}")
     if not R > 0:
@@ -177,8 +172,5 @@ def analytic_bounds(kind: str, k=None) -> float:
     if name == "unit-square":
         if k is None:
             raise GapError("missing-k", "unit-square bound needs k")
-        k = _index(k, "k-out-of-range", "k")
-        if k < 2:
-            raise GapError("k-out-of-range", f"unit-square bound needs k >= 2, got {k}")
-        return 2.0 / sqrt(3.0) - SQUARE_FLOOR_C / sqrt(k)
+        return 2.0 / sqrt(3.0) - SQUARE_FLOOR_C / sqrt(_k(k))
     raise GapError("unknown-space", f"unknown space kind {kind!r}")

@@ -143,7 +143,8 @@ class FiniteMetric:
         """dist[np.ix_(rows, cols)], None standing for every site; a new
         array, except a read-only view of dist when both are None and dist
         is built.  With ``reduce`` (np.min, np.max or np.argmin), that
-        reduction of each row of the block instead.
+        reduction of each row of the block instead.  Rows and cols are
+        integers in [0, n), with repeats (see _selection).
 
         A point-backed metric that has not built dist computes the block
         from its points, with dist's bits, and reduces it one kernel block
@@ -156,8 +157,13 @@ class FiniteMetric:
         rows the empty reduction; a reduction over no columns is refused
         with empty-selection.
         """
-        if reduce is not None and cols is not None and not len(cols):
+        rows, cols = _selection(rows, self.n), _selection(cols, self.n)
+        if reduce is not None and cols is not None and not cols.size:
             raise GapError("empty-selection", "a row reduction needs at least one column")
+        return self._block(rows, cols, reduce)
+
+    def _block(self, rows=None, cols=None, reduce=None) -> np.ndarray:
+        """block without its checks, for callers whose indices are checked."""
         if self._dist is None:
             if self.points is None:
                 return _hop_block(self._adj, rows, cols, reduce)
@@ -251,6 +257,57 @@ def _index(v, code: str, what: str) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise GapError(code, f"{what} {v!r} is not an integer")
+
+
+def _size(v, code: str, what: str, least: int, most: Optional[int] = None) -> int:
+    """v as an int in [least, most] (most None: no upper bound), the one
+    check of every size argument; GapError(code) otherwise (see _index)."""
+    v = _index(v, code, what)
+    if not least <= v <= (v if most is None else most):
+        rule = f"be >= {least}" if most is None else f"satisfy {least} <= {what} <= {most}"
+        raise GapError(code, f"{what} must {rule}, got {v}")
+    return v
+
+
+def _k(k, n: Optional[int] = None) -> int:
+    """A sample size: an integer k >= 2, and k <= n when n is given."""
+    return _size(k, "k-out-of-range", "k", 2, n)
+
+
+def _sites(values, n: int, least: int, what: str = "sample index") -> np.ndarray:
+    """The one check of a set of site indices (or of vertices), a Sample
+    standing for its indices, as a sorted int64 array.  Refusals, in order:
+    malformed-sample, fewer than ``least`` (sample-too-small),
+    duplicate-indices, index-out-of-range; all on Python ints, never wrapped."""
+    if isinstance(values, Sample):
+        idx = list(values.indices)  # sorted ints already
+    else:
+        idx = sorted(_index(v, "malformed-sample", what) for v in values)
+    if len(idx) < least:
+        raise GapError("sample-too-small", f"at least {least} sites are needed, got {len(idx)}")
+    if len(set(idx)) < len(idx):
+        a = next(a for a, b in zip(idx, idx[1:]) if a == b)
+        raise GapError("duplicate-indices", f"{what} {a} repeats: indices must be distinct")
+    if idx and (idx[0] < 0 or idx[-1] >= n):
+        bad = idx[0] if idx[0] < 0 else idx[-1]
+        raise GapError("index-out-of-range", f"{what} {bad} outside [0, {n})")
+    return np.array(idx, dtype=np.int64)
+
+
+def _selection(v, n: int) -> Optional[np.ndarray]:
+    """block's rows or cols, None or entries in [0, n) in any order, as an
+    int64 array: an integer array costs one min and one max, and any other
+    input is read entry by entry with _index, so np.array([]) is empty."""
+    if v is None:
+        return None
+    a = np.asarray(v)
+    if a.dtype.kind not in "iu":
+        a = np.array([_index(x, "malformed-sample", "site index") for x in a.ravel().tolist()],
+                     dtype=object).reshape(a.shape)
+    if a.size and not (0 <= a.min() and a.max() < n):
+        bad = a.min() if a.min() < 0 else a.max()
+        raise GapError("index-out-of-range", f"site index {bad} outside [0, {n})")
+    return a.astype(np.int64, copy=False)
 
 
 def build_graph(n: int, edges: Iterable, require_connected: bool = True) -> Graph:
@@ -666,31 +723,7 @@ def build_explicit(dist) -> FiniteMetric:
 
 def make_sample(indices: Iterable, n: int) -> Sample:
     """Validate indices: distinct, in [0, n), k >= 2; stored sorted."""
-    idx = [_index(i, "malformed-sample", "sample index") for i in indices]
-    if len(idx) < 2:
-        raise GapError("sample-too-small", "a sample needs at least 2 sites")
-    if len(set(idx)) != len(idx):
-        raise GapError("duplicate-indices", "sample indices must be distinct")
-    if min(idx) < 0 or max(idx) >= n:
-        raise GapError("index-out-of-range",
-                       f"sample index outside [0, {n})")
-    return Sample(indices=tuple(sorted(idx)))
-
-
-def _as_indices(m: FiniteMetric, p, min_size: int) -> np.ndarray:
-    if isinstance(p, Sample):
-        idx = list(p.indices)
-    else:
-        idx = [_index(i, "malformed-sample", "sample index") for i in p]
-    if len(idx) < min_size:
-        raise GapError("sample-too-small",
-                       f"operation needs at least {min_size} sampled sites")
-    if len(set(idx)) != len(idx):
-        raise GapError("duplicate-indices", "sample indices must be distinct")
-    arr = np.array(sorted(idx), dtype=np.int64)
-    if arr[0] < 0 or arr[-1] >= m.n:
-        raise GapError("index-out-of-range", f"sample index outside [0, {m.n})")
-    return arr
+    return Sample(indices=tuple(_sites(indices, n, 2).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +740,7 @@ def min_gap(m: FiniteMetric, p) -> tuple:
     strictly smaller), then its first column; when every entry is inf the
     answer is (0, 1).  Memory is O(k + _BLOCK), never the (k, k) block.
     """
-    idx = _as_indices(m, p, 2)
+    idx = _sites(p, m.n, 2)
     k = idx.size
     step = max(1, _BLOCK // k)
     best, a, b = np.inf, 0, 1
@@ -730,7 +763,7 @@ def max_gap(m: FiniteMetric, p) -> tuple:
     is reduced from its row as it is computed, so a point-backed metric
     needs O(n + _BLOCK) memory, not the (n, k) block.
     """
-    idx = _as_indices(m, p, 1)
+    idx = _sites(p, m.n, 1)
     nearest = m.block(None, idx, np.min)
     site = int(np.argmax(nearest))  # first occurrence = smallest index
     return float(nearest[site]), site
@@ -738,7 +771,7 @@ def max_gap(m: FiniteMetric, p) -> tuple:
 
 def gap_ratio(m: FiniteMetric, p) -> GapReport:
     """Full gap report for a sample: r, R, GR = R/r and both witnesses."""
-    idx = _as_indices(m, p, 2)
+    idx = _sites(p, m.n, 2)
     return _gap_report(m, *min_gap(m, idx), *max_gap(m, idx))
 
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import GapError, GuardExceeded, CertificationError
 from .fpi import greedy_batch
-from .metric import (FiniteMetric, Graph, Sample, _index, build_graph_metric,
+from .metric import (FiniteMetric, Graph, Sample, _k, _sites, build_graph_metric,
                      make_sample)
 
 DEFAULT_GUARD = 10_000_000
@@ -336,9 +336,7 @@ def optimal_gap_ratio(m: FiniteMetric, k: int,
     (distance-overflow) or two sites at distance 0 (zero-distance).
     ``subsets_examined`` is C(n, k), the count the guard bounds, not the
     count of subsets the searches visit."""
-    k = _index(k, "k-out-of-range", "k")
-    if not 2 <= k <= m.n:
-        raise GapError("k-out-of-range", f"k must satisfy 2 <= k <= {m.n}, got {k}")
+    k = _k(k, m.n)
     _check_guard(m.n, k, guard)
     dist = m.dist
     _, q, R, _ = greedy_batch(dist[None], k)
@@ -362,16 +360,6 @@ def optimal_gap_ratio(m: FiniteMetric, k: int,
 # domination predicates
 
 
-def _check_vertices(g: Graph, D) -> list:
-    verts = [_index(v, "malformed-sample", "vertex") for v in D]
-    for v in verts:
-        if not 0 <= v < g.n:
-            raise GapError("index-out-of-range", f"vertex {v} outside [0, {g.n})")
-    if len(set(verts)) != len(verts):
-        raise GapError("duplicate-indices", "vertex set has duplicates")
-    return verts
-
-
 def _adjacency_matrix(g: Graph) -> np.ndarray:
     adj = np.zeros((g.n, g.n), dtype=bool)
     for u, v, _ in g.edges:
@@ -386,9 +374,7 @@ def _closed_neighborhoods(adj: np.ndarray, dtype) -> np.ndarray:
 
 def is_independent_dominating(g: Graph, D) -> bool:
     """True iff D spans no edge and every vertex is in or adjacent to D."""
-    verts = _check_vertices(g, D)
-    if not verts:
-        return g.n == 0
+    verts = _sites(D, g.n, 0, "vertex")
     adj = _adjacency_matrix(g)
     if adj[verts][:, verts].any():
         return False
@@ -399,9 +385,7 @@ def is_independent_dominating(g: Graph, D) -> bool:
 
 def is_efficient_dominating(g: Graph, D) -> bool:
     """True iff every closed neighborhood N[v] meets D exactly once."""
-    verts = _check_vertices(g, D)
-    if not verts:
-        return False
+    verts = _sites(D, g.n, 0, "vertex")
     counts = _closed_neighborhoods(_adjacency_matrix(g), np.int64)[:, verts].sum(axis=1)
     return bool((counts == 1).all())
 
@@ -436,12 +420,9 @@ def _domination_blocks(g: Graph, k: int, guard: int, claim: str,
                        reduce: Callable[[Graph], FiniteMetric]) -> Iterator[tuple]:
     """The subset kernel's blocks over ``reduce(g).dist`` as
     (prefix, a, b, R, q, hits), where hits[i, v] = |N[v] & D_i| for the
-    block's i-th subset D_i.  Refuses, in this order, k outside [2, n), a
-    weighted graph and more than ``guard`` subsets, all before ``reduce``
-    runs, so these take precedence over its errors."""
-    if not 2 <= k < g.n:
-        raise GapError("k-out-of-range",
-                       f"certifier needs 2 <= k < n, got k={k}, n={g.n}")
+    block's i-th subset D_i.  After the caller's _k(k, n - 1), refuses a
+    weighted graph, then more than ``guard`` subsets, both before
+    ``reduce`` runs, so these take precedence over its errors."""
     if g.weighted:
         raise GapError("weighted-unsupported",
                        f"{claim} equivalence needs an unweighted graph")
@@ -466,7 +447,7 @@ def check_genmet_equivalence(g: Graph, k: int, guard: int = DEFAULT_GUARD) -> tu
     One pass of the subset kernel finds the first subset of each kind and
     stops once it has both; raises CertificationError if only one exists.
     """
-    k = _index(k, "k-out-of-range", "k")
+    k = _k(k, g.n - 1)
     ids = gr1 = None
     for prefix, a, b, R, q, hits in _domination_blocks(
             g, k, guard, "independent-domination", genmet_reduce):
@@ -498,7 +479,7 @@ def check_eds_equivalence(g: Graph, k: int, guard: int = DEFAULT_GUARD) -> tuple
     Returns (exists, certificates) where ``exists`` says whether any size-k
     efficient dominating set was found.
     """
-    k = _index(k, "k-out-of-range", "k")
+    k = _k(k, g.n - 1)
     witness, count = None, 0
     for prefix, a, b, R, q, hits in _domination_blocks(
             g, k, guard, "efficient-domination", build_graph_metric):

@@ -44,7 +44,7 @@ import numpy as np
 
 from .coreset import ENUM_GUARD, GridCoreset, _point_cell, search_coreset
 from .errors import GapError
-from .metric import _dist, _index
+from .metric import _dist, _k, _size
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,7 @@ def stream_params(eps: float, d: int) -> StreamParams:
     eps = float(eps)
     if not 0.0 < eps < 0.125:
         raise GapError("eps-out-of-range", f"eps must lie in (0, 1/8), got {eps}")
-    d = _index(d, "invalid-dimension", "dimension")
-    if d < 1:
-        raise GapError("invalid-dimension", f"dimension must be >= 1, got {d}")
+    d = _size(d, "invalid-dimension", "dimension", 1)
     eps1 = eps / (2.0 + eps)
     eps3 = eps1 / (4.0 * (3.0 + 2.0 * eps1))
     return StreamParams(eps=eps, eps1=eps1, eps3=eps3, d=d)
@@ -131,9 +129,7 @@ def stream_init(first_points: Iterable, k: int, eps: float) -> StreamState:
     far.  Any remaining points of ``first_points`` are passed one at a time
     to stream_ingest, so only the prefix is ever buffered.
     """
-    k = _index(k, "k-out-of-range", "k")
-    if k < 2:
-        raise GapError("k-out-of-range", f"k must be >= 2, got {k}")
+    k = _k(k)
     it = iter(first_points)
     prefix = []   # every consumed point, duplicates included
     T = []        # (stream index, point) of each first occurrence

@@ -123,6 +123,21 @@ def test_zero_distance_refusal_matches_gap_ratio(pts):
     assert got.value.code == "zero-distance"
 
 
+def test_a_zero_cover_before_an_insertion_is_refused_with_zero_distance():
+    # 1e-200 squared underflows, so sites 0 and 1 are at distance 0: after
+    # the diameter pair (0, 2) every site is covered at radius 0, and no
+    # site is left to insert
+    m = build_euclidean(build_cloud([[0.0], [1e-200], [1.0]]))
+    for run in (lambda: farthest_point_insertion(m, 3), lambda: gap_ratio(m, (0, 1, 2))):
+        with pytest.raises(GapError) as e:
+            run()
+        assert (e.value.code, str(e.value)) == ("zero-distance", "sites 0 and 1 are at distance 0")
+    # R = 0 after the last insertion is an answer, as gap_ratio gives it
+    sample, trace = farthest_point_insertion(m, 2)
+    assert sample.indices == (0, 2) and trace.final.R == 0.0
+    assert repr(trace.final) == repr(gap_ratio(m, sample))
+
+
 def test_graph_run_searches_diameter_then_k_rows_then_the_tie_suffix(monkeypatch):
     # an 8x9 grid: many pairs tie the final minimum, and the insertions
     # made at it are 14 of the 39

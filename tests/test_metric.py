@@ -147,6 +147,62 @@ def test_non_integral_sizes_are_refused(name):
     assert repr(call(3.0)) == repr(call(np.int64(3))) == repr(call(3))
 
 
+# the largest k of each sized entry point that has one: line_metric(6) and
+# the hexagon have 6 sites, the certifiers need k < n, and approx_sample's
+# cloud has 20 points
+SIZE_BOUNDS = {"farthest_point_insertion": 6, "optimal_gap_ratio": 6,
+               "check_genmet_equivalence": 5, "check_eds_equivalence": 5,
+               "approx_sample": 20}
+
+
+@pytest.mark.parametrize("name", sorted(SIZE_ENTRY_POINTS))
+def test_sizes_out_of_range_are_refused_with_one_text(name):
+    call = SIZE_ENTRY_POINTS[name]
+    if name.endswith("_params"):
+        bad = {0: ("invalid-dimension", "dimension must be >= 1, got 0")}
+    elif name in SIZE_BOUNDS:
+        most = SIZE_BOUNDS[name]
+        bad = {k: ("k-out-of-range", f"k must satisfy 2 <= k <= {most}, got {k}")
+               for k in (1, most + 1)}
+        call(most)  # the bound itself is a size
+    else:
+        bad = {1: ("k-out-of-range", "k must be >= 2, got 1")}
+    for size, want in bad.items():
+        with pytest.raises(GapError) as e:
+            call(size)
+        assert (e.value.code, str(e.value)) == want
+
+
+INDEX_ENTRY_POINTS = {
+    "make_sample": lambda p: make_sample(p, 6),
+    "min_gap": lambda p: min_gap(c6_metric(), p),
+    "max_gap": lambda p: max_gap(c6_metric(), p),
+    "gap_ratio": lambda p: gap_ratio(c6_metric(), p),
+    "gap_fraction": lambda p: gap_fraction(c6_metric(), p),
+    "is_independent_dominating": lambda p: gs.is_independent_dominating(_hexagon(), p),
+    "is_efficient_dominating": lambda p: gs.is_efficient_dominating(_hexagon(), p),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_ENTRY_POINTS))
+def test_index_sets_are_refused_alike(name):
+    # one rule for every set of sites of the 6-site hexagon, in one order:
+    # malformed-sample, duplicate-indices, then index-out-of-range
+    call = INDEX_ENTRY_POINTS[name]
+    for bad, code in (([0, -1], "index-out-of-range"), ([0, 6], "index-out-of-range"),
+                      ([0, 0.5], "malformed-sample"), ([0, "x"], "malformed-sample"),
+                      ([0, 3, 3], "duplicate-indices"), ([7, 7], "duplicate-indices"),
+                      ([0.5, 0.5], "malformed-sample")):
+        with pytest.raises(GapError) as e:
+            call(bad)
+        assert e.value.code == code, bad
+    what = "vertex" if name.startswith("is_") else "sample index"
+    with pytest.raises(GapError) as e:
+        call([0, 6])
+    assert str(e.value) == f"{what} 6 outside [0, 6)"
+    call([0, 3])  # a valid set is answered
+
+
 def test_graph_validation():
     with pytest.raises(GapError, match="out of range"):
         build_graph(3, [(0, 5)])
@@ -475,18 +531,23 @@ def test_scalar_dist_adds_squares_uncompensated():
     assert _pairwise(np.array([a]), np.array([origin]))[0, 0] == 1e8
 
 
-def test_block_of_an_empty_selection_is_empty_on_every_backing():
-    # no rows or no columns give the empty block, no rows the empty
-    # reduction, and a reduction over no columns a coded error, whether
-    # the metric reads its points, its graph or its matrix
+def _three_backings() -> dict:
+    """Makers of 3-site metrics that read their points, their graph or
+    their matrix."""
     pts = np.random.default_rng(5).random((3, 2))
     path = build_graph(3, [(0, 1), (1, 2)])
-    backings = {
+    return {
         "points": lambda: build_euclidean(build_cloud(pts)),
         "graph": lambda: build_graph_metric(path),
         "explicit": lambda: build_explicit(build_euclidean(build_cloud(pts)).dist),
     }
-    for name, make in backings.items():
+
+
+def test_block_of_an_empty_selection_is_empty_on_every_backing():
+    # no rows or no columns give the empty block, no rows the empty
+    # reduction, and a reduction over no columns a coded error, whether
+    # the metric reads its points, its graph or its matrix
+    for name, make in _three_backings().items():
         m = make()
         for rows, cols, shape in (([0], [], (1, 0)), ([], None, (0, 3)),
                                   (None, [], (3, 0)), ([], [], (0, 0))):
@@ -501,6 +562,29 @@ def test_block_of_an_empty_selection_is_empty_on_every_backing():
                     m.block(rows, [], reduce)
                 assert e.value.code == "empty-selection", (name, rows)
         assert (m._dist is None) == (name != "explicit")  # each read its own backing
+
+
+def test_block_refuses_indices_outside_the_sites_on_every_backing():
+    # rows and cols are integers in [0, n), in any order and with repeats:
+    # -1 is not read as the last site, nor n or 0.5 as a raw IndexError
+    for name, make in _three_backings().items():
+        m, ref = make(), make().dist
+        for bad, code in (([-1], "index-out-of-range"), ([3], "index-out-of-range"),
+                          ([0.5], "malformed-sample"), (["x"], "malformed-sample")):
+            for rows, cols in ((bad, None), (None, bad), ([0], bad), (bad, [0])):
+                for reduce in (None, np.min):
+                    with pytest.raises(GapError) as e:
+                        m.block(rows, cols, reduce)
+                    assert e.value.code == code, (name, rows, cols)
+        # an empty float array is the empty selection, like []
+        assert m.block(np.array([]), [0]).shape == (0, 1)
+        assert m.block([0], np.array([])).shape == (1, 0)
+        with pytest.raises(GapError) as e:
+            m.block(None, np.array([]), np.min)
+        assert e.value.code == "empty-selection"
+        rows, cols = [2, 0, 2], [1.0, np.int8(1), 0]
+        assert np.array_equal(m.block(rows, cols), ref[np.ix_(rows, [1, 1, 0])]), name
+        assert (m._dist is None) == (name != "explicit")
 
 
 # ---------------------------------------------------------------------------

@@ -46,26 +46,18 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import GapError
 from .fpi import greedy_batch
-from .metric import _index, _min_plus
+from .metric import _min_plus, _size
 from .oracle import _closed_neighborhoods, _genmet
 
 BIG = 64  # unreachable marker; n <= MAX_ORDER keeps real distances <= 10
-MAX_ORDER = 11  # K_11's 55 edges fit an int64 mask; K_12 has 66
+MAX_ORDER = 11  # K_11's 55 edges fit an int64 mask; K_12's edges 64, 65 would drop silently
 _CHUNK = 65536  # bitmasks decoded per batch
 
 
 def _order(n, least: int, what: str) -> int:
-    """n as an int; GapError max-n-out-of-range, before any work, for an n
-    that is not an integer in [least, MAX_ORDER].  Above MAX_ORDER an int64
-    mask cannot hold every edge of K_n: masks >> e is 0 for e >= 64, so the
-    decoding would drop edges without a word."""
-    n = _index(n, "max-n-out-of-range", what)
-    if not least <= n <= MAX_ORDER:
-        raise GapError("max-n-out-of-range",
-                       f"{what} {n} is outside [{least}, {MAX_ORDER}]")
-    return n
+    """n as an int in [least, MAX_ORDER]; max-n-out-of-range otherwise."""
+    return _size(n, "max-n-out-of-range", what, least, MAX_ORDER)
 
 
 def adjacency_batch(n: int, masks: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import GapError
 from .fpi import farthest_point_insertion, greedy_batch
-from .metric import (TRIANGLE_TOL, FiniteMetric, PointCloud, _index, _k, _size,
+from .metric import (TRIANGLE_TOL, FiniteMetric, PointCloud, _index, _k, _real, _size,
                      build_cloud, build_euclidean, gap_ratio, make_sample)
 from .oracle import _check_guard, _min_gap_ratio
 
@@ -75,10 +75,11 @@ class GridCoreset:
 
 
 def static_params(eps: float, R_P1: float, d: int) -> EpsParams:
-    eps = float(eps)
+    eps = _real(eps, "eps-out-of-range", "eps")
     if not 0.0 < eps < 0.5:
         raise GapError("eps-out-of-range",
                        f"eps must lie in (0, 1/2), got {eps}")
+    R_P1 = _real(R_P1, "invalid-radius", "covering radius")
     if not R_P1 > 0:
         raise GapError("invalid-radius", f"covering radius must be positive, got {R_P1}")
     if R_P1 == inf:  # the squares overflowed; no grid has finite cells
@@ -86,8 +87,8 @@ def static_params(eps: float, R_P1: float, d: int) -> EpsParams:
                        "the points are too far apart")
     d = _size(d, "invalid-dimension", "dimension", 1)
     eps1 = eps / (3.0 + 2.0 * eps)
-    eps2 = eps1 * float(R_P1) / (2.0 * sqrt(d))
-    return EpsParams(eps=eps, eps1=eps1, eps2=eps2, d=d, R_P1=float(R_P1))
+    eps2 = eps1 * R_P1 / (2.0 * sqrt(d))
+    return EpsParams(eps=eps, eps1=eps1, eps2=eps2, d=d, R_P1=R_P1)
 
 
 def grid_cells(points: np.ndarray, origin, side: float) -> list:
@@ -129,7 +130,7 @@ def build_grid_coreset(cloud: PointCloud, cell_side: float,
     with a seed, an integer >= 0, it is a uniform choice per cell (fixed
     seed, fixed result).
     """
-    cell_side = float(cell_side)
+    cell_side = _real(cell_side, "invalid-cell-side", "cell side")
     if not cell_side > 0:
         raise GapError("invalid-cell-side", f"cell side must be positive, got {cell_side}")
     if seed is not None and _index(seed, "invalid-seed", "seed") < 0:

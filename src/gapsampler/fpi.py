@@ -26,8 +26,8 @@ from math import sqrt
 import numpy as np
 
 from .errors import GapError
-from .metric import (_BLOCK, FiniteMetric, GapReport, _first_pair, _gap_report, _k,
-                     diameter, make_sample)
+from .metric import (FiniteMetric, GapReport, _closest_pair, _first_pair, _gap_report,
+                     _k, _real, diameter, make_sample)
 
 
 @dataclass(frozen=True)
@@ -118,35 +118,16 @@ def farthest_point_insertion(m: FiniteMetric, k: int) -> tuple:
                           r_after=q[s - 1] / 2.0, R_after=R[s - 1])
                   for s in range(2, k))
     sample = make_sample(order, m.n)
-    final = _gap_report(m, q[-1] / 2.0, _closest_pair(m, order, q), R[-1], far)
+    # q never increases, so the insertions made at q[-1] are a suffix of the
+    # run, and the later-inserted site of every closest pair is in it (or is
+    # the start pair's second site, when q[0] is already q[-1]): the pair's
+    # distance is at least that site's distance to the sample when it was
+    # inserted.  Only those rows are read, against the sites inserted before.
+    d, pair = _closest_pair(m, order, q.index(q[-1]) + 1)
+    final = _gap_report(m, d / 2.0, pair, R[-1], far)
     trace = FpiTrace(init_pair=(order[0], order[1]), r_init=q[0] / 2.0,
                      R_init=R[0], steps=steps, final=final)
     return sample, trace
-
-
-def _closest_pair(m: FiniteMetric, order: list, q: list) -> tuple:
-    """min_gap's witness for the sample inserted in ``order``, whose
-    minimum pair distances after each insertion are ``q``: the
-    lexicographically smallest (u, v), u < v, at distance q[-1].
-
-    q never increases, so the insertions made at q[-1] are a suffix of the
-    run, and the later-inserted site of every closest pair is in it (or is
-    the start pair's second site, when q[0] is already q[-1]): the pair's
-    distance is at least that site's distance to the sample when it was
-    inserted.  Only those rows are read, against the sites inserted before
-    each, max(1, _BLOCK // k) rows at a time.
-    """
-    k, n = len(order), m.n
-    cols = np.array(order, dtype=np.int64)
-    best = n * n  # pair (u, v) is u * n + v
-    step = max(1, _BLOCK // k)
-    for lo in range(q.index(q[-1]) + 1, k, step):
-        rows = cols[lo:lo + step]
-        earlier = np.arange(k) < np.arange(lo, lo + rows.size)[:, None]
-        a, b = np.nonzero((m.block(rows, cols) == q[-1]) & earlier)
-        u, v = np.minimum(rows[a], cols[b]), np.maximum(rows[a], cols[b])
-        best = int((u * n + v).min(initial=best))
-    return divmod(best, n)
 
 
 def fpi_ratio_bound(alpha: float) -> float:
@@ -156,7 +137,7 @@ def fpi_ratio_bound(alpha: float) -> float:
     4/(2 - alpha) below; the two branches meet at alpha = 2/3 with value 3,
     and the bound never exceeds 3.
     """
-    alpha = float(alpha)
+    alpha = _real(alpha, "alpha-out-of-range", "alpha")
     if not alpha > 0:
         raise GapError("alpha-out-of-range", f"alpha must be positive, got {alpha}")
     if alpha >= 2.0 / 3.0:

@@ -37,11 +37,12 @@ decision has the bits a per-triangle scalar test would give.  The cavity
 boundary of the few bad triangles (their directed edges whose reverse is
 absent, kept where the orientation test is positive) is found on Python
 floats, the same IEEE operations as the array form.  New triangles take the
-bad triangles' columns, so storage order follows the insertion history, and
-it never matters: every live triangle is tested, so the bad set depends
-only on the set of live triangles, the boundary only on the bad set, and
-the output is sorted.  Circumcircles and edge neighbours are array
-operations on the final triangles.
+bad triangles' columns, so storage order follows the insertion history; a
+column left over dies, NaN, which no test finds bad.  The order never
+matters: every live triangle is tested, so the bad set depends only on the
+set of live triangles, the boundary only on the bad set, and the output is
+sorted.  Circumcircles and edge neighbours are array operations on the
+final triangles.
 
 The angle audit ties the triangulation to the gap ratio g = R/r: any
 triangle whose vertices all sit at distance >= R from the boundary has every
@@ -181,21 +182,6 @@ def _edge_neighbors(triangles: np.ndarray, n: int) -> np.ndarray:
     return out.reshape(triangles.shape)
 
 
-def _fill_holes(xy: np.ndarray, tris: list, holes: list) -> None:
-    """Drop the live triangles at the ascending slots `holes`: the last
-    live columns of xy, and their triples in the flat list tris, that are
-    not holes move into the holes below the new end; tris is cut there."""
-    live = len(tris) // 3
-    end = live - len(holes)
-    gone = set(holes)
-    low = [h for h in holes if h < end]
-    movers = [s for s in range(end, live) if s not in gone]
-    xy[:, low] = xy[:, movers]
-    for h, s in zip(low, movers):
-        tris[3 * h:3 * h + 3] = tris[3 * s:3 * s + 3]
-    del tris[3 * end:]
-
-
 def delaunay(cloud: PointCloud) -> Triangulation:
     """Incremental Delaunay triangulation (super-triangle, then removal).
 
@@ -219,7 +205,7 @@ def delaunay(cloud: PointCloud) -> Triangulation:
     sup = np.array([[center[0] - 3.0 * m, center[1] - m],
                     [center[0] + 3.0 * m, center[1] - m],
                     [center[0], center[1] + 3.0 * m]])
-    verts = np.vstack([pts, sup])
+    verts = np.vstack([pts, sup, [np.nan, np.nan]])  # vertex n + 3, NaN, fills dead slots
     vxy = verts.tolist()  # Python floats for the cavity's _orient
     # packed[r, v] is vertex v's x or y, whichever row r of a packed column
     # holds: column v is vertex v as a point p18, and row r of triangle
@@ -253,18 +239,16 @@ def delaunay(cloud: PointCloud) -> Triangulation:
                     new += (u, v, i)
 
         # new triangles take the bad slots, then the end; when fewer come
-        # back than left, the last live columns fill the remaining holes
-        k = len(new) // 3
-        for j, t in enumerate(bad[:k]):
+        # back than left, the other bad slots die: their triple is the NaN
+        # vertex's, dropped with the super-vertices, and never found bad
+        new += [n + 3] * (3 * len(bad) - len(new))
+        for j, t in enumerate(bad):
             tris[3 * t:3 * t + 3] = new[3 * j:3 * j + 3]
         tris += new[3 * len(bad):]
-        slots = bad[:k] + list(range(live, len(tris) // 3))
+        slots = bad + list(range(live, len(tris) // 3))
         while len(tris) > 3 * xy.shape[1]:
             xy = np.concatenate([xy, np.empty_like(xy)], axis=1)
-        if new:
-            xy[:, slots] = packed[_ROWS, np.reshape(new, (-1, 3)).T[_SLOT]]
-        if k < len(bad):
-            _fill_holes(xy, tris, bad[k:])
+        xy[:, slots] = packed[_ROWS, np.reshape(new, (-1, 3)).T[_SLOT]]
 
     tris = np.array(tris, dtype=np.int64).reshape(-1, 3)
     tris = tris[(tris < n).all(axis=1)]

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import GapError
 from .geometry import _require_2d, _validate_in_square
-from .metric import PointCloud, _k
+from .metric import PointCloud, _k, _real
 
 SQUARE_FLOOR_C = 2.0 ** 1.5 / 3.0 ** 0.75
 _BLOCK = 1 << 15  # cells per row block of the count sweep
@@ -134,8 +134,10 @@ def gap_based_discrepancy_bound(cloud: PointCloud, r: float, R: float) -> float:
     """
     pts = _require_2d(cloud)
     _validate_in_square(pts)
+    r = _real(r, "invalid-radius", "minimum gap")
     if not r > 0:
         raise GapError("invalid-radius", f"minimum gap must be positive, got {r}")
+    R = _real(R, "invalid-radius", "covering radius")
     if not R > 0:
         raise GapError("invalid-radius", f"covering radius must be positive, got {R}")
     n = pts.shape[0]

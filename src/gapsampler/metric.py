@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
+from numbers import Real
 from typing import Iterable, Optional
 
 import numpy as np
@@ -257,6 +258,19 @@ def _index(v, code: str, what: str) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise GapError(code, f"{what} {v!r} is not an integer")
+
+
+def _real(v, code: str, what: str) -> float:
+    """v as a float when it is a real number (a numbers.Real: a Python or
+    numpy int or float, nan and inf included); GapError(code) otherwise, so
+    strings, None, complex values and arrays are never read by float(), cut
+    to their real part or compared elementwise."""
+    if isinstance(v, Real):
+        try:
+            return float(v)
+        except OverflowError:  # an int past float64's range
+            pass
+    raise GapError(code, f"{what} {v!r} is not a real number")
 
 
 def _size(v, code: str, what: str, least: int, most: Optional[int] = None) -> int:
@@ -731,28 +745,41 @@ def make_sample(indices: Iterable, n: int) -> Sample:
 
 
 def min_gap(m: FiniteMetric, p) -> tuple:
-    """(r, closest_pair): half the minimum pairwise distance within p.
+    """(r, closest_pair): half the minimum pairwise distance within p, and
+    the lexicographically smallest pair at it (_closest_pair), the two
+    smallest indices when every distance is inf."""
+    d, pair = _closest_pair(m, _sites(p, m.n, 2), 1)
+    return d / 2.0, pair
 
-    The witness pair is the lexicographically smallest one realizing the
-    minimum: _first_pair's rule on the (k, k) block with an inf diagonal,
-    read max(1, _BLOCK // k) rows at a time.  The first row holding the
-    minimum wins (a block's best replaces an earlier one only when it is
-    strictly smaller), then its first column; when every entry is inf the
-    answer is (0, 1).  Memory is O(k + _BLOCK), never the (k, k) block.
+
+def _closest_pair(m: FiniteMetric, sites, first: int) -> tuple:
+    """(d, (u, v)): the smallest distance d from a site sites[i],
+    i >= first >= 1, to a site before it in ``sites``, and the
+    lexicographically smallest pair u < v at d among those read; when every
+    such distance is inf, the smallest of them all.
+
+    Row i is read against sites[:i] only, max(1, _BLOCK // k) rows per
+    block, each block cut at its last row's columns: from first = 1 that
+    is about half of the (k, k) block, and memory is O(k + _BLOCK).
     """
-    idx = _sites(p, m.n, 2)
-    k = idx.size
+    sites = np.asarray(sites, dtype=np.int64)
+    k, n = sites.size, m.n
     step = max(1, _BLOCK // k)
-    best, a, b = np.inf, 0, 1
-    for lo in range(0, k, step):
-        sub = m.block(idx[lo:lo + step], idx)
-        own = np.arange(sub.shape[0])
-        sub[own, lo + own] = np.inf
-        low = sub.min(axis=1)
-        t = int(np.argmin(low))
-        if low[t] < best:
-            best, a, b = float(low[t]), lo + t, int(np.argmin(sub[t]))
-    return best / 2.0, (int(idx[a]), int(idx[b]))
+    best, pair = np.inf, n * n  # pair (u, v) is u * n + v
+    for lo in range(first, k, step):
+        hi = min(lo + step, k)
+        sub = m.block(sites[lo:hi], sites[:hi - 1])
+        # NaN where a column is not before its row: fmin skips NaN, and
+        # row lo reads sites[0] at least, so low is a distance
+        sub[np.arange(lo, hi)[:, None] <= np.arange(hi - 1)] = np.nan
+        low = np.fmin.reduce(sub, axis=None)
+        if low <= best:
+            # flat positions: a 2-D np.nonzero is ten times slower here
+            a, b = np.divmod(np.flatnonzero(sub == low), hi - 1)
+            u, v = np.minimum(sites[lo + a], sites[b]), np.maximum(sites[lo + a], sites[b])
+            code = int((u * n + v).min())
+            best, pair = low, code if low < best else min(pair, code)
+    return float(best), divmod(pair, n)
 
 
 def max_gap(m: FiniteMetric, p) -> tuple:

@@ -44,7 +44,7 @@ import numpy as np
 
 from .coreset import ENUM_GUARD, GridCoreset, _point_cell, search_coreset
 from .errors import GapError
-from .metric import _dist, _k, _size
+from .metric import _dist, _k, _real, _size
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class StreamState:
 
 
 def stream_params(eps: float, d: int) -> StreamParams:
-    eps = float(eps)
+    eps = _real(eps, "eps-out-of-range", "eps")
     if not 0.0 < eps < 0.125:
         raise GapError("eps-out-of-range", f"eps must lie in (0, 1/8), got {eps}")
     d = _size(d, "invalid-dimension", "dimension", 1)

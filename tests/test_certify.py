@@ -206,7 +206,7 @@ def test_orders_past_an_int64_mask_are_refused(monkeypatch, entry):
     with pytest.raises(GapError) as err:
         ORDER_ENTRIES[entry](12)
     assert err.value.code == "max-n-out-of-range"
-    assert str(err.value) == "n 12 is outside [1, 11]"
+    assert str(err.value) == "n must satisfy 1 <= n <= 11, got 12"
 
 
 def test_the_largest_order_decodes_its_last_pair():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gapsampler import (GapError, build_cloud, build_euclidean, build_explicit,
                         build_graph, build_graph_metric, diameter,
                         farthest_point_insertion, fpi_ratio_bound, gap_ratio, rho)
-from gapsampler import fpi, metric
+from gapsampler import metric
 
 
 def line_metric(n=10):
@@ -97,14 +97,17 @@ def test_final_report_is_gap_ratio_of_the_sample(m, pick):
 
 @pytest.mark.parametrize("budget", [1, 50])
 def test_closest_pair_under_row_budgets(monkeypatch, budget):
-    # a budget of one entry reads each suffix row as its own block; 50
-    # reads a few rows at a time
-    monkeypatch.setattr(fpi, "_BLOCK", budget)
+    # gap_ratio's reports at the default budget; then a budget of one entry
+    # reads each row as its own block, and 50 reads a few rows at a time
     lattice = np.array([[a, b] for a in range(9) for b in range(7)], dtype=float)
-    for m in (build_euclidean(build_cloud(lattice)), build_graph_metric(grid_graph(6, 8))):
-        for k in (2, 5, 17, 30, m.n):
-            sample, trace = farthest_point_insertion(m, k)
-            assert repr(trace.final) == repr(gap_ratio(m, sample))
+    runs = [(m, k) for m in (build_euclidean(build_cloud(lattice)),
+                             build_graph_metric(grid_graph(6, 8)))
+            for k in (2, 5, 17, 30, m.n)]
+    want = [repr(gap_ratio(m, farthest_point_insertion(m, k)[0])) for m, k in runs]
+    monkeypatch.setattr(metric, "_BLOCK", budget)
+    for (m, k), rep in zip(runs, want):
+        sample, trace = farthest_point_insertion(m, k)
+        assert repr(trace.final) == repr(gap_ratio(m, sample)) == rep
 
 
 @pytest.mark.parametrize("pts", [

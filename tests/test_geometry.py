@@ -227,30 +227,23 @@ def test_in_circumcircle_rows_match_scalar_bitwise():
         assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
 
 
-def test_delaunay_refills_holes(monkeypatch):
-    # the ring is one of equivalence_clouds(), whose bits are checked below.
-    # Its cavity evicts more triangles than it gives back only because
-    # PREDICATE_TOL is absolute; relative or exact predicates (ROADMAP
-    # item 6) will triangulate it right, and this test should then give
-    # way to an input that still reaches the refill, or go, leaving
-    # test_fill_holes_moves_the_last_live_columns to check the refill.
-    holes, real = [], geometry._fill_holes
-    monkeypatch.setattr(geometry, "_fill_holes",
-                        lambda xy, tris, h: holes.append(len(h)) or real(xy, tris, h))
-    delaunay(build_cloud(ring_then_center()))
-    assert holes
-
-
-def test_fill_holes_moves_the_last_live_columns():
-    tris = [t for t in range(8) for _ in range(3)]
-    xy = np.arange(18.0)[:, None] * 100 + np.arange(10.0)  # 2 spare columns
-    geometry._fill_holes(xy, tris, [1, 4, 6])
-    # slots 5 and 7 move into holes 1 and 4; hole 6 is past the new end
-    assert tris == [0, 0, 0, 5, 5, 5, 2, 2, 2, 3, 3, 3, 7, 7, 7]
-    assert np.array_equal(xy[:, :5] % 100, np.tile([0.0, 5, 2, 3, 7], (18, 1)))
-    tris = [0, 1, 2, 3, 4, 5]
-    geometry._fill_holes(xy, tris, [0, 1])
-    assert tris == []
+def test_delaunay_keeps_dead_slots_out_of_every_cavity(monkeypatch):
+    # The ring's center evicts more triangles than its cavity gives back
+    # (only because PREDICATE_TOL is absolute; relative or exact predicates,
+    # ROADMAP item 1, will triangulate it right, and this test should then
+    # take an input that still leaves a slot dead).  The two sites after
+    # the center scan the dead columns: their determinant is NaN, never
+    # bad, and the triangulation has the scalar loop's bits.
+    pts = np.vstack([ring_then_center(), [[30.0, 7.0], [-20.0, -45.0]]])
+    dets, real = [], geometry._in_circle_packed
+    monkeypatch.setattr(geometry, "_in_circle_packed",
+                        lambda xy, p18: dets.append(real(xy, p18)) or dets[-1])
+    tri = delaunay(build_cloud(pts))
+    assert any(np.isnan(d).any() for d in dets)
+    got = (tri.triangles, tri.circumcenters, tri.circumradii, tri.neighbors)
+    for g, w in zip(got, scalar_delaunay(build_cloud(pts))):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
 
 def test_delaunay_matches_scalar_loop_bitwise():

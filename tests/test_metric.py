@@ -173,6 +173,50 @@ def test_sizes_out_of_range_are_refused_with_one_text(name):
         assert (e.value.code, str(e.value)) == want
 
 
+def _square_cloud():
+    return build_cloud([[0.1, 0.2], [0.5, 0.5], [0.9, 0.7]])
+
+
+# each real-valued parameter: (call, code, what, a value it accepts)
+REAL_ENTRY_POINTS = {
+    "static_params eps": (lambda x: gs.static_params(x, 1.0, 2), "eps-out-of-range", "eps", 0.1),
+    "static_params R_P1": (lambda x: gs.static_params(0.1, x, 2), "invalid-radius",
+                           "covering radius", 1.5),
+    "stream_params eps": (lambda x: gs.stream_params(x, 2), "eps-out-of-range", "eps", 0.1),
+    "approx_sample eps": (lambda x: approx_sample(build_cloud(np.arange(20.0) ** 1.5), 3, x),
+                          "eps-out-of-range", "eps", 0.3),
+    "build_grid_coreset cell_side": (lambda x: gs.build_grid_coreset(_square_cloud(), x),
+                                     "invalid-cell-side", "cell side", 0.25),
+    "fpi_ratio_bound alpha": (lambda x: gs.fpi_ratio_bound(x), "alpha-out-of-range",
+                              "alpha", 0.5),
+    "gap_based_discrepancy_bound r": (
+        lambda x: gs.gap_based_discrepancy_bound(_square_cloud(), x, 1.0),
+        "invalid-radius", "minimum gap", 0.2),
+    "gap_based_discrepancy_bound R": (
+        lambda x: gs.gap_based_discrepancy_bound(_square_cloud(), 0.2, x),
+        "invalid-radius", "covering radius", 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_ENTRY_POINTS))
+def test_real_parameters_are_refused_with_one_rule(name):
+    call, code, what, good = REAL_ENTRY_POINTS[name]
+    # never read from a string, cut to a real part, compared elementwise,
+    # converted from an array (numpy 1.24 reads a 1-element one silently)
+    # or overflowed into a raw error
+    for bad in ("0.1", "x", None, 0.1 + 1j, np.complex128(0.1 + 1j), [0.1],
+                np.array([0.1]), np.array([0.1, 0.2]), np.array(0.1), 10 ** 400):
+        with pytest.raises(GapError) as e:
+            call(bad)
+        assert (e.value.code, str(e.value)) == (code, f"{what} {bad!r} is not a real number")
+    # numpy floats and exact fractions are reals, with the float's result
+    want = repr(call(good))
+    assert repr(call(np.float64(good))) == repr(call(Fraction(good))) == want
+    with pytest.raises(GapError) as e:
+        call(float("nan"))  # nan keeps failing the range check
+    assert e.value.code == code
+
+
 INDEX_ENTRY_POINTS = {
     "make_sample": lambda p: make_sample(p, 6),
     "min_gap": lambda p: min_gap(c6_metric(), p),
@@ -713,6 +757,13 @@ def test_min_gap_witness_matches_triu_scan():
     rng = np.random.default_rng(24)
     metrics = [build_euclidean(build_cloud(pts)) for pts in lattice_clouds()]
     metrics += [build_graph_metric(g) for g in tie_heavy_graphs()]
+    # a weighted graph closed in float64 (tenths are not half-integers),
+    # and a {1, 2}-metric, where nearly every pair ties
+    cycle = [(i, (i + 1) % 12, float(rng.choice([0.1, 0.2, 0.3]))) for i in range(12)]
+    weighted = build_graph_metric(build_graph(12, cycle + [(0, 6, 0.4), (3, 9, 0.7)]))
+    assert not weighted.exact
+    ones_twos = np.triu(rng.integers(1, 3, size=(15, 15)), 1).astype(float)
+    metrics += [weighted, build_explicit(ones_twos + ones_twos.T)]
     for m in metrics:
         for idx in sampled_subsets(m, rng):
             a, b = triu_first(m.dist[np.ix_(idx, idx)], largest=False)
@@ -750,6 +801,26 @@ def test_min_gap_row_blocks_match_the_full_block(budgets):
     for n in (2, 3, 40):  # a full tie of infs is (0, 1)
         m = build_euclidean(build_cloud(rng.random((n, 3)) * 1e160))
         assert min_gap(m, range(n)) == (np.inf, (0, 1))
+
+
+def test_min_gap_reads_each_pair_once_and_one_block_more(monkeypatch):
+    # row i is read against the sites before it only, a block of rows cut
+    # at its last row's columns: k(k - 1) / 2 entries and at most a step
+    # of rows' triangle more, not the (k, k) block
+    k = 600
+    m = build_euclidean(build_cloud(np.random.default_rng(28).random((k, 2))))
+    read, block = [], metric.FiniteMetric.block
+
+    def spy(self, *args, **kwargs):
+        out = block(self, *args, **kwargs)
+        read.append(out.size)
+        return out
+
+    monkeypatch.setattr(metric.FiniteMetric, "block", spy)
+    got = min_gap(m, range(k))
+    step = max(1, metric._BLOCK // k)
+    assert sum(read) <= k * (k - 1) // 2 + k * step
+    assert repr(got) == repr(full_block_min_gap(m, np.arange(k)))
 
 
 def test_gap_fraction_matches_doubled_integers():

@@ -8,13 +8,13 @@ R_P1, lay an axis-aligned grid whose cell side is
 keep one representative site per nonempty cell, and search the coreset
 for the first k-subset with the smallest gap ratio.  The search walks the
 subsets in lexicographic order and skips those that a floor on every
-covering radius (Gonzalez 1985, from farthest-point insertion on the
-coreset) proves worse than the best so far, or than the farthest-point
-sample itself, so it returns the exhaustive answer; its guard still counts
-all C(n, k) subsets.  Cells are small enough that swapping any site for
-its representative moves distances by at most eps1 * R_P1 / 2, which is
-what makes the final sample's gap ratio over the full space land within
-(1 + eps) of optimal for eps < 1/2.
+covering radius (read by min and max from the coreset's distances to the
+farthest-point sites) proves worse than the best so far, or than the
+farthest-point sample itself, so it returns the exhaustive answer; its
+guard still counts all C(n, k) subsets.  Cells are small enough that
+swapping any site for its representative moves distances by at most
+eps1 * R_P1 / 2, which is what makes the final sample's gap ratio over the
+full space land within (1 + eps) of optimal for eps < 1/2.
 
 The cell rule (grid_cells on rows, _point_cell on the one point that
 streaming ingest files at a time) and the representative search
@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import GapError
 from .fpi import farthest_point_insertion, greedy_batch
-from .metric import (TRIANGLE_TOL, FiniteMetric, PointCloud, _index, _k, _real, _size,
-                     build_cloud, build_euclidean, gap_ratio, make_sample)
+from .metric import (FiniteMetric, PointCloud, _index, _k, _real, _size, build_cloud,
+                     build_euclidean, gap_ratio, make_sample)
 from .oracle import _check_guard, _min_gap_ratio
 
 ENUM_GUARD = 50_000_000
@@ -156,10 +156,11 @@ def best_k_subset(coreset_metric: FiniteMetric, k: int,
     gap ratio wins, so results are replayable.  r and R are both measured
     within the given metric.  The walk is branch and bound: it skips the
     prefixes and pairs whose minimum pair distance proves, with the floor
-    of _radius_floor, that no subset through them can reach the best ratio
-    so far.  The bound starts at the gap ratio of the farthest-point sample
-    (the seed of _radius_floor), so the far-pair graph of the subset kernel
-    prunes from the first block on.  Its answer is the exhaustive one, bit
+    of _radius_floor, which reads dist by min and max alone and so needs
+    no triangle inequality, that no subset through them can reach the best
+    ratio so far.  The bound starts at the gap ratio of the farthest-point
+    sample (the seed of _radius_floor), so the far-pair graph of the subset
+    kernel prunes from the first block on.  Its answer is the exhaustive one, bit
     for bit, since the first optimal subset never exceeds the seed.  The
     guard still counts all C(n, k) subsets and is checked before any
     distance is read; then a distance past float64's range is refused
@@ -174,54 +175,30 @@ def best_k_subset(coreset_metric: FiniteMetric, k: int,
     if not np.isfinite(dist.max()):  # distances are >= 0; a NaN max is NaN
         raise GapError("distance-overflow", "two coreset sites are too far apart: "
                        "a squared distance overflows float64")
-    best, _ = _min_gap_ratio(dist, k, *_radius_floor(coreset_metric, k))
+    best, _ = _min_gap_ratio(dist, k, *_radius_floor(dist, k))
     sample = make_sample(best, coreset_metric.n)
     return sample, gap_ratio(coreset_metric, sample)
 
 
-def _radius_floor(m: FiniteMetric, k: int) -> tuple:
-    """(floor, seed) from one farthest-point insertion run: a floor on the
-    covering radius, read from m.dist, of every k-subset of m (Gonzalez
-    1985), and the seed R / (q / 2) of the run's k-sample, its gap ratio in
-    m.dist with the walk's own operands, so at least the minimum ratio.  A
-    q of 0 (an underflowed distance) gives an inf or nan seed, with which
-    the walk prunes less, never wrongly.
+def _radius_floor(dist: np.ndarray, k: int) -> tuple:
+    """(floor, seed) from one farthest-point insertion run on dist: a floor
+    on the covering radius of every k-subset, and the seed R / (q / 2) of
+    the run's k-sample, its gap ratio with the walk's own operands, so at
+    least the minimum ratio.  A q of 0 (an underflowed distance) gives an
+    inf or nan seed, with which the walk prunes less, never wrongly.
 
-    FPI's k sites and the site farthest from them are k + 1 sites pairwise
-    at least R_FPI apart: the start pair realizes the diameter, and each
-    inserted site is R_before >= R_FPI from the earlier ones.  Any k sites
-    S leave two of them, x and y, with one nearest site c in S, so in a
-    metric R_FPI <= d(x, y) <= d(x, c) + d(c, y) <= 2 R(S).  Read from dist
-    the triangle inequality holds only within tolerances:
-
-    - build_explicit admits d(x, y) <= d(x, c) + d(c, y) + TRIANGLE_TOL,
-      up to the rounding of its audit's sum and difference, so an
-      explicit metric's absolute tolerance is tol = TRIANGLE_TOL;
-    - each _pairwise entry is within (d/2 + 2) 2**-53 of its true length,
-      relatively, and 1e-150 absolutely (see _pairwise), so the inequality
-      holds within a relative (d + 4) 2**-53 and an absolute 3e-150; any
-      other metric takes tol = 1e-149, which keeps the floor independent
-      of the scale of a cloud;
-    - a graph closed in float64 holds sums of at most n - 1 edges; each
-      entry is within (n - 2) 2**-53, relatively, of a walk's length, and
-      the inequality holds within a relative 2 (n - 2) 2**-53.
-
-    With margin = (n + d + 8) 2**-52 (d = 0 for a metric without points),
-    every case gives d(x, y) <= (d(x, c) + d(c, y)) (1 + margin - 3 2**-53)
-    + tol (1 + 2**-52), so
-
-        floor = (R_FPI - tol (1 + margin)) / 2 * (1 - margin)
-
-    is at most R(S) for every S, its own roundings included.  A floor at
-    or below 0 prunes nothing.
+    Let P be the run's k sites and the site farthest from them.  Any k
+    sites S send P's k + 1 entries to their nearest members, so some member
+    c is nearest to two entries x and y, and S's cover is at least
+    max(dist[c, x], dist[c, y]): the second-smallest entry of row c over P.
+    The floor is the least of those over every site c.  Only min and max
+    read dist, so it holds bit for bit on every metric; a site repeated in
+    P (k = n, or an underflow) gives a floor of 0, which prunes nothing.
     """
-    _, q, R, _ = greedy_batch(m.dist[None], k)
-    d = 0 if m.points is None else m.points.shape[1]
-    margin = (m.n + d + 8) * 2.0 ** -52
-    tol = TRIANGLE_TOL if m.source == "explicit" else 1e-149
-    floor = (float(R[0, -1]) - tol * (1.0 + margin)) / 2.0 * (1.0 - margin)
+    order, q, R, far = greedy_batch(dist[None], k)
+    floor = np.partition(dist[:, np.append(order[0], far)], 1, axis=1)[:, 1].min()
     with np.errstate(divide="ignore", invalid="ignore"):
-        return floor, R[0, -1] / (q[0, -1] / 2.0)
+        return float(floor), R[0, -1] / (q[0, -1] / 2.0)
 
 
 def search_coreset(reps: list, pts: np.ndarray, k: int, n: int, guard: int) -> tuple:

@@ -238,14 +238,16 @@ def build_cloud(points: Iterable) -> PointCloud:
 
 def _real_array(values, code: str, message: str) -> np.ndarray:
     """values as a float64 array; GapError(code) for ragged rows and for
-    entries that are not real numbers, a complex array's included (numpy
-    would drop their imaginary parts with only a warning)."""
-    if isinstance(values, np.ndarray) and values.dtype.kind == "c":
-        raise GapError(code, message)
+    entries that are not real numbers: complex values, which numpy would
+    cut to their real parts with only a warning, and strings, which it
+    would parse."""
     try:
-        return np.asarray(values, dtype=np.float64)
+        arr = np.asarray(values)
+        if arr.dtype.kind not in "cSU":
+            return arr.astype(np.float64, copy=False)
     except (TypeError, ValueError):
-        raise GapError(code, message) from None
+        pass
+    raise GapError(code, message)
 
 
 def _index(v, code: str, what: str) -> int:
@@ -360,13 +362,7 @@ def build_graph(n: int, edges: Iterable, require_connected: bool = True) -> Grap
         if key in seen:
             raise GapError("malformed-graph", f"parallel edge ({key[0]}, {key[1]})")
         seen.add(key)
-        if isinstance(w, np.complexfloating):  # float() would drop its imaginary part
-            w = complex(w)
-        try:
-            w = float(w)
-        except (TypeError, ValueError):
-            raise GapError("malformed-graph",
-                           f"edge ({u}, {v}) weight {w!r} is not a real number") from None
+        w = _real(w, "malformed-graph", f"edge ({u}, {v}) weight")
         if not (w > 0 and np.isfinite(w)):
             raise GapError("malformed-graph", f"edge ({u}, {v}) weight {w} not positive")
         norm.append((key[0], key[1], w))

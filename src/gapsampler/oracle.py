@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import GapError, GuardExceeded, CertificationError
 from .fpi import greedy_batch
-from .metric import (FiniteMetric, Graph, Sample, _k, _sites, build_graph_metric,
+from .metric import (FiniteMetric, Graph, Sample, _k, _sites, _size, build_graph_metric,
                      make_sample)
 
 DEFAULT_GUARD = 10_000_000
@@ -211,9 +211,11 @@ def _bitsets(mask: np.ndarray) -> list:
 
 
 def _check_guard(n: int, k: int, guard: int) -> None:
-    """Refuse a search over more than ``guard`` k-subsets of n sites.  Every
-    search checks this before it reads a distance, so a refused instance
-    never builds a point-backed metric's matrix."""
+    """Refuse a search over more than ``guard`` k-subsets of n sites, guard
+    an integer >= 0 (invalid-guard otherwise).  Every search checks this
+    before it reads a distance, so a refused instance never builds a
+    point-backed metric's matrix."""
+    guard = _size(guard, "invalid-guard", "guard", 0)
     total = comb(n, k)
     if total > guard:
         raise GuardExceeded(f"C({n}, {k}) = {total} subsets exceeds the guard {guard}; "

@@ -44,7 +44,7 @@ import numpy as np
 
 from .coreset import ENUM_GUARD, GridCoreset, _point_cell, search_coreset
 from .errors import GapError
-from .metric import _dist, _k, _real, _size
+from .metric import _dist, _k, _real, _real_array, _size
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,8 @@ def _as_point(x) -> tuple:
     and bulk callers pass, skips the general conversion's copies."""
     if type(x) is np.ndarray and x.dtype is _F64 and x.ndim == 1:
         return tuple(x.tolist())
-    return tuple(np.asarray(x, dtype=np.float64).ravel().tolist())
+    return tuple(_real_array(x, "malformed-points", "a stream point must be a vector of reals")
+                 .ravel().tolist())
 
 
 def _merge_cells(cells: dict) -> dict:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from gapsampler import (GapError, GuardExceeded, approx_sample,
                         best_k_subset, build_cloud, build_euclidean,
-                        build_explicit, build_grid_coreset, gap_ratio,
+                        build_explicit, build_graph, build_graph_metric,
+                        build_grid_coreset, gap_ratio,
                         optimal_gap_ratio, static_params, stream_finalize,
                         stream_init)
 from gapsampler import coreset, oracle
@@ -258,7 +259,10 @@ def test_pruned_search_keeps_the_optimum_under_tolerated_violations(monkeypatch)
     # five sites on a line whose unit gaps shrink by delta, so triangle
     # inequalities fail by up to 2 * delta, under TRIANGLE_TOL.  FPI keeps
     # the diameter pair (0, 4) and leaves site 2 at R_FPI = 2, but (1, 4)
-    # covers every site within 1 - delta, below R_FPI / 2 = 1
+    # covers every site within 1 - delta, below Gonzalez's R_FPI / 2 = 1.
+    # The floor reads rows against P = (0, 4, 2) by min and max alone, so
+    # it needs no triangle inequality: row 1's second-smallest entry is
+    # 1 - delta, exactly the optimum's cover, which the strict prune keeps
     delta = 4e-10
     D = np.zeros((5, 5))
     for (i, j), v in {(0, 1): 1 - delta, (1, 2): 1 - delta, (2, 3): 1 - delta / 2,
@@ -266,16 +270,63 @@ def test_pruned_search_keeps_the_optimum_under_tolerated_violations(monkeypatch)
                       (1, 3): 2, (1, 4): 3, (2, 4): 2}.items():
         D[i, j] = D[j, i] = v
     m = build_explicit(D)
+    floor, seed = coreset._radius_floor(m.dist, 2)
+    assert floor == 1 - delta
     # one a row per block: (0, 3), next best, is found a block before (1, 4)
     monkeypatch.setattr(oracle, "_BLOCK", 1)
     sample, rep = best_k_subset(m, 2)
     res = optimal_gap_ratio(m, 2)
     assert sample.indices == res.best_sample.indices == (1, 4)
     assert rep.gap_ratio == res.gr_opt
-    # the unmargined floor R_FPI / 2 prunes the optimum, with the same seed
-    _, seed = coreset._radius_floor(m, 2)
-    monkeypatch.setattr(coreset, "_radius_floor", lambda m, k: (1.0, seed))
+    # a floor of R_FPI / 2, above the optimum's cover, prunes the optimum
+    monkeypatch.setattr(coreset, "_radius_floor", lambda dist, k: (1.0, seed))
     assert best_k_subset(m, 2)[0].indices == (0, 3)
+
+
+@st.composite
+def small_metrics(draw):
+    """Metrics on at most 10 sites: clouds in d = 1, 2, 3 and 9 at scales
+    1e-5 to 1e5, integer lattices (ties everywhere), {1, 2}-metrics,
+    unweighted graphs, weighted graphs closed in float64 (tenths are not
+    half-integers), and points on a line whose distances shrink by up to
+    4e-10, so triangle inequalities fail under TRIANGLE_TOL."""
+    kind = draw(st.sampled_from(["cloud", "lattice", "twelve", "graph", "weighted",
+                                 "violated"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 10))
+    if kind == "cloud":
+        pts = rng.random((n, draw(st.sampled_from([1, 2, 3, 9]))))
+        return build_euclidean(build_cloud(pts * 10.0 ** draw(st.integers(-5, 5))))
+    if kind == "lattice":
+        pts = np.unique(rng.integers(0, 3, (n, 2)), axis=0).astype(float)
+        return build_euclidean(build_cloud(pts if len(pts) > 1 else [[0.0], [1.0]]))
+    if kind in ("twelve", "violated"):
+        if kind == "twelve":
+            d = rng.integers(1, 3, (n, n)).astype(float)
+        else:
+            x = rng.permutation(3 * n)[:n].astype(float)
+            d = np.abs(x[:, None] - x[None]) - rng.uniform(0.0, 4e-10, (n, n))
+        d = np.triu(d, 1)
+        return build_explicit(d + d.T)
+    edges = {(int(rng.integers(0, v)), v) for v in range(1, n)}
+    edges |= {tuple(sorted(map(int, rng.choice(n, 2, replace=False)))) for _ in range(3)}
+    if kind == "graph":
+        return build_graph_metric(build_graph(n, sorted(edges)))
+    return build_graph_metric(build_graph(n, [(u, v, float(rng.integers(1, 10)) / 10)
+                                              for u, v in sorted(edges)]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=small_metrics())
+def test_radius_floor_is_at_most_every_cover(m):
+    # the floor holds for every k-subset, read from dist itself, and the
+    # pruned search keeps the exhaustive answer bit for bit
+    for k in range(2, m.n + 1):
+        floor, _ = coreset._radius_floor(m.dist, k)
+        best, gr, R_opt, _ = reference_search(m.dist, k)
+        assert floor <= R_opt
+        sample, rep = best_k_subset(m, k)
+        assert (sample.indices, rep.gap_ratio) == (best, gr)
 
 
 def exact_small_clouds(seed):

@@ -1,6 +1,7 @@
 """One-pass doubling coreset: traces, invariants, end-to-end guarantee."""
 
 import warnings
+from fractions import Fraction
 from math import inf, sqrt
 
 import numpy as np
@@ -64,6 +65,17 @@ def test_init_needs_k_distinct():
         stream_init([[0.0], [1.0]], 1, 0.1)
 
 
+def test_init_reads_reals_only():
+    # a complex or string coordinate is refused in the prefix too; exact
+    # fractions are reals, held as the floats they round to
+    for bad in ([0.3 + 1j, 0.2], np.array([0.3 + 1j, 0.2]), ["0.3", "0.2"]):
+        with pytest.raises(GapError) as e:
+            stream_init([[0.0, 0.0], bad, [1.0, 1.0]], 2, 0.1)
+        assert e.value.code == "malformed-points"
+    state = stream_init([[Fraction(1, 3), 0.0], [1, Fraction(1, 2)]], 2, 0.1)
+    assert [p for _, p in state.T] == [(1 / 3, 0.0), (1.0, 0.5)]
+
+
 def test_init_rejects_mixed_dimension():
     with pytest.raises(GapError) as e:
         stream_init([[0.0], [1.0, 2.0]], 2, 0.1)
@@ -111,8 +123,16 @@ def test_init_refuses_nonfinite_prefix(prefix, bad):
     assert f"stream point {bad} " in str(e.value)
 
 
-@pytest.mark.parametrize("x, code", [([np.nan, 0.5], "nonfinite-coordinate"),
-                                     ([1e300, 0.0], "grid-overflow")])
+@pytest.mark.parametrize("x, code", [
+    ([np.nan, 0.5], "nonfinite-coordinate"),
+    ([1e300, 0.0], "grid-overflow"),
+    # never cut to a real part or parsed from a string
+    (np.array([0.3 + 1j, 0.2]), "malformed-points"),
+    ([np.complex128(0.3 + 1j), 0.2], "malformed-points"),
+    (["0.3", "0.2"], "malformed-points"),
+    ("ab", "malformed-points"),
+    ([[0.3], [0.2, 0.1]], "malformed-points"),
+])
 def test_ingest_refusal_leaves_state_unchanged(x, code):
     pts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
     state, ref = run_stream(pts, 2, 0.1), run_stream(pts, 2, 0.1)

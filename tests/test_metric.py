@@ -80,16 +80,24 @@ def test_cloud_rejects_bad_input():
     (build_cloud, [["a", "b"]], "malformed-points"),
     (build_cloud, [[0, 1j]], "malformed-points"),
     (build_cloud, np.array([[0, 1j]]), "malformed-points"),
+    # numpy would keep 0.3 of the complex entry and parse the string
+    (build_cloud, [[np.complex128(0.3 + 1j), 0.2], [0, 0]], "malformed-points"),
+    (build_cloud, [["0.3", 0.2], [0, 0]], "malformed-points"),
+    (build_cloud, "ab", "malformed-points"),
     (build_cloud, 5, "malformed-points"),
     (build_explicit, [[0, 1], [1]], "invalid-matrix"),
     (build_explicit, [[0, "a"], ["a", 0]], "invalid-matrix"),
+    (build_explicit, [[0, "1"], ["1", 0]], "invalid-matrix"),
+    (build_explicit, [[0, np.complex128(1 + 1j)], [1, 0]], "invalid-matrix"),
     (lambda w: build_graph(3, [(0, 1, w), (1, 2)]), "a", "malformed-graph"),
     (lambda w: build_graph(3, [(0, 1, w), (1, 2)]), 1j, "malformed-graph"),
     (lambda w: build_graph(3, [(0, 1, w), (1, 2)]), np.complex128(2 + 0j), "malformed-graph"),
     (lambda n: build_graph(n, []), 3.5, "malformed-graph"),
     (lambda e: build_graph(3, [e]), 5, "malformed-graph"),
 ], ids=["ragged-cloud", "string-cloud", "complex-cloud", "complex-array-cloud",
-        "scalar-cloud", "ragged-matrix", "string-matrix", "string-weight",
+        "numpy-complex-cloud", "numeric-string-cloud", "string-scalar-cloud",
+        "scalar-cloud", "ragged-matrix", "string-matrix", "numeric-string-matrix",
+        "numpy-complex-matrix", "string-weight",
         "complex-weight", "numpy-complex-weight", "non-integral-n", "non-sequence-edge"])
 def test_malformed_input_is_a_coded_error(build, bad, code):
     with pytest.raises(GapError) as e:
@@ -189,6 +197,8 @@ REAL_ENTRY_POINTS = {
                                      "invalid-cell-side", "cell side", 0.25),
     "fpi_ratio_bound alpha": (lambda x: gs.fpi_ratio_bound(x), "alpha-out-of-range",
                               "alpha", 0.5),
+    "build_graph weight": (lambda x: build_graph(3, [(0, 1, x), (1, 2)]), "malformed-graph",
+                           "edge (0, 1) weight", 0.5),
     "gap_based_discrepancy_bound r": (
         lambda x: gs.gap_based_discrepancy_bound(_square_cloud(), x, 1.0),
         "invalid-radius", "minimum gap", 0.2),

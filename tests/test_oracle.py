@@ -71,6 +71,43 @@ def test_guard_refuses_huge_enumerations():
     assert res.subsets_examined == 780
 
 
+def guarded_entries():
+    """Every public entry that takes a guard, each at k = 2 on a small input
+    whose search fits a guard of 100."""
+    cloud = build_cloud(np.arange(10.0))
+    pts = np.random.default_rng(6).random((8, 2))
+    return {
+        "optimal_gap_ratio": lambda g: optimal_gap_ratio(build_euclidean(cloud), 2, guard=g),
+        "best_k_subset": lambda g: best_k_subset(build_euclidean(cloud), 2, guard=g),
+        "approx_sample": lambda g: approx_sample(cloud, 2, 0.45, guard=g),
+        "stream_finalize": lambda g: stream_finalize(stream_init(pts, 2, 0.1), guard=g),
+        "check_genmet_equivalence": lambda g: check_genmet_equivalence(p4(), 2, guard=g),
+        "check_eds_equivalence": lambda g: check_eds_equivalence(p4(), 2, guard=g),
+    }
+
+
+GUARDED_ENTRIES = guarded_entries()
+
+
+@pytest.mark.parametrize("name", GUARDED_ENTRIES)
+def test_guards_are_refused_with_one_rule(name):
+    # a guard is an integer >= 0, read by the one size rule: nan never
+    # switches it off, and a negative or fractional one is not reported as
+    # an exceeded guard
+    call = GUARDED_ENTRIES[name]
+    for bad in (float("nan"), float("inf"), "x", "100", None, 2.5):
+        with pytest.raises(GapError) as e:
+            call(bad)
+        assert (e.value.code, str(e.value)) == ("invalid-guard", f"guard {bad!r} is not an integer")
+    with pytest.raises(GapError) as e:
+        call(-1)
+    assert (e.value.code, str(e.value)) == ("invalid-guard", "guard must be >= 0, got -1")
+    with pytest.raises(GuardExceeded):
+        call(0)  # 0 admits no subset
+    want = repr(call(100))
+    assert repr(call(np.int64(100))) == repr(call(100.0)) == want
+
+
 @pytest.mark.parametrize("scale, code", [(1e160, "distance-overflow"),
                                          (1e-170, "zero-distance")])
 def test_oracle_refuses_clouds_whose_distances_all_over_or_underflow(scale, code):

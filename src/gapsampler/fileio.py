@@ -11,6 +11,7 @@ rendered via repr-faithful %.17g so identical runs produce identical bytes.
 
 from __future__ import annotations
 
+import json
 import math
 from typing import List, Optional, Sequence, Tuple
 
@@ -171,9 +172,7 @@ def _scalar(value) -> str:
     if isinstance(value, float):
         return _format_float(value)
     if isinstance(value, str):
-        escaped = (value.replace("\\", "\\\\").replace('"', '\\"')
-                   .replace("\n", "\\n").replace("\t", "\\t"))
-        return f'"{escaped}"'
+        return json.dumps(value, ensure_ascii=False)
     raise GapError("non-serializable-report",
                    f"cannot serialize {type(value).__name__}")
 

@@ -3,26 +3,16 @@
 The covering radius of a finite set over the continuous square [0,1]^2 is
 attained at a largest-empty-circle center, and every candidate center is one
 of: a Voronoi vertex inside the square, an intersection of a Voronoi edge
-with the square's boundary, or a corner of the square.  Voronoi structure is
-taken by duality from the Delaunay triangulation (vertices are triangle
-circumcenters, edges lie on pairwise perpendicular bisectors), so the
-boundary candidates used here are the full set of pairwise-bisector /
-boundary intersections, a superset of the Voronoi-edge crossings.  Extra
-candidates are harmless: each is inside the square, so its nearest-site
-distance never exceeds the true covering radius.  The superset also covers
-the degenerate layouts (1 or 2 points, all points collinear) where no
-triangulation exists.
-
-Not every candidate gets the O(n) exact nearest-site scan.  The corners
-and Voronoi vertices do, and their best score is a floor; the crossings
-are made one block of pairs at a time, each crossing first gets an upper
-bound, its distance to the site nearest a boundary probe beside it (8n
-probes, found by one O(n^2) scan), and only crossings whose bound reaches
-the floor are scanned.  A bound is one of the distances the exact scan
-minimises over, so pruning never changes R, the witness or its kind, and
-a wrong triangulation or a poor probe only weakens the pruning.  Typical
-inputs take O(n^2) time instead of O(n^3) (the worst case stays O(n^3));
-memory is O(n) beside one block of pairs and one kernel block.
+with the square's boundary, or a corner of the square (Toussaint 1983).  The
+Voronoi vertices are the Delaunay circumcenters.  The boundary crossings do
+not need the triangulation: along one side, the nearest site changes exactly
+where the lower envelope of the sites' squared distances (less t^2, lines in
+t) passes from one line to the next, and that is where the two sites'
+bisector crosses the side.  Each side's envelope is built exactly, on
+integers, so the degenerate layouts (1 or 2 points, all points collinear,
+cocircular sites) need no special case.  There are O(n) candidates, scored
+by one exact nearest-site scan: O(n^2) time at worst and O(n) memory beside
+one kernel block.
 
 Triangulation is incremental with a bounding super-triangle that is removed
 at the end.  Orientation and in-circumcircle predicates are determinant
@@ -41,8 +31,7 @@ bad triangles' columns, so storage order follows the insertion history; a
 column left over dies, NaN, which no test finds bad.  The order never
 matters: every live triangle is tested, so the bad set depends only on the
 set of live triangles, the boundary only on the bad set, and the output is
-sorted.  Circumcircles and edge neighbours are array operations on the
-final triangles.
+sorted.  Circumcircles are array operations on the final triangles.
 
 The angle audit ties the triangulation to the gap ratio g = R/r: any
 triangle whose vertices all sit at distance >= R from the boundary has every
@@ -53,23 +42,18 @@ cannot produce skinny interior triangles).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import asin, pi
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import GapError
-from .metric import _BLOCK, PointCloud, _pairwise, build_euclidean, min_gap
+from .metric import PointCloud, _pairwise, build_euclidean, min_gap
 
 PREDICATE_TOL = 1e-12
 
 _CORNERS = ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0))
-
-# bisector pairs per block of the covering radius's crossing walk (whole
-# rows of pairs, at least one row): 2,048 at the default kernel budget.
-# A block's crossings and their bounds then stay below the exact scans'
-# two kernel blocks, whose distance blocks are _pairwise's own
-_PAIRS = max(1, _BLOCK // 32)
 
 # starting column capacity of delaunay's packed triangle array; it doubles
 _TRI_CAP = 64
@@ -81,7 +65,6 @@ class Triangulation:
     triangles: np.ndarray     # (m, 3) vertex indices, counterclockwise
     circumcenters: np.ndarray  # (m, 2)
     circumradii: np.ndarray   # (m,)
-    neighbors: np.ndarray     # (m, 3) adjacent triangle per edge, -1 if none
 
 
 @dataclass(frozen=True)
@@ -161,27 +144,6 @@ def _require_2d(cloud: PointCloud) -> np.ndarray:
     return cloud.points
 
 
-def _edge_neighbors(triangles: np.ndarray, n: int) -> np.ndarray:
-    """(m, 3) triangle across each edge (ia,ib), (ib,ic), (ic,ia), or -1.
-
-    Edges are taken in row-major order.  The first occurrence of an
-    undirected edge owns it: every later occurrence points to the owner,
-    and the owner points to the last one.
-    """
-    u = triangles.ravel()
-    v = triangles[:, [1, 2, 0]].ravel()
-    key = np.minimum(u, v) * n + np.maximum(u, v)
-    order = np.argsort(key, kind="stable")
-    ks = key[order]
-    start = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
-    size = np.diff(np.r_[start, ks.size])
-    first, last = order[start], order[start + size - 1]
-    out = np.empty(ks.size, dtype=np.int64)
-    out[order] = np.repeat(first // 3, size)
-    out[first] = np.where(size > 1, last // 3, -1)
-    return out.reshape(triangles.shape)
-
-
 def delaunay(cloud: PointCloud) -> Triangulation:
     """Incremental Delaunay triangulation (super-triangle, then removal).
 
@@ -257,7 +219,7 @@ def delaunay(cloud: PointCloud) -> Triangulation:
     triangles = tris[np.lexsort(tris.T[::-1])]
     centers, radii = _circumcircles(*pts[triangles].transpose(1, 2, 0))
     return Triangulation(sites=pts, triangles=triangles, circumcenters=centers,
-                         circumradii=radii, neighbors=_edge_neighbors(triangles, n))
+                         circumradii=radii)
 
 
 def circumcircle_margins(tri: Triangulation) -> np.ndarray:
@@ -282,60 +244,71 @@ def _validate_in_square(pts: np.ndarray) -> None:
                        f"point {i} lies outside the unit square")
 
 
-def _crossing_blocks(pts: np.ndarray) -> Iterator[np.ndarray]:
-    """(c, 2) intersections of the pairwise perpendicular bisectors with
-    the square boundary, one block of pairs at a time.
+def _crossings(pts: np.ndarray) -> np.ndarray:
+    """(c, 2) crossings of the Voronoi edges with the square's boundary, in
+    (i, j, side) order over site pairs i < j and the sides x = 0, x = 1,
+    y = 0, y = 1.
 
-    Pairs i < j run in lexicographic order, whole rows of i at a time: a
-    block takes the next rows while it holds at most _PAIRS pairs, and at
-    least one row.  Per pair, the crossings run x = 0, x = 1, y = 0, y = 1.
-    Every Voronoi edge lies on one of these lines, so the true boundary
-    candidates are included; extras are harmless.  Every entry has the
-    bits of its own pair's expressions, so the blocks' concatenation does
-    not depend on where they end.
+    At the point (X, t) of the side x = X, site i is at squared distance
+    (t - y_i)^2 + (X - x_i)^2; less t^2, that is the line
+    y_i^2 + (X - x_i)^2 - 2 y_i t (the sides y = Y swap x and y).  The
+    nearest site changes where the lower envelope of these lines passes from
+    one line to the next, which is where the pair's bisector crosses the
+    side.  Every test is exact, on integers over one power-of-two
+    denominator, so (i, j) is kept on a side if and only if no site is
+    strictly nearer than i and j where their bisector crosses it: a line is
+    dropped only when it lies strictly above its neighbours' meeting point,
+    and where several lines meet at one point (cocircular sites) every pair
+    among them is kept.  Of parallel lines only the lowest can be nearest,
+    and its pairs with them have no crossing.  Each crossing is then the
+    pair's own float expression, kept when 0 <= t <= 1.
     """
-    n = pts.shape[0]
-    i0 = 0
-    while i0 < n - 1:
-        i1, size = i0 + 1, n - 1 - i0
-        while i1 < n - 1 and size + n - 1 - i1 <= _PAIRS:
-            size += n - 1 - i1
-            i1 += 1
-        # row-major order is lexicographic; the mask has at most 2 * size entries
-        i, j = np.nonzero(np.arange(i0, i1)[:, None] < np.arange(i0 + 1, n))
-        i, j = i + i0, j + i0 + 1
-        mid = (pts[i] + pts[j]) / 2.0
-        nx = pts[j, 0] - pts[i, 0]
-        ny = pts[j, 1] - pts[i, 1]
-        out = np.empty((size, 4, 2))
-        keep = np.empty((size, 4), dtype=bool)
-        # bisector: (x - mid) . (nx, ny) = 0; masked slots may hold inf or nan
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for s, x in enumerate((0.0, 1.0)):
-                y = mid[:, 1] + (mid[:, 0] - x) * nx / ny
-                out[:, s, 0], out[:, s, 1] = x, y
-                keep[:, s] = (ny != 0.0) & (0.0 <= y) & (y <= 1.0)
-            for s, y in enumerate((0.0, 1.0), start=2):
-                x = mid[:, 0] + (mid[:, 1] - y) * ny / nx
-                out[:, s, 0], out[:, s, 1] = x, y
-                keep[:, s] = (nx != 0.0) & (0.0 <= x) & (x <= 1.0)
-        yield out[keep]
-        i0 = i1
-
-
-def _probe_sites(pts: np.ndarray) -> np.ndarray:
-    """(4, 2n) index of the nearest site to each boundary probe.
-
-    Side s is x = 0, x = 1, y = 0, y = 1 in turn; its probes sit at
-    (k + 1/2) / 2n along it, so every boundary point is within 1/4n of
-    the probe in its own slot floor(2n t) of that side.
-    """
-    per = 2 * pts.shape[0]
-    t = (np.arange(per) + 0.5) / per
-    zero, one = np.zeros(per), np.ones(per)
-    probes = np.concatenate([np.c_[zero, t], np.c_[one, t],
-                             np.c_[t, zero], np.c_[t, one]])
-    return _pairwise(probes, pts, np.argmin).reshape(4, per)
+    ratios = [v.as_integer_ratio() for v in pts.ravel().tolist()]
+    den = max(d for _, d in ratios)
+    xs = [p * (den // d) for p, d in ratios[0::2]]
+    ys = [p * (den // d) for p, d in ratios[1::2]]
+    found = []
+    for side, (across, along, end) in enumerate(
+            ((xs, ys, 0), (xs, ys, den), (ys, xs, 0), (ys, xs, den))):
+        # site i as the line b - 2 a t, by increasing a: decreasing slope
+        lines = sorted((a, (end - w) ** 2 + a * a, i)
+                       for i, (w, a) in enumerate(zip(across, along)))
+        hull = []
+        for a, b, i in lines:
+            if hull and hull[-1][0] == a:
+                continue  # parallel and not lower
+            while len(hull) > 1:
+                (a1, b1, _), (a2, b2, _) = hull[-2:]
+                # hull[-1] goes when it meets this line strictly before it
+                # meets hull[-2]: it is then above the lower of the two
+                if (b2 - b1) * (a - a2) <= (b - b2) * (a2 - a1):
+                    break
+                hull.pop()
+            hull.append((a, b, i))
+        # consecutive hull lines meet at t = db / 2 da, never decreasing; a
+        # run of equal meeting points is one point all its lines pass through
+        runs = []
+        for (a0, b0, i), (a1, b1, j) in zip(hull, hull[1:]):
+            meet = (b1 - b0, a1 - a0)
+            if runs and last[0] * meet[1] == meet[0] * last[1]:
+                runs[-1].append(j)
+            else:
+                runs.append([i, j])
+            last = meet
+        found += [(i, j, side) for run in runs for i, j in combinations(sorted(run), 2)]
+    i, j, side = np.array(sorted(found), dtype=np.int64).reshape(-1, 3).T
+    mid = (pts[i] + pts[j]) / 2.0
+    nx = pts[j, 0] - pts[i, 0]
+    ny = pts[j, 1] - pts[i, 1]
+    end = (side % 2).astype(np.float64)
+    upright = side < 2
+    # bisector: (x - mid) . (nx, ny) = 0; the branch a side does not take
+    # may hold inf or nan
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = np.where(upright, mid[:, 1] + (mid[:, 0] - end) * nx / ny,
+                     mid[:, 0] + (mid[:, 1] - end) * ny / nx)
+    out = np.where(upright[:, None], np.c_[end, t], np.c_[t, end])
+    return out[(0.0 <= t) & (t <= 1.0)]
 
 
 def _covering_radius(pts: np.ndarray, tri: Optional[Triangulation]) -> tuple:
@@ -343,62 +316,33 @@ def _covering_radius(pts: np.ndarray, tri: Optional[Triangulation]) -> tuple:
     triangulation, or None when they have none.
 
     Candidates keep their order: corners, in-square circumcenters, then
-    the bisector/boundary crossings.  The first two groups are scored
-    exactly and their first maximum is the best so far.  Each block of
-    crossings is scored as soon as it is made.  A crossing c gets the
-    bound u(c), the _pairwise entry from c to the site nearest the probe
-    beside it: one of the entries the exact scan takes the minimum of, so
-    nearest(c) <= u(c) bit for bit, and u(c) <= nearest(c) + 1/2n by the
-    triangle inequality.  Crossings with u(c) below the best score so far
-    are skipped; the rest are scored exactly, and the best changes only
-    on a strict improvement.  The best is a real earlier candidate's
-    score, so a skipped crossing is never the first maximum, and the
-    result is the first maximum over all candidates.  No array holds all
-    the crossings or all the pairs: memory is O(n + _PAIRS + _BLOCK).
+    the boundary crossings.  All are scored by one exact nearest-site scan,
+    and the first maximum wins.
     """
     vor = np.empty((0, 2))
     if tri is not None:
         c = tri.circumcenters
         vor = c[(0.0 <= c[:, 0]) & (c[:, 0] <= 1.0) & (0.0 <= c[:, 1]) & (c[:, 1] <= 1.0)]
-    head = np.concatenate([np.array(_CORNERS), vor])
-    nearest = _pairwise(head, pts, np.min)
+    cand = np.concatenate([np.array(_CORNERS), vor, _crossings(pts)])
+    nearest = _pairwise(cand, pts, np.min)
     top = int(np.argmax(nearest))  # first occurrence: fixed candidate order
-    best, witness = nearest[top], head[top].copy()
-    kind = "corner" if top < 4 else "voronoi-vertex"
-    probe = _probe_sites(pts)
-    per = probe.shape[1]
-    for cross in _crossing_blocks(pts):
-        x, y = cross.T
-        # every crossing has x or y at exactly 0 or 1; t runs along its side
-        upright = (x == 0.0) | (x == 1.0)
-        t = np.where(upright, y, x)
-        side = np.where(upright, x, 2.0 + y).astype(np.int64)
-        near = pts[probe[side, np.minimum((t * per).astype(np.int64), per - 1)]]
-        # _pairwise's entry for (c, site): the same subtract, square, add, sqrt
-        dx, dy = x - near[:, 0], y - near[:, 1]
-        live = np.flatnonzero(np.sqrt(dx * dx + dy * dy) >= best)
-        if live.size:
-            got = _pairwise(cross[live], pts, np.min)
-            top = int(np.argmax(got))
-            if got[top] > best:
-                best, witness = got[top], cross[live[top]].copy()
-                kind = "boundary-intersection"
-    return float(best), witness, kind
+    kind = ("corner" if top < 4 else "voronoi-vertex" if top < 4 + len(vor)
+            else "boundary-intersection")
+    return float(nearest[top]), cand[top].copy(), kind
 
 
 def covering_radius_unit_square(cloud: PointCloud) -> tuple:
     """(R, witness point, candidate kind) over the continuous unit square.
 
     Exact up to the finite candidate set: Voronoi vertices inside the
-    square, bisector/boundary intersections, and the four corners.  With one
-    or two points, or a collinear layout, the Voronoi part is empty or
-    degenerate and the remaining candidates already carry the maximum.
+    square, Voronoi-edge/boundary intersections, and the four corners.  With
+    one or two points, or a collinear layout, there are no Voronoi vertices
+    and the remaining candidates already carry the maximum.  The boundary
+    crossings come from each side's nearest-site envelope, not from the
+    triangulation; the Voronoi vertices are only as good as it is.
 
-    Every bisector crossing stays a candidate, but only those whose
-    probe-based upper bound reaches the best score so far get the exact
-    nearest-site scan: O(n^2) time on typical inputs (O(n^3) at worst) and
-    O(n) memory beside fixed-size blocks.  A broken triangulation only weakens the pruning; the
-    result is always the unpruned scan's first maximum.
+    O(n) candidates, one exact nearest-site scan: O(n^2) time at worst and
+    O(n) memory beside one kernel block.
     """
     pts = _require_2d(cloud)
     _validate_in_square(pts)

@@ -240,12 +240,15 @@ def _real_array(values, code: str, message: str) -> np.ndarray:
     """values as a float64 array; GapError(code) for ragged rows and for
     entries that are not real numbers: complex values, which numpy would
     cut to their real parts with only a warning, and strings, which it
-    would parse."""
+    would parse.  An object array is read only when every entry is a
+    numbers.Real, and an int past float64's range is refused: _real's rule
+    for one value."""
     try:
         arr = np.asarray(values)
-        if arr.dtype.kind not in "cSU":
+        if arr.dtype.kind not in "cSUO" or (
+                arr.dtype.kind == "O" and all(isinstance(v, Real) for v in arr.flat)):
             return arr.astype(np.float64, copy=False)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     raise GapError(code, message)
 

@@ -366,6 +366,14 @@ def test_malformed_input_reports_line(files, tmp_path):
     assert "line 2" in proc.stderr
 
 
+def test_control_characters_keep_the_report_json(tmp_path):
+    # argv is echoed in the report: every control character is escaped
+    path = tmp_path / "pts\x01\r\b.txt"
+    path.write_text(LINE10)
+    rep = report_of(run_cli("fpi", "--points", str(path), "-k", "2"))
+    assert rep["argv"] == ["fpi", "--points", str(path), "-k", "2"]
+
+
 def test_usage_errors_exit_two(files):
     assert run_cli("fpi", "--no-such-flag").returncode == 2
     assert run_cli().returncode == 2

@@ -1,6 +1,7 @@
 """One-pass doubling coreset: traces, invariants, end-to-end guarantee."""
 
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from math import inf, sqrt
 
@@ -130,6 +131,9 @@ def test_init_refuses_nonfinite_prefix(prefix, bad):
     (np.array([0.3 + 1j, 0.2]), "malformed-points"),
     ([np.complex128(0.3 + 1j), 0.2], "malformed-points"),
     (["0.3", "0.2"], "malformed-points"),
+    ([Fraction(1, 2), "0.3"], "malformed-points"),
+    ([Decimal("0.5"), 0.2], "malformed-points"),
+    ([10 ** 400, 0.0], "malformed-points"),
     ("ab", "malformed-points"),
     ([[0.3], [0.2, 0.1]], "malformed-points"),
 ])

@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from fractions import Fraction
 from math import asin, pi, sqrt
 
 import numpy as np
@@ -15,7 +16,6 @@ from gapsampler import (GapError, build_cloud, circumcircle_margins,
                         metric)
 
 DEFAULT_BLOCK = metric._BLOCK
-DEFAULT_PAIRS = geometry._PAIRS
 
 CORNERS = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
 CORNERS_IN_ORDER = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]  # candidate order
@@ -70,15 +70,6 @@ def test_empty_circumcircle_property():
             assert np.abs(margins[t, [ia, ib, ic]]).max() <= 1e-9
 
 
-def test_neighbors_are_mutual():
-    rng = np.random.default_rng(5)
-    tri = delaunay(build_cloud(rng.random((30, 2))))
-    for t in range(len(tri.triangles)):
-        for s in tri.neighbors[t]:
-            if s >= 0:
-                assert t in tri.neighbors[s]
-
-
 def test_triangulation_replay():
     rng = np.random.default_rng(6)
     pts = rng.random((25, 2))
@@ -124,8 +115,8 @@ def scalar_circumcircle(a, b, c):
 
 
 def scalar_delaunay(cloud):
-    """The triangulation as one scalar predicate call per live triangle,
-    a set of directed cavity edges and a dict of edge owners."""
+    """The triangulation as one scalar predicate call per live triangle
+    and a set of directed cavity edges."""
     orient, in_circumcircle, circumcircle = (
         scalar_orient, scalar_in_circumcircle, scalar_circumcircle)
     tol = geometry.PREDICATE_TOL
@@ -164,18 +155,7 @@ def scalar_delaunay(cloud):
     radii = np.empty(len(triangles))
     for t, (ia, ib, ic) in enumerate(triangles):
         centers[t], radii[t] = circumcircle(pts[ia], pts[ib], pts[ic])
-    edge_owner = {}
-    neighbors = np.full((len(triangles), 3), -1, dtype=np.int64)
-    for t, (ia, ib, ic) in enumerate(triangles):
-        for e, (u, v) in enumerate(((ia, ib), (ib, ic), (ic, ia))):
-            key = (min(u, v), max(u, v))
-            if key in edge_owner:
-                s, se = edge_owner[key]
-                neighbors[t, e] = s
-                neighbors[s, se] = t
-            else:
-                edge_owner[key] = (t, e)
-    return triangles, centers, radii, neighbors
+    return triangles, centers, radii
 
 
 def equivalence_clouds():
@@ -240,7 +220,7 @@ def test_delaunay_keeps_dead_slots_out_of_every_cavity(monkeypatch):
                         lambda xy, p18: dets.append(real(xy, p18)) or dets[-1])
     tri = delaunay(build_cloud(pts))
     assert any(np.isnan(d).any() for d in dets)
-    got = (tri.triangles, tri.circumcenters, tri.circumradii, tri.neighbors)
+    got = (tri.triangles, tri.circumcenters, tri.circumradii)
     for g, w in zip(got, scalar_delaunay(build_cloud(pts))):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert np.array_equal(g.view(np.int64), w.view(np.int64))
@@ -257,7 +237,7 @@ def test_delaunay_matches_scalar_loop_bitwise():
             assert (got.value.code, str(got.value)) == (e.code, str(e))
             continue
         tri = delaunay(cloud)
-        got = (tri.triangles, tri.circumcenters, tri.circumradii, tri.neighbors)
+        got = (tri.triangles, tri.circumcenters, tri.circumradii)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape
             assert np.array_equal(g, w)
@@ -331,29 +311,56 @@ def test_rejects_points_outside_square():
         gap_report_unit_square(build_cloud([[-0.1, 0.5], [0.5, 0.5]]))
 
 
+def bisector_crossings(pts, i, j):
+    """The crossings of the bisector of sites i and j with the sides x = 0,
+    x = 1, y = 0, y = 1, in that order, as (axis, end, point): the side is
+    where coordinate `axis` equals `end`."""
+    mid = (pts[i] + pts[j]) / 2.0
+    nx, ny = pts[j] - pts[i]
+    if ny != 0.0:
+        for x in (0.0, 1.0):
+            y = mid[1] + (mid[0] - x) * nx / ny
+            if 0.0 <= y <= 1.0:
+                yield 0, x, (x, y)
+    if nx != 0.0:
+        for y in (0.0, 1.0):
+            x = mid[0] + (mid[1] - y) * ny / nx
+            if 0.0 <= x <= 1.0:
+                yield 1, y, (x, y)
+
+
 def reference_bisector_candidates(pts):
-    """The boundary candidates as a plain per-pair loop."""
-    out = []
-    n = pts.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            mid = (pts[i] + pts[j]) / 2.0
-            nx, ny = pts[j] - pts[i]
-            if ny != 0.0:
-                for x in (0.0, 1.0):
-                    y = mid[1] + (mid[0] - x) * nx / ny
-                    if 0.0 <= y <= 1.0:
-                        out.append((x, y))
-            if nx != 0.0:
-                for y in (0.0, 1.0):
-                    x = mid[0] + (mid[1] - y) * ny / nx
-                    if 0.0 <= x <= 1.0:
-                        out.append((x, y))
+    """Every pairwise bisector's boundary crossings, as a plain per-pair loop."""
+    out = [c for i, j in itertools.combinations(range(len(pts)), 2)
+           for _, _, c in bisector_crossings(pts, i, j)]
     return np.array(out, dtype=float).reshape(-1, 2)
 
 
-def reference_covering_radius(cloud):
-    """Candidates collected one by one, nearest sites from one full matrix."""
+def reference_voronoi_crossings(pts):
+    """The bisector crossings of pairs that no site is strictly nearer than
+    at the exact crossing, on Fractions: the Voronoi edges' crossings."""
+    exact = [(Fraction(x), Fraction(y)) for x, y in pts.tolist()]
+
+    def sq(s, c):
+        return (s[0] - c[0]) ** 2 + (s[1] - c[1]) ** 2
+
+    out = []
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        p, q = exact[i], exact[j]
+        for axis, end, c in bisector_crossings(pts, i, j):
+            at = [Fraction(end)] * 2
+            o = 1 - axis
+            at[o] = (p[o] + q[o]) / 2 + ((p[axis] + q[axis]) / 2 - at[axis]) * (
+                q[axis] - p[axis]) / (q[o] - p[o])
+            d = sq(p, at)
+            if not any(sq(s, at) < d for s in exact):
+                out.append(c)
+    return np.array(out, dtype=float).reshape(-1, 2)
+
+
+def reference_covering_radius(cloud, boundary=reference_bisector_candidates):
+    """Candidates collected one by one, nearest sites from one full matrix;
+    the boundary candidates are every bisector's crossings by default."""
     pts = cloud.points
     cands = [np.array(c) for c in CORNERS_IN_ORDER]
     kinds = ["corner"] * 4
@@ -369,7 +376,7 @@ def reference_covering_radius(cloud):
                 if 0.0 <= c[0] <= 1.0 and 0.0 <= c[1] <= 1.0:
                     cands.append(c.copy())
                     kinds.append("voronoi-vertex")
-    for c in reference_bisector_candidates(pts):
+    for c in boundary(pts):
         cands.append(c)
         kinds.append("boundary-intersection")
     cand = np.array(cands)
@@ -397,20 +404,22 @@ def candidate_clouds():
     yield np.array([[0.5, 0.5]])
 
 
-def crossings(pts):
-    """The blocks of bisector crossings, concatenated."""
-    return np.concatenate([np.empty((0, 2)), *geometry._crossing_blocks(pts)])
+def lattice(k, n, seed):
+    """n distinct points of the lattice with pitch 1/k over the square."""
+    cells = np.random.default_rng(seed).choice((k + 1) ** 2, size=n, replace=False)
+    return np.stack([cells // (k + 1), cells % (k + 1)], axis=1) / float(k)
 
 
-def test_bisector_candidates_match_loop_bitwise(monkeypatch):
-    for pts in candidate_clouds():
+def test_bisector_candidates_match_loop_bitwise():
+    # lattices put three and more sites on one circle about a boundary point
+    clouds = [*candidate_clouds(),
+              *(lattice(k, n, seed) for k in (8, 10) for seed, n in enumerate((20, 45, 81)))]
+    for pts in clouds:
         pts = build_cloud(pts).points
-        want = reference_bisector_candidates(pts)
-        for pairs in (1, 7, DEFAULT_PAIRS):
-            monkeypatch.setattr(geometry, "_PAIRS", pairs)
-            got = crossings(pts)
-            assert got.shape == want.shape and got.dtype == np.float64
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        want = reference_voronoi_crossings(pts)
+        got = geometry._crossings(pts)
+        assert got.shape == want.shape and got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_covering_radius_matches_reference():
@@ -421,17 +430,6 @@ def test_covering_radius_matches_reference():
         assert R.hex() == ref_R.hex()
         assert np.array_equal(witness.view(np.int64), ref_witness.view(np.int64))
         assert kind == ref_kind
-
-
-def test_covering_radius_blocks_match_one_scan(monkeypatch):
-    clouds = [build_cloud(pts) for pts in candidate_clouds()]
-    want = [covering_radius_unit_square(c) for c in clouds]
-    for pairs in (1, 7):
-        monkeypatch.setattr(geometry, "_PAIRS", pairs)
-        for cloud, (R, witness, kind) in zip(clouds, want):
-            got = covering_radius_unit_square(cloud)
-            assert (got[0].hex(), got[1].tobytes(), got[2]) == (
-                R.hex(), witness.tobytes(), kind)
 
 
 @st.composite
@@ -466,17 +464,18 @@ def test_pruned_scan_matches_reference(monkeypatch):
     kinds = set()
 
     @settings(max_examples=150, deadline=None)
-    @given(pts=square_clouds(), pairs=st.sampled_from([1, 7, DEFAULT_PAIRS]),
-           budget=st.sampled_from([1, DEFAULT_BLOCK]))
-    def check(pts, pairs, budget):
-        # the best score rises between blocks of pairs, so pruning and
-        # scoring decisions fall on both sides of block edges; a budget of
-        # one entry gives every scanned candidate its own distance block
-        monkeypatch.setattr(geometry, "_PAIRS", pairs)
+    @given(pts=square_clouds(), budget=st.sampled_from([1, DEFAULT_BLOCK]))
+    def check(pts, budget):
+        # a budget of one entry gives every candidate its own distance block
         monkeypatch.setattr(metric, "_BLOCK", budget)
         cloud = build_cloud(pts)
         R, witness, kind = covering_radius_unit_square(cloud)
-        ref_R, ref_witness, ref_kind = reference_covering_radius(cloud)
+        # R is every bisector crossing's maximum; the witness and kind are
+        # the first maximum over the Voronoi crossings, which on exact ties
+        # may come after another bisector's crossing of the same score
+        assert R.hex() == reference_covering_radius(cloud)[0].hex()
+        ref_R, ref_witness, ref_kind = reference_covering_radius(
+            cloud, reference_voronoi_crossings)
         assert (R.hex(), witness.tobytes(), kind) == (
             ref_R.hex(), ref_witness.tobytes(), ref_kind)
         kinds.add(kind)
@@ -485,22 +484,45 @@ def test_pruned_scan_matches_reference(monkeypatch):
     assert kinds == {"corner", "voronoi-vertex", "boundary-intersection"}
 
 
-def test_pruned_scan_scores_few_crossings(monkeypatch):
-    cloud = build_cloud(np.random.default_rng(0).random((800, 2)))
-    rows, exact = [], geometry._pairwise
+def test_rounded_lattice_radius_is_the_voronoi_crossings_maximum():
+    # non-Voronoi pairs cross the boundary at nearly cocircular points of a
+    # rounded lattice, and their own roundings may score a few ulps higher:
+    # one ulp here
+    cloud = build_cloud(lattice(10, 12, 42))
+    R = covering_radius_unit_square(cloud)[0]
+    assert R.hex() == reference_covering_radius(cloud, reference_voronoi_crossings)[0].hex()
+    superset = reference_covering_radius(cloud)[0]
+    assert R != superset and abs(R - superset) <= 4 * np.spacing(superset)
 
-    def counting(a, b, reduce=None):
-        rows.append(a.shape[0])
-        return exact(a, b, reduce)
 
-    monkeypatch.setattr(geometry, "_pairwise", counting)
-    covering_radius_unit_square(cloud)
-    c = delaunay(cloud).circumcenters
-    head = 4 + int(((0.0 <= c) & (c <= 1.0)).all(axis=1).sum())
-    probes = 8 * cloud.n
-    total = crossings(cloud.points).shape[0]
-    scored = sum(rows) - head - probes  # crossing rows given the exact scan
-    assert 0 <= scored < 0.05 * total
+def voronoi_crossing_count(pts):
+    """How many bisector crossings no site is nearer than their own pair
+    at, by floats through a k-d tree, checked free of near ties."""
+    from scipy.spatial import cKDTree
+    i, j = np.triu_indices(len(pts), 1)
+    p, d = pts[i], pts[j] - pts[i]
+    mid = (pts[i] + pts[j]) / 2.0
+    tree, count = cKDTree(pts), 0
+    for axis, end in itertools.product((0, 1), (0.0, 1.0)):
+        o = 1 - axis
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t = mid[:, o] + (mid[:, axis] - end) * d[:, axis] / d[:, o]
+        keep = (d[:, o] != 0.0) & (0.0 <= t) & (t <= 1.0)
+        c = np.empty((int(keep.sum()), 2))
+        c[:, axis], c[:, o] = end, t[keep]
+        own = np.hypot(*(c - p[keep]).T)
+        gap = own - tree.query(c)[0]
+        assert not ((1e-12 < gap) & (gap < 1e-6)).any()
+        count += int((gap <= 1e-12).sum())
+    return count
+
+
+def test_boundary_crossings_are_linear_in_n():
+    # all 319,600 bisectors cross the boundary 639,200 times here
+    pts = build_cloud(np.random.default_rng(0).random((800, 2))).points
+    got = geometry._crossings(pts).shape[0]
+    assert got == 106 <= 4 * (800 - 1)
+    assert got == voronoi_crossing_count(pts)
 
 
 @pytest.mark.parametrize("n, ceiling", [(150, 1.6e6), (400, 1.75e6)])
@@ -513,10 +535,9 @@ def test_covering_radius_peak_memory(n, ceiling):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the exact scans' two 2^16-entry kernel blocks (1 MB) set the peak
-    # (1.25 and 1.37 MB); a block of pairs, its crossings and their bounds
-    # add O(_PAIRS), and the probe table and the triangulation O(n).  All
-    # the crossings at once took 2.11 and 15.0 MB
+    # the exact scan's 2^16-entry kernel block (0.5 MB) sets the peak (0.89
+    # and 1.26 MB) beside the candidates and the triangulation, both O(n).
+    # Making every bisector's crossings at once would take 2.11 and 15.0 MB
     assert peak < ceiling
 
 
@@ -528,7 +549,8 @@ def test_gap_report_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a (candidates, n) distance matrix alone is about 27 MB here
+    # every bisector crossing's (candidates, n) distance matrix alone
+    # would be about 27 MB here
     assert peak < 8e6
 
 
@@ -542,7 +564,7 @@ def test_gap_report_memory_is_linear_at_n4000():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # about 4.7 MB, mostly the triangulation's and the probes' O(n); all
+    # about 4.7 MB, mostly the triangulation's and the candidates' O(n); all
     # 8 million pairs' crossings at once would take about 1.5 GB (94 bytes
     # a pair), and the closest pair's (n, n) block 128 MB
     assert peak < 16e6

@@ -4,6 +4,7 @@ import heapq
 import itertools
 import math
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -83,11 +84,18 @@ def test_cloud_rejects_bad_input():
     # numpy would keep 0.3 of the complex entry and parse the string
     (build_cloud, [[np.complex128(0.3 + 1j), 0.2], [0, 0]], "malformed-points"),
     (build_cloud, [["0.3", 0.2], [0, 0]], "malformed-points"),
+    # beside a Fraction numpy makes an object array, and would parse the
+    # string; a Decimal is not a numbers.Real
+    (build_cloud, [[Fraction(1, 2), "0.3"], [0, 0]], "malformed-points"),
+    (build_cloud, [[Decimal("0.5"), 0.2], [0, 0]], "malformed-points"),
+    (build_cloud, [[10 ** 400, 0]], "malformed-points"),
     (build_cloud, "ab", "malformed-points"),
     (build_cloud, 5, "malformed-points"),
     (build_explicit, [[0, 1], [1]], "invalid-matrix"),
     (build_explicit, [[0, "a"], ["a", 0]], "invalid-matrix"),
     (build_explicit, [[0, "1"], ["1", 0]], "invalid-matrix"),
+    (build_explicit, [[0, Fraction(1)], ["1", 0]], "invalid-matrix"),
+    (build_explicit, [[0, 10 ** 400], [10 ** 400, 0]], "invalid-matrix"),
     (build_explicit, [[0, np.complex128(1 + 1j)], [1, 0]], "invalid-matrix"),
     (lambda w: build_graph(3, [(0, 1, w), (1, 2)]), "a", "malformed-graph"),
     (lambda w: build_graph(3, [(0, 1, w), (1, 2)]), 1j, "malformed-graph"),
@@ -95,8 +103,10 @@ def test_cloud_rejects_bad_input():
     (lambda n: build_graph(n, []), 3.5, "malformed-graph"),
     (lambda e: build_graph(3, [e]), 5, "malformed-graph"),
 ], ids=["ragged-cloud", "string-cloud", "complex-cloud", "complex-array-cloud",
-        "numpy-complex-cloud", "numeric-string-cloud", "string-scalar-cloud",
+        "numpy-complex-cloud", "numeric-string-cloud", "object-string-cloud",
+        "decimal-cloud", "huge-int-cloud", "string-scalar-cloud",
         "scalar-cloud", "ragged-matrix", "string-matrix", "numeric-string-matrix",
+        "object-string-matrix", "huge-int-matrix",
         "numpy-complex-matrix", "string-weight",
         "complex-weight", "numpy-complex-weight", "non-integral-n", "non-sequence-edge"])
 def test_malformed_input_is_a_coded_error(build, bad, code):

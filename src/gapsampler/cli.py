@@ -47,6 +47,8 @@ def _read_text(path: str) -> str:
     except OSError as e:
         raise GapError("unreadable-file",
                        f"{path}: {e.strerror or e}") from None
+    except UnicodeDecodeError:
+        raise GapError("unreadable-file", f"{path}: not UTF-8 text") from None
 
 
 def _load_cloud(path: str):

@@ -38,6 +38,7 @@ All functions here are pure; every returned object is immutable.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
@@ -103,14 +104,11 @@ class FiniteMetric:
     ``exact`` is True when every distance is an exact half-integer and,
     for graph metrics, within build_graph_metric's 2**53 bound; it is
     always True for unweighted graph metrics.
-    ``source`` is one of ``euclidean``, ``graph``, ``explicit``.
     """
 
-    def __init__(self, n: int, dist: Optional[np.ndarray], source: str,
-                 exact: bool = False, points: Optional[np.ndarray] = None,
-                 adjacency: Optional[list] = None):
-        vars(self).update(n=n, _dist=dist, source=source, exact=exact,
-                          points=points, _adj=adjacency)
+    def __init__(self, n: int, dist: Optional[np.ndarray], exact: bool = False,
+                 points: Optional[np.ndarray] = None, adjacency: Optional[list] = None):
+        vars(self).update(n=n, _dist=dist, exact=exact, points=points, _adj=adjacency)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"FiniteMetric is immutable: cannot set {name}")
@@ -379,15 +377,24 @@ def _connected_adjacency(g: Graph) -> list:
     """g's adjacency lists, each vertex's neighbours in edge order;
     disconnected-graph naming vertex 0 and the first vertex it cannot
     reach.  Lists, not arrays: graphs here are often tiny, and the
-    breadth-first searches run on Python ints."""
-    adj: list = [[] for _ in range(g.n)]
+    breadth-first searches run on Python ints.  With fewer than n - 1
+    edges, g cannot be connected, and the search from vertex 0 keys on the
+    edges' endpoints: a huge n is refused in O(m), before any per-vertex
+    list is made."""
+    adj = [[] for _ in range(g.n)] if len(g.edges) >= g.n - 1 else defaultdict(list)
     for u, v, _ in g.edges:
         adj[u].append(v)
         adj[v].append(u)
-    hops = _hops(adj, (0,))
-    if -1 in hops:
-        raise GapError("disconnected-graph",
-                       f"vertices 0 and {hops.index(-1)} are not connected")
+    reached = {0}
+    order = [0]
+    for u in order:
+        for v in adj[u]:
+            if v not in reached:
+                reached.add(v)
+                order.append(v)
+    if len(order) < g.n:  # the first vertex missed is at most len(order)
+        first = min(set(range(len(order) + 1)) - reached)
+        raise GapError("disconnected-graph", f"vertices 0 and {first} are not connected")
     return adj
 
 
@@ -625,7 +632,7 @@ def build_euclidean(cloud: PointCloud) -> FiniteMetric:
     A distance past float64's range is inf, without a warning; the report
     writer rejects it as non-finite.
     """
-    return FiniteMetric(n=cloud.n, dist=None, source="euclidean", points=cloud.points)
+    return FiniteMetric(n=cloud.n, dist=None, points=cloud.points)
 
 
 def build_graph_metric(g: Graph) -> FiniteMetric:
@@ -654,7 +661,7 @@ def build_graph_metric(g: Graph) -> FiniteMetric:
     adj = _connected_adjacency(g)
     n = g.n
     if not g.weighted:
-        return FiniteMetric(n=n, dist=None, source="graph", exact=True, adjacency=adj)
+        return FiniteMetric(n=n, dist=None, exact=True, adjacency=adj)
     # Python floats: exact doubling, and inf, not a warning, on overflow
     doubled = [2.0 * w for _, _, w in g.edges]
     exact = all(map(float.is_integer, doubled))
@@ -676,8 +683,7 @@ def build_graph_metric(g: Graph) -> FiniteMetric:
     # flat indices of every (u, v), then of every (v, u): put repeats a
     # list of lengths over the second half
     arcs = [u * n + v for u, v, _ in g.edges] + [v * n + u for u, v, _ in g.edges]
-    return FiniteMetric(n=n, dist=_closure(n, arcs, lengths, top), source="graph",
-                        exact=exact)
+    return FiniteMetric(n=n, dist=_closure(n, arcs, lengths, top), exact=exact)
 
 
 def _closure(n: int, arcs: list, lengths, top: Optional[int]) -> np.ndarray:
@@ -727,7 +733,7 @@ def build_explicit(dist) -> FiniteMetric:
                        f"triangle inequality violated at sites ({i}, {j})")
     d = d.copy()
     d.setflags(write=False)
-    return FiniteMetric(n=n, dist=d, source="explicit")
+    return FiniteMetric(n=n, dist=d)
 
 
 # ---------------------------------------------------------------------------

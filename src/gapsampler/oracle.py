@@ -415,7 +415,7 @@ def genmet_reduce(g: Graph) -> FiniteMetric:
         raise GapError("too-few-sites", "reduction needs at least 2 vertices")
     dist = _genmet(_adjacency_matrix(g), np.float64)
     dist.setflags(write=False)
-    return FiniteMetric(n=g.n, dist=dist, source="explicit", exact=True)
+    return FiniteMetric(n=g.n, dist=dist, exact=True)
 
 
 def _domination_blocks(g: Graph, k: int, guard: int, claim: str,

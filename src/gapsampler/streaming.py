@@ -94,8 +94,9 @@ _F64 = np.dtype(np.float64)
 
 
 def _as_point(x) -> tuple:
-    """x as a tuple of Python floats; a 1-D float64 array, the form the CLI
-    and bulk callers pass, skips the general conversion's copies."""
+    """x as a tuple of Python floats; a 1-D float64 array, the row a bulk
+    caller passes, skips the general conversion's copies.  Other forms, the
+    CLI's read_points lists among them, take the checked path."""
     if type(x) is np.ndarray and x.dtype is _F64 and x.ndim == 1:
         return tuple(x.tolist())
     return tuple(_real_array(x, "malformed-points", "a stream point must be a vector of reals")
@@ -111,41 +112,30 @@ def _merge_cells(cells: dict) -> dict:
     return merged
 
 
-def _dist_to(T: list, x: tuple) -> float:
-    """Distance from x to the nearest center of T; inf when T is empty."""
-    near = inf
-    for _, c in T:
-        d = _dist(c, x)
-        if d < near:
-            near = d
-    return near
-
-
 def stream_init(first_points: Iterable, k: int, eps: float) -> StreamState:
     """Consume a stream prefix holding at least k distinct points.
 
     T becomes the first k distinct points and R_thresh their minimum
     pairwise distance; the grid (anchored at the very first point, cell side
-    eps3 * R_thresh / (2 sqrt(d))) is seeded with everything consumed so
-    far.  Any remaining points of ``first_points`` are passed one at a time
-    to stream_ingest, so only the prefix is ever buffered.
+    eps3 * R_thresh / (2 sqrt(d))) is seeded with T.  Only T and a count are
+    held while the prefix is read; any remaining points of ``first_points``
+    are passed one at a time to stream_ingest.
     """
     k = _k(k)
     it = iter(first_points)
-    prefix = []   # every consumed point, duplicates included
-    T = []        # (stream index, point) of each first occurrence
-    for x in it:
+    T = []  # (stream index, point) of each first occurrence
+    for pos, x in enumerate(it):
         x = _as_point(x)
-        prefix.append(x)
         if not any(x == t for _, t in T):  # -0.0 == 0.0; nan != nan
-            T.append((len(prefix) - 1, x))
+            T.append((pos, x))
             if len(T) == k:
                 break
     if len(T) < k:
         raise GapError("too-few-distinct",
                        f"stream has only {len(T)} distinct points, k={k}")
-    d = len(prefix[0])
-    for idx, x in enumerate(prefix):
+    # a repeat equals an earlier T point: same length, finiteness and cell, filed after it
+    d = len(T[0][1])
+    for idx, x in T:
         if len(x) != d:
             raise GapError("dimension-mismatch", "stream points differ in dimension")
         _refuse_nonfinite(idx, x)
@@ -159,10 +149,10 @@ def stream_init(first_points: Iterable, k: int, eps: float) -> StreamState:
         raise GapError("distance-overflow", f"the first {k} distinct stream points "
                        "are too far apart: a squared distance overflows float64")
     cells: dict = {}
-    for idx, x in enumerate(prefix):  # finite: grid-overflow is the one refusal
-        cells.setdefault(_point_cell(x, prefix[0], cell_side), (idx, x))
-    state = StreamState(params=params, k=k, origin=prefix[0], cell_side=cell_side,
-                        cells=cells, T=T, R_thresh=R, points_seen=len(prefix),
+    for idx, x in T:  # finite: grid-overflow is the one refusal
+        cells.setdefault(_point_cell(x, T[0][1], cell_side), (idx, x))
+    state = StreamState(params=params, k=k, origin=T[0][1], cell_side=cell_side,
+                        cells=cells, T=T, R_thresh=R, points_seen=pos + 1,
                         peak_cells=len(cells))
     for x in it:
         stream_ingest(state, x)
@@ -204,7 +194,10 @@ def stream_ingest(state: StreamState, x) -> StreamState:
         state.cells = _merge_cells(state.cells)
         kept: list = []
         for entry in state.T:  # insertion order; the first is always kept
-            if _dist_to(kept, entry[1]) > state.R_thresh:
+            for _, c in kept:  # stop at the first kept center within R_thresh
+                if _dist(c, entry[1]) <= state.R_thresh:
+                    break
+            else:
                 kept.append(entry)
         state.T = kept
     return state

@@ -255,6 +255,17 @@ def test_domain_error_contract(files, tmp_path):
     assert missing.stderr.startswith("error: unreadable-file:")
 
 
+@pytest.mark.parametrize("flag", ["--points", "--graph", "--sample"])
+def test_non_utf8_input_is_an_unreadable_file(files, tmp_path, flag):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0 0\n\xff 1\n")
+    metric = "--graph" if flag == "--graph" else "--points"
+    paths = {metric: files["line10.txt"], "--sample": files["sample.txt"], flag: str(bad)}
+    proc = run_cli("evaluate", *(a for kv in paths.items() for a in kv))
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: unreadable-file: {bad}: not UTF-8 text\n"
+
+
 @pytest.mark.parametrize("command", [
     ("oracle", "--graph", "c6.edges"), ("reduce", "--claim", "genmet", "--graph", "c6.edges"),
     ("reduce", "--claim", "eds", "--graph", "c6.edges"),

@@ -1,5 +1,6 @@
 """One-pass doubling coreset: traces, invariants, end-to-end guarantee."""
 
+import tracemalloc
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -105,6 +106,26 @@ def test_init_streams_the_rest_of_a_generator():
         stream_ingest(ref, x)
     assert state.points_seen == len(pts)
     assert_same_state(state, ref)
+
+
+def test_init_holds_only_the_distinct_points():
+    # repeats of the first point (-0.0 equals 0.0) before the second
+    # distinct one are counted, not kept
+    def points():
+        for i in range(100_000):
+            yield [-0.0 if i % 2 else 0.0, 0.25]
+        yield [1.0, 2.0]
+    tracemalloc.start()
+    try:
+        state = stream_init(points(), 2, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+    assert state.points_seen == 100_001
+    assert repr(state.T) == "[(0, (0.0, 0.25)), (100000, (1.0, 2.0))]"
+    assert state.cells == {(0, 0): state.T[0], (364, 638): state.T[1]}
+    assert state.origin is state.T[0][1] and state.peak_cells == 2
 
 
 def test_init_refuses_zero_distance():

@@ -38,7 +38,7 @@ def c6_metric():
 def test_euclidean_345():
     m = build_euclidean(build_cloud([[0.0, 0.0], [3.0, 4.0]]))
     assert m.dist[0, 1] == 5.0
-    assert m.source == "euclidean" and m.exact2x is None
+    assert m.points is not None and m.exact2x is None
 
 
 def test_euclidean_line_matrix():
@@ -285,7 +285,7 @@ def test_graph_validation():
 def test_graph_metric_path():
     m = build_graph_metric(build_graph(3, [(0, 1), (1, 2)]))
     assert m.dist[0, 2] == 2.0 and m.exact2x[0, 2] == 4
-    assert m.source == "graph"
+    assert vars(m)["_adj"] is not None
 
 
 def test_graph_metric_c6_antipodal():
@@ -989,6 +989,39 @@ def test_disconnected_metric_error_names_first_unreachable_vertex():
             build_graph_metric(g)
         assert e.value.code == "disconnected-graph"
         assert str(e.value) == f"vertices 0 and {unreachable[0]} are not connected"
+
+
+def test_too_few_edges_are_refused_without_per_vertex_lists():
+    # fewer than n - 1 edges cannot connect n vertices; the search reads the
+    # edges alone, so a million vertices cost no per-vertex memory
+    tracemalloc.start()
+    try:
+        with pytest.raises(GapError) as e:
+            build_graph(10 ** 6, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(e.value) == "vertices 0 and 1 are not connected"
+    assert peak < 1 << 20
+    rng = np.random.default_rng(34)
+    for _ in range(30):
+        n = int(rng.integers(4, 40))
+        # a random tree over 0, 1 and a few other vertices, and a path
+        # through some of the rest: fewer than n - 1 edges in all
+        order = [0, 1] + (2 + rng.permutation(n - 2)).tolist()
+        cut = int(rng.integers(2, n - 1))
+        tree = [(order[int(rng.integers(0, i))], order[i]) for i in range(1, cut)]
+        rest = order[cut:]
+        path = list(zip(rest, rest[1:]))[:max(0, n - 2 - len(tree))]
+        edges = [(min(e), max(e)) for e in tree + path]
+        assert len(edges) < n - 1
+        g = build_graph(n, edges, require_connected=False)
+        first = np.flatnonzero(bfs_hops(g)[0] == math.inf)[0]
+        want = f"vertices 0 and {first} are not connected"
+        for refuse in (lambda: build_graph(n, edges), lambda: build_graph_metric(g)):
+            with pytest.raises(GapError) as e:
+                refuse()
+            assert (e.value.code, str(e.value)) == ("disconnected-graph", want)
 
 
 # ---------------------------------------------------------------------------

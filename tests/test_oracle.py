@@ -640,7 +640,7 @@ def test_genmet_reduce_matrices():
     p3 = build_graph(3, [(0, 1), (1, 2)])
     m = genmet_reduce(p3)
     assert m.dist[0, 1] == 1.0 and m.dist[1, 2] == 1.0 and m.dist[0, 2] == 2.0
-    assert m.exact2x[0, 2] == 4 and m.source == "explicit"
+    assert m.exact2x[0, 2] == 4 and m.points is None and vars(m)["_adj"] is None
     k3 = build_graph(3, [(0, 1), (0, 2), (1, 2)])
     assert (genmet_reduce(k3).dist + np.eye(3) == 1.0).all()
     e3 = build_graph(3, [], require_connected=False)
@@ -654,7 +654,8 @@ def test_genmet_reduce_passes_the_explicit_audit():
         for mask in range(1 << (n * (n - 1) // 2)):
             m = genmet_reduce(graph_from_mask(n, mask, require_connected=False))
             ref = build_explicit(m.dist)
-            assert (m.n, m.source) == (ref.n, ref.source)
+            assert m.n == ref.n and m.points is ref.points is None
+            assert vars(m)["_adj"] is vars(ref)["_adj"] is None
             exact2x = (2 * ref.dist).astype(np.int64)
             for got, want in ((m.dist, ref.dist), (m.exact2x, exact2x)):
                 assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -27,7 +27,7 @@ def matrix_metric(cloud):
     with np.errstate(over="ignore"):
         dist = _pairwise(cloud.points, cloud.points)
     dist.setflags(write=False)
-    return FiniteMetric(n=cloud.n, dist=dist, source="euclidean")
+    return FiniteMetric(n=cloud.n, dist=dist)
 
 
 def full_scan(cloud):
